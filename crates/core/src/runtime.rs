@@ -39,7 +39,7 @@ use crate::registry::RegistryInstance;
 use crate::strategy::StrategyKind;
 use crate::sync_agent::SyncAgentState;
 use crate::transport::{InProcessTransport, RegistryTransport};
-use crate::wal::{FileWal, FsyncPolicy, MemWal, TornTail, WalError, WalSink};
+use crate::wal::{log_acked_writes, FileWal, FsyncPolicy, MemWal, TornTail, WalError, WalSink};
 use crate::MetaError;
 use geometa_sim::rng::SplitMix64;
 use geometa_sim::topology::{SiteId, Topology};
@@ -326,17 +326,7 @@ impl ServiceCore {
                     let dir = data_dir.join(format!("site-{}", site.0));
                     let (wal, rec) = FileWal::open(&dir, *fsync)?;
                     if !rec.is_empty() || rec.torn.is_some() {
-                        let registry = &registries[&site];
-                        for entry in &rec.entries {
-                            let _ = registry.absorb(entry);
-                        }
-                        for record in &rec.tail {
-                            let _ = InProcessTransport::serve(
-                                registry,
-                                record.req.clone(),
-                                record.now_micros,
-                            );
-                        }
+                        rec.replay_into(&registries[&site]);
                         recovery.push(RecoveryReport {
                             site,
                             snapshot_entries: rec.entries.len(),
@@ -427,9 +417,29 @@ impl ServiceCore {
         self.registries.get(&site)
     }
 
-    /// Serve one request against `site`'s registry — the single dispatch
-    /// every connection layer calls, so registry semantics live in exactly
-    /// one place ([`InProcessTransport::serve`]).
+    /// Apply one request to `site`'s registry `r` — the one per-request
+    /// dispatch behind [`Self::serve`] and [`Self::serve_batch_into`].
+    /// Ops requests are answered by the runtime itself (membership and
+    /// WALs live here, not in the registry); registry semantics live in
+    /// [`InProcessTransport::serve`]. Inlined so neither caller pays a
+    /// second call and request move on the way there.
+    #[inline]
+    fn apply(
+        &self,
+        site: SiteId,
+        r: &RegistryInstance,
+        req: RegistryRequest,
+        now: u64,
+    ) -> RegistryResponse {
+        match req {
+            RegistryRequest::Status => self.status_response(site),
+            RegistryRequest::Reconfigure { op, site: target } => self.start_reconfigure(op, target),
+            req => InProcessTransport::serve(r, req, now),
+        }
+    }
+
+    /// Serve one request against `site`'s registry: a batch of one that
+    /// needs no scratch and allocates nothing of its own.
     ///
     /// Successful writes are appended to the site's WAL *before the ack
     /// is returned*: with a file sink the append blocks until the record
@@ -438,53 +448,23 @@ impl ServiceCore {
     /// `Unavailable` — the write may exist in memory, but the durability
     /// contract ("acked ⇒ recoverable") is never weakened silently.
     pub fn serve(&self, site: SiteId, req: RegistryRequest) -> RegistryResponse {
-        // Ops requests are answered by the runtime itself: membership and
-        // WALs live here, not in the registry.
-        match req {
-            RegistryRequest::Status => return self.status_response(site),
-            RegistryRequest::Reconfigure { op, site: target } => {
-                return self.start_reconfigure(op, target)
-            }
-            _ => {}
-        }
+        let unavailable = RegistryResponse::Error {
+            error: MetaError::Unavailable,
+        };
         let Some(r) = self.registries.get(&site) else {
-            return RegistryResponse::Error {
-                error: MetaError::Unavailable,
-            };
+            return unavailable;
         };
         let wal = self.wals.get(&site).filter(|_| req.is_write());
         let logged = wal.map(|_| req.clone());
         let now = self.now_micros();
-        let resp = InProcessTransport::serve(r, req, now);
+        let resp = self.apply(site, r, req, now);
         if let (Some(wal), Some(req), RegistryResponse::Ack) = (wal, logged, &resp) {
-            if let Err(e) = wal.append(&req, now) {
-                eprintln!("geometa: wal append failed at site {}: {e}", site.0);
-                return RegistryResponse::Error {
-                    error: MetaError::Unavailable,
-                };
-            }
-            if wal.records_since_snapshot() >= self.snapshot_every {
-                let registry = Arc::clone(r);
-                if let Err(e) = wal.install_snapshot(&mut || registry.all_entries()) {
-                    // Snapshot failure is not fatal to the ack (the
-                    // record is durable in the log); it is surfaced and
-                    // retried at the next trigger.
-                    eprintln!("geometa: wal snapshot failed at site {}: {e}", site.0);
-                }
+            let writes = std::slice::from_ref(&req);
+            if log_acked_writes(&**wal, writes, now, self.snapshot_every, r).is_err() {
+                return unavailable;
             }
         }
         resp
-    }
-
-    /// Serve an ordered batch of requests against `site`'s registry,
-    /// responses in request order. Convenience wrapper over
-    /// [`Self::serve_batch_into`] for callers without a reusable scratch.
-    pub fn serve_batch(&self, site: SiteId, reqs: Vec<RegistryRequest>) -> Vec<RegistryResponse> {
-        let mut reqs = reqs;
-        let mut out = Vec::with_capacity(reqs.len());
-        let mut scratch = BatchScratch::default();
-        self.serve_batch_into(site, &mut reqs, &mut out, &mut scratch);
-        out
     }
 
     /// Serve a batch, draining `reqs` and appending one response per
@@ -535,13 +515,9 @@ impl ServiceCore {
                     // Placeholder; overwritten by the grouped read below.
                     out.push(RegistryResponse::Ack);
                 }
-                RegistryRequest::Status => out.push(self.status_response(site)),
-                RegistryRequest::Reconfigure { op, site: target } => {
-                    out.push(self.start_reconfigure(op, target))
-                }
                 req => {
                     let logged = wal.filter(|_| req.is_write()).map(|_| req.clone());
-                    let resp = InProcessTransport::serve(r, req, now);
+                    let resp = self.apply(site, r, req, now);
                     if let (Some(req), RegistryResponse::Ack) = (logged, &resp) {
                         scratch.write_slots.push(out.len());
                         scratch.writes.push(req);
@@ -568,23 +544,12 @@ impl ServiceCore {
                 }
             }
         }
-        if let Some(wal) = wal {
-            if !scratch.writes.is_empty() {
-                if let Err(e) = wal.append_batch(&scratch.writes, now) {
-                    eprintln!("geometa: wal append failed at site {}: {e}", site.0);
-                    for &slot in &scratch.write_slots {
-                        out[slot] = RegistryResponse::Error {
-                            error: MetaError::Unavailable,
-                        };
-                    }
-                } else if wal.records_since_snapshot() >= self.snapshot_every {
-                    let registry = Arc::clone(r);
-                    if let Err(e) = wal.install_snapshot(&mut || registry.all_entries()) {
-                        // Snapshot failure is not fatal to the acks (the
-                        // records are durable in the log); it is surfaced
-                        // and retried at the next trigger.
-                        eprintln!("geometa: wal snapshot failed at site {}: {e}", site.0);
-                    }
+        if let Some(wal) = wal.filter(|_| !scratch.writes.is_empty()) {
+            if log_acked_writes(&**wal, &scratch.writes, now, self.snapshot_every, r).is_err() {
+                for &slot in &scratch.write_slots {
+                    out[slot] = RegistryResponse::Error {
+                        error: MetaError::Unavailable,
+                    };
                 }
             }
         }
@@ -681,6 +646,7 @@ impl ServiceCore {
     }
 
     /// Answer a `Status` request for `site`.
+    #[cold]
     fn status_response(&self, site: SiteId) -> RegistryResponse {
         let (epoch, members, rebalancing, last_moved) = {
             let m = self.membership.lock();
@@ -709,6 +675,7 @@ impl ServiceCore {
     /// while one is in flight is refused with `Contention`; an invalid
     /// target (unknown site, join of a member, leave of a non-member or
     /// of the last member) with `Unavailable`.
+    #[cold]
     fn start_reconfigure(&self, op: ReconfigureOp, target: SiteId) -> RegistryResponse {
         let refuse = |error| RegistryResponse::Error { error };
         let new_members = {
@@ -896,8 +863,8 @@ pub trait ConnectionLayer: Send {
 
     /// A client transport viewed from `site`. Returned as `Arc` so layers
     /// whose transports are location-independent (TCP: routing is per
-    /// target, and the pooled connections + cast pump are expensive) can
-    /// hand every client a clone of one shared instance.
+    /// target, and the call reactor + cast pump are expensive) can hand
+    /// every client a clone of one shared instance.
     fn transport(&self, core: &Arc<ServiceCore>, site: SiteId) -> Arc<Self::Transport>;
 
     /// Called once at shutdown, after the core's shutdown flag is set:

@@ -8,7 +8,8 @@
 //!   building block of the others.
 //! * `geometa_core::live` — real threads and channels with injected WAN
 //!   delay.
-//! * `geometa_net` — framed TCP sockets (pooling, reconnecting client).
+//! * `geometa_net` — framed TCP sockets (one pipelined, reconnecting
+//!   connection per target).
 //! * `geometa_experiments::simbind` — the discrete-event simulation
 //!   binding.
 
@@ -77,7 +78,8 @@ impl InProcessTransport {
     }
 
     /// Serve one request against one instance — shared by every transport
-    /// implementation so registry semantics live in exactly one place.
+    /// implementation, the runtime's dispatch and WAL replay, so registry
+    /// semantics live in exactly one place.
     pub fn serve(registry: &RegistryInstance, req: RegistryRequest, now: u64) -> RegistryResponse {
         match req {
             RegistryRequest::Get { key } => match registry.get_key(&key) {

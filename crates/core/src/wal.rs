@@ -42,6 +42,8 @@
 
 use crate::entry::RegistryEntry;
 use crate::protocol::RegistryRequest;
+use crate::registry::RegistryInstance;
+use crate::transport::InProcessTransport;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex};
 use std::fmt;
@@ -307,26 +309,18 @@ pub fn decode_snapshot(path: &Path, bytes: &[u8]) -> Result<(u64, Vec<RegistryEn
 /// What a deployment layer plugs behind `ServiceCore`: append writes,
 /// install snapshots, expose enough state for the snapshot trigger.
 pub trait WalSink: Send + Sync {
-    /// Append a served write. Returns its sequence number once the
-    /// record is durable *per the sink's policy* (a file sink under
-    /// group commit blocks until the flusher has synced past it).
-    fn append(&self, req: &RegistryRequest, now_micros: u64) -> Result<u64, WalError>;
-
     /// Append a run of served writes as one unit: one lock acquisition
-    /// and one durability wait for the whole run instead of one per
-    /// record (the per-batch cost a multi-reactor server pays when a
-    /// `serve_batch` carries several writes). Records get a contiguous
-    /// sequence range; the returned value is the *last* assigned seq.
-    /// Semantically identical to appending each record in order — the
-    /// default does exactly that for sinks without a cheaper path.
-    /// Callers must not pass an empty slice.
-    fn append_batch(&self, reqs: &[RegistryRequest], now_micros: u64) -> Result<u64, WalError> {
-        debug_assert!(!reqs.is_empty(), "append_batch of nothing");
-        let mut last = 0;
-        for req in reqs {
-            last = self.append(req, now_micros)?;
-        }
-        Ok(last)
+    /// and one durability wait for the whole run (a file sink under
+    /// group commit blocks until the flusher has synced past the last
+    /// record). Records get a contiguous sequence range; the returned
+    /// value is the *last* assigned seq, available once the run is
+    /// durable *per the sink's policy*. Callers must not pass an empty
+    /// slice.
+    fn append_batch(&self, reqs: &[RegistryRequest], now_micros: u64) -> Result<u64, WalError>;
+
+    /// Append one served write: a batch of one.
+    fn append(&self, req: &RegistryRequest, now_micros: u64) -> Result<u64, WalError> {
+        self.append_batch(std::slice::from_ref(req), now_micros)
     }
 
     /// Replace the snapshot with the entries produced by `collect` and
@@ -348,6 +342,32 @@ pub trait WalSink: Send + Sync {
 
     /// Flush everything and stop background machinery. Idempotent.
     fn close(&self);
+}
+
+/// Log a run of acked writes against `registry`, then snapshot and
+/// truncate once `snapshot_every` records have piled up. Every server of
+/// writes — the live runtime, one request or a batch at a time, and the
+/// simulator's registry actor — calls this before an ack leaves the
+/// site. `Err` means the append failed and no write of the run may be
+/// acked; the failure is already reported on stderr. A snapshot failure
+/// is not fatal to the acks (the records are durable in the log): it is
+/// reported and retried at the next trigger.
+pub fn log_acked_writes(
+    wal: &dyn WalSink,
+    writes: &[RegistryRequest],
+    now_micros: u64,
+    snapshot_every: u64,
+    registry: &RegistryInstance,
+) -> Result<(), WalError> {
+    let site = registry.site().0;
+    wal.append_batch(writes, now_micros)
+        .inspect_err(|e| eprintln!("geometa: wal append failed at site {site}: {e}"))?;
+    if wal.records_since_snapshot() >= snapshot_every {
+        if let Err(e) = wal.install_snapshot(&mut || registry.all_entries()) {
+            eprintln!("geometa: wal snapshot failed at site {site}: {e}");
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -401,18 +421,6 @@ impl MemWal {
 }
 
 impl WalSink for MemWal {
-    fn append(&self, req: &RegistryRequest, now_micros: u64) -> Result<u64, WalError> {
-        let mut inner = self.inner.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.records.push(WalRecord {
-            seq,
-            now_micros,
-            req: req.clone(),
-        });
-        Ok(seq)
-    }
-
     fn append_batch(&self, reqs: &[RegistryRequest], now_micros: u64) -> Result<u64, WalError> {
         debug_assert!(!reqs.is_empty(), "append_batch of nothing");
         let mut inner = self.inner.lock();
@@ -500,6 +508,20 @@ impl WalRecovery {
     /// True when the directory held neither snapshot nor records.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty() && self.tail.is_empty()
+    }
+
+    /// Rebuild `registry` from this recovery: absorb the snapshot
+    /// entries, then replay the tail through the dispatch live traffic
+    /// uses, stamped with the recorded request times. Idempotent (put
+    /// merges, absorb is last-writer-wins), so a tail record the
+    /// snapshot already covers is harmless.
+    pub fn replay_into(&self, registry: &RegistryInstance) {
+        for entry in &self.entries {
+            let _ = registry.absorb(entry);
+        }
+        for record in &self.tail {
+            let _ = InProcessTransport::serve(registry, record.req.clone(), record.now_micros);
+        }
     }
 }
 
@@ -652,52 +674,6 @@ fn flusher_loop(shared: &FileWalShared, interval: Duration) {
 }
 
 impl WalSink for FileWal {
-    fn append(&self, req: &RegistryRequest, now_micros: u64) -> Result<u64, WalError> {
-        let mut state = self.shared.state.lock();
-        if let Some(sick) = &state.sick {
-            return Err(io_err(
-                "append on sick wal",
-                std::io::Error::other(sick.clone()),
-            ));
-        }
-        let seq = state.next_seq;
-        let buf = encode_record(seq, now_micros, req);
-        // geometa-lint: allow(durability) Always syncs two lines down; GroupCommit blocks below until the flusher's sync_data covers this record; Never is the documented opt-out
-        if let Err(e) = state.file.write_all(&buf) {
-            state.sick = Some(format!("append write_all: {e}"));
-            return Err(io_err("append", e));
-        }
-        state.next_seq = seq + 1;
-        state.appended_seq = seq;
-        state.records_since_snapshot += 1;
-        match self.shared.policy {
-            FsyncPolicy::Never => Ok(seq),
-            FsyncPolicy::Always => {
-                state.file.sync_data().map_err(|e| io_err("sync_data", e))?;
-                state.synced_seq = seq;
-                Ok(seq)
-            }
-            FsyncPolicy::GroupCommit(_) => {
-                // Wake the flusher early if it is parked on its interval
-                // with nothing else pending; then wait for durability.
-                self.shared.synced.notify_all();
-                while state.synced_seq < seq && !state.stop && state.sick.is_none() {
-                    self.shared.synced.wait(&mut state);
-                }
-                if let Some(sick) = &state.sick {
-                    return Err(io_err("group commit", std::io::Error::other(sick.clone())));
-                }
-                if state.synced_seq < seq {
-                    // Closed mid-wait: take over the final sync so the
-                    // ack still implies durability.
-                    state.file.sync_data().map_err(|_| WalError::Closed)?;
-                    state.synced_seq = state.appended_seq;
-                }
-                Ok(seq)
-            }
-        }
-    }
-
     fn append_batch(&self, reqs: &[RegistryRequest], now_micros: u64) -> Result<u64, WalError> {
         debug_assert!(!reqs.is_empty(), "append_batch of nothing");
         let mut state = self.shared.state.lock();
@@ -715,7 +691,7 @@ impl WalSink for FileWal {
         for req in reqs {
             let seq = state.next_seq;
             let buf = encode_record(seq, now_micros, req);
-            // geometa-lint: allow(durability) the policy branch below covers the whole run, mirroring append()
+            // geometa-lint: allow(durability) the policy branch below covers the whole run: Always syncs it, GroupCommit blocks until the flusher's sync_data covers its last record, Never is the documented opt-out
             if let Err(e) = state.file.write_all(&buf) {
                 state.sick = Some(format!("append write_all: {e}"));
                 return Err(io_err("append", e));
@@ -733,6 +709,8 @@ impl WalSink for FileWal {
                 Ok(last)
             }
             FsyncPolicy::GroupCommit(_) => {
+                // Wake the flusher early if it is parked on its interval
+                // with nothing else pending; then wait for durability.
                 self.shared.synced.notify_all();
                 while state.synced_seq < last && !state.stop && state.sick.is_none() {
                     self.shared.synced.wait(&mut state);

@@ -7,10 +7,12 @@
 //! and it never resurrects a record that was not appended.
 
 use geometa_core::entry::{FileLocation, RegistryEntry};
-use geometa_core::protocol::RegistryRequest;
+use geometa_core::live::ChannelLayer;
+use geometa_core::protocol::{ReconfigureOp, RegistryRequest};
+use geometa_core::runtime::{RuntimeConfig, ServiceRuntime, WalConfig};
 use geometa_core::wal::{
-    decode_log, decode_snapshot, encode_record, encode_snapshot, read_log_file, FileWal,
-    FsyncPolicy, WalError, WalSink, LOG_FILE,
+    decode_log, decode_snapshot, encode_record, encode_snapshot, read_log_file, read_snapshot_file,
+    FileWal, FsyncPolicy, WalError, WalSink, LOG_FILE, SNAPSHOT_FILE,
 };
 use geometa_sim::topology::SiteId;
 use proptest::prelude::*;
@@ -136,6 +138,40 @@ proptest! {
     }
 }
 
+/// Requests of every kind over a small key pool, so reads and removes
+/// hit what the writes wrote. Reconfigures are limited to ones the core
+/// refuses (join of a member or of an unknown site, leave/drain of a
+/// non-member): an accepted one starts a background transfer.
+fn arb_served_request() -> impl Strategy<Value = RegistryRequest> {
+    let entry = || {
+        ("k[0-7]", any::<u64>(), 0..4u16, 1..1000u64).prop_map(|(name, size, site, at)| {
+            let location = FileLocation {
+                site: SiteId(site),
+                node: 0,
+            };
+            RegistryEntry::new(&name, size, location, at)
+        })
+    };
+    prop_oneof![
+        "k[0-7]".prop_map(|k| RegistryRequest::Get { key: k.into() }),
+        entry().prop_map(|entry| RegistryRequest::Put { entry }),
+        prop::collection::vec(entry(), 1..4)
+            .prop_map(|entries| RegistryRequest::Absorb { entries }),
+        "k[0-7]".prop_map(|k| RegistryRequest::Remove { key: k.into() }),
+        prop_oneof![Just(0u64), Just(u64::MAX)]
+            .prop_map(|since| RegistryRequest::DeltaPull { since }),
+        Just(RegistryRequest::Status),
+        (0..8u16).prop_map(|s| RegistryRequest::Reconfigure {
+            op: ReconfigureOp::Join,
+            site: SiteId(s),
+        }),
+        (4..8u16).prop_map(|s| RegistryRequest::Reconfigure {
+            op: ReconfigureOp::Leave,
+            site: SiteId(s),
+        }),
+    ]
+}
+
 /// A unique scratch dir per proptest case (cases run in one process).
 fn scratch_dir() -> PathBuf {
     static CASE: AtomicU64 = AtomicU64::new(0);
@@ -197,5 +233,58 @@ proptest! {
         prop_assert_eq!(recovery.tail.len(), tail.len());
         wal.close();
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// `ServiceCore::serve` is `serve_batch_into` for a batch of one: fed
+    /// the same request stream — every request kind, hits and misses,
+    /// refused reconfigures, a site the core does not host — two fresh
+    /// runtimes answer identically, snapshot at the same record counts,
+    /// and leave the same log and the same snapshot behind. (A file sink
+    /// so the log can be read back; timestamps are per-runtime wall
+    /// clocks and are not compared.)
+    #[test]
+    fn serve_matches_a_batch_of_one(reqs in prop::collection::vec(arb_served_request(), 1..24)) {
+        let site = SiteId(0);
+        let start = || {
+            let dir = scratch_dir();
+            let config = RuntimeConfig {
+                wal: WalConfig::File { data_dir: dir.clone(), fsync: FsyncPolicy::Never },
+                snapshot_every: 3,
+                ..RuntimeConfig::default()
+            };
+            (ServiceRuntime::start(config, ChannelLayer::new(0.0)), dir.join("site-0"))
+        };
+        let (single, single_dir) = start();
+        let (batched, batched_dir) = start();
+        let mut scratch = batched.core().new_batch_scratch();
+        for req in reqs {
+            for target in [site, SiteId(9)] {
+                let one = single.core().serve(target, req.clone());
+                let (mut batch, mut out) = (vec![req.clone()], Vec::new());
+                batched.core().serve_batch_into(target, &mut batch, &mut out, &mut scratch);
+                prop_assert_eq!(vec![one], out, "{:?} at {}", req, target);
+            }
+            let (a, b) = (single.core().wal(site).unwrap(), batched.core().wal(site).unwrap());
+            prop_assert_eq!(a.next_seq(), b.next_seq());
+            prop_assert_eq!(a.records_since_snapshot(), b.records_since_snapshot());
+        }
+        single.shutdown();
+        batched.shutdown();
+        let on_disk = |dir: &Path| {
+            let (records, torn) = read_log_file(&dir.join(LOG_FILE)).expect("read log");
+            assert!(torn.is_none());
+            let log: Vec<_> = records.into_iter().map(|r| (r.seq, r.req)).collect();
+            let snapshot = read_snapshot_file(&dir.join(SNAPSHOT_FILE))
+                .expect("read snapshot")
+                .map(|(seq, mut entries)| {
+                    entries.sort_by(|x, y| x.name.as_str().cmp(y.name.as_str()));
+                    (seq, entries)
+                });
+            (log, snapshot)
+        };
+        prop_assert_eq!(on_disk(&single_dir), on_disk(&batched_dir));
+        for dir in [single_dir, batched_dir] {
+            std::fs::remove_dir_all(dir.parent().expect("data dir")).expect("cleanup");
+        }
     }
 }

@@ -20,6 +20,9 @@ use geometa_experiments::report::{generate, ReportOptions};
 use geometa_experiments::runner;
 use std::time::Instant;
 
+/// The figure sections `report::generate` knows.
+const FIGURES: [&str; 6] = ["fig1", "fig5", "fig6", "fig7", "fig8", "fig10"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Accept both `--jobs N` and `--jobs=N`.
@@ -50,17 +53,24 @@ fn main() {
             skip_next = false;
             continue;
         }
-        if a == "--jobs" {
-            skip_next = true; // its value
-            continue;
-        }
-        if a.starts_with("--") {
-            continue;
-        }
-        if a == "scale" {
-            scale = true;
-        } else {
-            sections.push(a.clone());
+        match a.as_str() {
+            "--jobs" => skip_next = true, // its value
+            "--quick" | "--csv" | "--chaos" => {}
+            "scale" => scale = true,
+            s if FIGURES.contains(&s) => sections.push(a.clone()),
+            s if s.starts_with("--jobs=") => {}
+            s => {
+                let what = if s.starts_with('-') {
+                    "flag"
+                } else {
+                    "section"
+                };
+                eprintln!(
+                    "unknown {what} '{s}' (sections: {} scale; flags: --quick --csv --chaos --jobs N)",
+                    FIGURES.join(" ")
+                );
+                std::process::exit(2);
+            }
         }
     }
     // `repro scale` alone runs only the sweep; `repro scale fig5` adds it

@@ -26,7 +26,7 @@ use geometa_core::registry::RegistryInstance;
 use geometa_core::strategy::{MetadataStrategy, StrategyKind};
 use geometa_core::sync_agent::{SyncAgentState, SyncPush};
 use geometa_core::transport::InProcessTransport;
-use geometa_core::wal::{MemWal, WalSink};
+use geometa_core::wal::{log_acked_writes, MemWal};
 use geometa_core::MetaError;
 use geometa_sim::oracle::SharedOpLog;
 use geometa_sim::prelude::*;
@@ -245,13 +245,14 @@ impl Actor<Msg> for RegistryActor {
         // live runtime's durable-ack ordering: anything a client may
         // observe as acknowledged is on the (simulated) log.
         if let (Some(wal), Some(req), RegistryResponse::Ack) = (&self.wal, logged, &resp) {
-            wal.append(&req, done.as_micros())
-                .expect("MemWal append cannot fail");
-            if wal.records_since_snapshot() >= SIM_SNAPSHOT_EVERY {
-                let instance = Arc::clone(&self.instance);
-                wal.install_snapshot(&mut || instance.all_entries())
-                    .expect("MemWal snapshot cannot fail");
-            }
+            log_acked_writes(
+                &**wal,
+                std::slice::from_ref(&req),
+                done.as_micros(),
+                SIM_SNAPSHOT_EVERY,
+                &self.instance,
+            )
+            .expect("MemWal append cannot fail");
         }
         ctx.metrics().incr("registry_ops", 1);
         if op != CAST_OP {
@@ -282,19 +283,10 @@ impl Actor<Msg> for RegistryActor {
             }
             FaultNotice::Restarted => {
                 if let Some(wal) = &self.wal {
-                    // Recovery: snapshot entries first, then the logged
-                    // tail through the same dispatch live traffic uses,
-                    // stamped with the recorded request times. Replay is
-                    // idempotent (put merges, absorb is LWW), so it is
-                    // safe even if the snapshot already covers part of
-                    // the tail.
+                    // Recovery: the same snapshot-then-tail replay a
+                    // restarted live site runs.
                     let rec = wal.recovery();
-                    for e in &rec.entries {
-                        let _ = self.instance.absorb(e);
-                    }
-                    for r in &rec.tail {
-                        InProcessTransport::serve(&self.instance, r.req.clone(), r.now_micros);
-                    }
+                    rec.replay_into(&self.instance);
                     ctx.metrics().incr(
                         "registry_replayed",
                         (rec.entries.len() + rec.tail.len()) as u64,

@@ -11,7 +11,7 @@
 //! performs no heap allocation: slots, buffers and queues all reach a
 //! high-water mark and are recycled. The reactor owns one nonblocking
 //! connection per target, tags each request with a per-connection
-//! sequence id ([`crate::server::MODE_CALL_SEQ`] frames), and writes
+//! sequence id (the frame's [`CallHeader`]), and writes
 //! every submission that arrived in one pass back-to-back — so
 //! concurrent callers share a connection, their requests coalesce into
 //! one kernel write, and the server's batch decode turns them into
@@ -32,8 +32,8 @@
 //! the request, and `Put`/OCC writes are not idempotent across duplicate
 //! delivery.
 
-use crate::frame::{write_frame_with_mode, Fill, FrameReader, MAX_FRAME};
-use crate::server::{epoch_checked, MODE_CALL_EPOCH, MODE_CALL_SEQ, MODE_CAST};
+use crate::frame::{write_frame_with_mode, CallHeader, Fill, FrameReader, MAX_FRAME, MODE_CAST};
+use crate::server::epoch_checked;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use geometa_core::protocol::{self, RegistryRequest, RegistryResponse};
 use geometa_core::transport::RegistryTransport;
@@ -244,8 +244,8 @@ struct SlotState {
     /// no allocator.
     body: Vec<u8>,
     target: SiteId,
-    /// Membership epoch to stamp on the frame ([`MODE_CALL_EPOCH`]);
-    /// `None` sends a plain [`MODE_CALL_SEQ`] frame (epoch-exempt).
+    /// Membership epoch to stamp on the frame's [`CallHeader`]; `None`
+    /// for epoch-exempt requests.
     epoch: Option<u64>,
 }
 
@@ -339,25 +339,16 @@ impl CConn {
         }
     }
 
-    /// Frame one call onto the output buffer and record it pending.
-    /// With an epoch the frame is `[MODE_CALL_EPOCH][seq][epoch][req]`,
-    /// without it `[MODE_CALL_SEQ][seq][req]`.
+    /// Frame one call (`[CallHeader][req]`) onto the output buffer and
+    /// record it pending.
     // geometa-hot
     fn enqueue_call(&mut self, body: &[u8], epoch: Option<u64>, slot: Arc<CallSlot>, gen: u64) {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        let frame_body = 1 + 4 + if epoch.is_some() { 8 } else { 0 } + body.len();
+        let frame_body = CallHeader::encoded_len(epoch) + body.len();
         self.out
             .extend_from_slice(&(frame_body as u32).to_le_bytes());
-        self.out.push(if epoch.is_some() {
-            MODE_CALL_EPOCH
-        } else {
-            MODE_CALL_SEQ
-        });
-        self.out.extend_from_slice(&seq.to_le_bytes());
-        if let Some(e) = epoch {
-            self.out.extend_from_slice(&e.to_le_bytes());
-        }
+        CallHeader { seq, epoch }.encode_into(&mut self.out);
         self.out.extend_from_slice(body);
         self.queued_abs += (4 + frame_body) as u64;
         self.pending.push_back(PendingCall {
@@ -571,8 +562,7 @@ impl CallReactor {
     // geometa-hot
     fn submit(&mut self, slot: &Arc<CallSlot>, gen: u64) {
         let st = slot.state.lock();
-        let header = 1 + 4 + if st.epoch.is_some() { 8 } else { 0 };
-        if header + st.body.len() > MAX_FRAME {
+        if CallHeader::encoded_len(st.epoch) + st.body.len() > MAX_FRAME {
             drop(st);
             deliver(slot, gen, CallOutcome::NotSent); // unframeable
             return;
@@ -1062,10 +1052,6 @@ impl Drop for TcpClientTransport {
     }
 }
 
-/// Idle-pool depth of the legacy pooled client; still the default for
-/// `TcpConfig::pool_per_site` (the pipelined client ignores it).
-pub const DEFAULT_POOL_PER_SITE: usize = 16;
-
 /// Convenience: a transport for a cluster listening on `addrs[i]` for
 /// site *i* (the `geometa-load --connect` path).
 pub fn transport_for(addrs: &[SocketAddr], call_timeout: Duration) -> Arc<TcpClientTransport> {
@@ -1195,7 +1181,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_calls_are_framed_as_mode_call_epoch() {
+    fn epoch_calls_carry_the_epoch_in_the_frame_header() {
         let stream = {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             std::net::TcpStream::connect(l.local_addr().unwrap()).unwrap()
@@ -1207,12 +1193,11 @@ mod tests {
         let out = &conn.out;
         let len = u32::from_le_bytes([out[0], out[1], out[2], out[3]]) as usize;
         assert_eq!(len, 1 + 4 + 8 + 3);
-        assert_eq!(out[4], MODE_CALL_EPOCH);
-        assert_eq!(&out[5..9], &0u32.to_le_bytes());
-        assert_eq!(
-            u64::from_le_bytes(out[9..17].try_into().unwrap()),
-            0xDEAD_BEEF_0042
-        );
+        let header = CallHeader {
+            seq: 0,
+            epoch: Some(0xDEAD_BEEF_0042),
+        };
+        assert_eq!(CallHeader::parse(&out[4..]), Some((header, 13)));
         assert_eq!(&out[17..20], b"req");
         assert_eq!(conn.queued_abs, (4 + len) as u64);
     }

@@ -14,39 +14,85 @@ use std::io::{Read, Write};
 /// (protects the server from a garbage length burning 4 GiB).
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 
-/// Write one frame (length prefix + body). Errors with `InvalidData`
-/// when the body exceeds [`MAX_FRAME`] — in release builds too; the peer
-/// would reject the oversized length prefix mid-stream, which is a far
-/// worse failure than refusing to send.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
-    if body.len() > MAX_FRAME {
-        return Err(oversized(body.len()));
+/// Frame-body mode byte: fire-and-forget, no response. The body is
+/// `[MODE_CAST][request]`.
+pub const MODE_CAST: u8 = 1;
+/// Mode byte of a call without an epoch; bit 0 set adds the epoch.
+const MODE_CALL: u8 = 2;
+
+/// The header of a call frame body:
+/// `[mode][u32_le seq][u64_le epoch iff mode bit 0][request]`, answered
+/// by a frame `[u32_le seq][response]`. The sequence id lets many calls
+/// share one connection and resolve in any order. The epoch is the
+/// caller's membership epoch: the server refuses a placement-dependent
+/// request stamped with a stale one (`MetaError::WrongEpoch`). It lives
+/// in the *frame*, not in `RegistryRequest`, so the simulator's
+/// wire-size accounting (and the repro pipeline's byte-identical CSVs)
+/// never see it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CallHeader {
+    /// Per-connection sequence id, echoed ahead of the response.
+    pub seq: u32,
+    /// Membership epoch the caller planned under; `None` for requests
+    /// that must work from stale clients.
+    pub epoch: Option<u64>,
+}
+
+impl CallHeader {
+    /// Bytes a header carrying `epoch` occupies.
+    pub fn encoded_len(epoch: Option<u64>) -> usize {
+        1 + 4 + if epoch.is_some() { 8 } else { 0 }
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)
+
+    /// Append the header to `out`.
+    // geometa-hot
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(MODE_CALL | u8::from(self.epoch.is_some()));
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        if let Some(epoch) = self.epoch {
+            out.extend_from_slice(&epoch.to_le_bytes());
+        }
+    }
+
+    /// Split a call frame body into its header and the offset of the
+    /// request behind it. `None` — a mode byte that is not a call, or a
+    /// body shorter than its header — is a protocol violation: there is
+    /// no sequence id to answer under, so the connection is dropped.
+    // geometa-hot
+    pub fn parse(body: &[u8]) -> Option<(CallHeader, usize)> {
+        let mode = *body.first()?;
+        if mode & !1 != MODE_CALL {
+            return None;
+        }
+        let seq = u32::from_le_bytes(body.get(1..5)?.try_into().ok()?);
+        let epoch = match mode & 1 {
+            0 => None,
+            _ => Some(u64::from_le_bytes(body.get(5..13)?.try_into().ok()?)),
+        };
+        Some((CallHeader { seq, epoch }, CallHeader::encoded_len(epoch)))
+    }
 }
 
 /// Write one frame whose body is a mode byte followed by `body` — without
-/// materializing the concatenation (the request hot path would otherwise
-/// copy every encoded message just to prepend one byte). Two writes: a
-/// 5-byte stack header, then the payload. The mode byte counts against
+/// materializing the concatenation (the cast path would otherwise copy
+/// every encoded message just to prepend one byte). Two writes: a 5-byte
+/// stack header, then the payload. The mode byte counts against
 /// [`MAX_FRAME`]: the frame body on the wire is `body.len() + 1` bytes.
+/// An oversized body is refused with `InvalidData` — in release builds
+/// too; the peer would reject the length prefix mid-stream, which is a
+/// far worse failure than refusing to send.
 pub fn write_frame_with_mode(w: &mut impl Write, mode: u8, body: &[u8]) -> std::io::Result<()> {
     if body.len() + 1 > MAX_FRAME {
-        return Err(oversized(body.len() + 1));
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("frame body {} exceeds cap {MAX_FRAME}", body.len() + 1),
+        ));
     }
     let mut head = [0u8; 5];
     head[..4].copy_from_slice(&((body.len() + 1) as u32).to_le_bytes());
     head[4] = mode;
     w.write_all(&head)?;
     w.write_all(body)
-}
-
-fn oversized(len: usize) -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("frame body {len} exceeds cap {MAX_FRAME}"),
-    )
 }
 
 /// What one [`FrameReader::fill`] call observed on the stream.
@@ -115,36 +161,22 @@ impl FrameReader {
         }
     }
 
-    /// Pop one complete frame if buffered. `Err` on an implausible length
-    /// prefix (the connection should be dropped).
+    /// Pop one complete frame as an owned `Bytes`:
+    /// [`FrameReader::next_frame_range`] + [`FrameReader::materialize`],
+    /// for callers that keep the body past the next fill.
     pub fn next_frame(&mut self) -> std::io::Result<Option<Bytes>> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if len > MAX_FRAME {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("frame length {len} exceeds cap {MAX_FRAME}"),
-            ));
-        }
-        if avail.len() < 4 + len {
-            return Ok(None);
-        }
-        let body = Bytes::copy_from_slice(&avail[4..4 + len]);
-        self.start += 4 + len;
-        self.compact();
-        Ok(Some(body))
+        Ok(self
+            .next_frame_range()?
+            .map(|range| self.materialize(range)))
     }
 
-    /// Pop one complete frame as a *range into the internal buffer* — the
-    /// zero-copy variant of [`FrameReader::next_frame`]. The range stays
-    /// valid until the next [`FrameReader::fill`] (the only call that may
-    /// compact); a batch loop pops every buffered range, resolves them
-    /// through [`FrameReader::view`], and only then fills again. Unlike
-    /// `next_frame`, no owned `Bytes` is built, so popping a frame does
-    /// not touch the heap.
+    /// Pop one complete frame if buffered, as a *range into the internal
+    /// buffer*; `Err` on an implausible length prefix (the connection
+    /// should be dropped). The range stays valid until the next
+    /// [`FrameReader::fill`] (the only call that may compact); a batch
+    /// loop pops every buffered range, resolves them through
+    /// [`FrameReader::view`], and only then fills again. No owned `Bytes`
+    /// is built, so popping a frame does not touch the heap.
     // geometa-hot
     pub fn next_frame_range(&mut self) -> std::io::Result<Option<std::ops::Range<usize>>> {
         let avail = &self.buf[self.start..];
@@ -260,27 +292,19 @@ mod tests {
 
     #[test]
     fn mode_framing_matches_concatenation() {
-        let mut a = Vec::new();
-        write_frame(&mut a, &[7u8, 1, 2, 3]).unwrap();
-        let mut b = Vec::new();
-        write_frame_with_mode(&mut b, 7, &[1, 2, 3]).unwrap();
-        assert_eq!(a, b);
+        let mut wire = Vec::new();
+        write_frame_with_mode(&mut wire, 7, &[1, 2, 3]).unwrap();
+        assert_eq!(wire, framed(&[7u8, 1, 2, 3]));
     }
 
     #[test]
     fn oversized_writes_are_refused_in_release_builds_too() {
-        let body = vec![0u8; MAX_FRAME + 1];
+        // The mode byte counts against the cap.
+        let body = vec![0u8; MAX_FRAME];
         let mut sink = Vec::new();
-        let err = write_frame(&mut sink, &body).unwrap_err();
+        let err = write_frame_with_mode(&mut sink, 0, &body).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(sink.is_empty(), "nothing reaches the wire");
-        // Exactly MAX_FRAME is fine for the plain writer…
-        write_frame(&mut sink, &body[..MAX_FRAME]).unwrap();
-        // …but the mode byte pushes the same body over the cap.
-        let mut sink2 = Vec::new();
-        let err = write_frame_with_mode(&mut sink2, 0, &body[..MAX_FRAME]).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(sink2.is_empty());
         // A mode-framed body of MAX_FRAME - 1 is the largest that fits,
         // and the reader accepts it back.
         let mut wire = Vec::new();
@@ -297,6 +321,35 @@ mod tests {
                 break;
             }
             assert_eq!(r.fill(&mut src).unwrap(), Fill::Progress);
+        }
+    }
+
+    #[test]
+    fn call_header_roundtrips_and_rejects_everything_else() {
+        for (epoch, mode, len) in [(None, 2u8, 5usize), (Some(0xDEAD_BEEF_0042), 3, 13)] {
+            let header = CallHeader {
+                seq: 0x0102_0304,
+                epoch,
+            };
+            let mut body = Vec::new();
+            header.encode_into(&mut body);
+            // The byte values every deployed client already sends.
+            assert_eq!(body[0], mode);
+            assert_eq!(body.len(), len);
+            assert_eq!(body.len(), CallHeader::encoded_len(epoch));
+            body.extend_from_slice(b"req");
+            assert_eq!(CallHeader::parse(&body), Some((header, len)));
+            assert_eq!(&body[len..], b"req");
+            // A body shorter than its header has no usable seq: drop.
+            for cut in 0..len {
+                assert_eq!(CallHeader::parse(&body[..cut]), None, "cut at {cut}");
+            }
+        }
+        // Only 2 and 3 are calls; a full-length body does not help.
+        for mode in (0u8..=1).chain(4..=255) {
+            let mut body = vec![mode];
+            body.extend_from_slice(&[0u8; 16]);
+            assert_eq!(CallHeader::parse(&body), None, "mode {mode}");
         }
     }
 
@@ -334,8 +387,8 @@ mod tests {
     #[test]
     fn write_then_read_roundtrip() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, b"abc").unwrap();
-        write_frame(&mut wire, &[0u8; 100]).unwrap();
+        write_frame_with_mode(&mut wire, b'a', b"bc").unwrap();
+        write_frame_with_mode(&mut wire, 0, &[0u8; 99]).unwrap();
         let mut r = FrameReader::new();
         let mut src = Script {
             parts: vec![wire],

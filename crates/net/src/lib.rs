@@ -8,12 +8,12 @@
 //!
 //! * [`frame`] — length-prefixed framing with a timeout-safe incremental
 //!   reader and hard frame-size caps on both ends;
-//! * [`server`] — [`TcpLayer`]: one readiness-driven reactor thread per
-//!   site (nonblocking `std::net` sockets multiplexed through the
-//!   vendored `polling` shim), batch-decoding frames and serving them
-//!   through `ServiceCore::serve_batch` so runs of reads share shard
-//!   locks; a legacy thread-per-connection path remains behind
-//!   [`TcpConfig::thread_per_conn`];
+//! * [`server`] — [`TcpLayer`]: a pool of readiness-driven reactor
+//!   threads per site (nonblocking `std::net` sockets multiplexed
+//!   through the vendored `polling` shim), batch-decoding frames and
+//!   serving them through `ServiceCore::serve_gets` /
+//!   `ServiceCore::serve_batch_into` so a pass's reads share shard locks
+//!   and its writes share one WAL append;
 //! * [`client`] — [`TcpClientTransport`]: one pipelined connection per
 //!   target driven by a single reactor thread, requests correlated by
 //!   per-connection sequence ids so many callers share one socket;
@@ -219,27 +219,56 @@ mod tests {
         });
     }
 
-    /// Garbage frames get an error response (CALL) or are dropped (CAST);
-    /// the connection and the server survive.
+    /// A garbage request in a well-formed call frame gets an error
+    /// response under its sequence id and the connection lives on; an
+    /// unknown mode byte leaves nothing to answer under, so that one
+    /// connection is dropped. The server survives both.
     #[test]
     fn malformed_frames_do_not_kill_the_server() {
+        use crate::frame::{CallHeader, FrameReader};
+        // Length-prefix `body` onto the socket as one frame.
+        fn write_frame(w: &mut impl std::io::Write, body: &[u8]) -> std::io::Result<()> {
+            crate::frame::write_frame_with_mode(w, body[0], &body[1..])
+        }
         let rt = runtime(StrategyKind::Centralized);
         let addr = rt.layer().addrs()[&SiteId(0)];
         let mut raw = std::net::TcpStream::connect(addr).unwrap();
-        // CALL mode with a garbage body: expect an Error response.
-        crate::frame::write_frame(&mut raw, &[super::server::MODE_CALL, 0xFF, 0xFF]).unwrap();
-        let mut reader = crate::frame::FrameReader::new();
-        let resp = loop {
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut body = Vec::new();
+        CallHeader {
+            seq: 7,
+            epoch: None,
+        }
+        .encode_into(&mut body);
+        body.extend_from_slice(&[0xFF, 0xFF]);
+        write_frame(&mut raw, &body).unwrap();
+        let mut reader = FrameReader::new();
+        let frame = loop {
             if let Some(f) = reader.next_frame().unwrap() {
-                break RegistryResponse::decode(f).unwrap();
+                break f;
             }
             let mut chunk = [0u8; 1024];
             let n = raw.read(&mut chunk).unwrap();
             assert!(n > 0, "server closed instead of answering");
             reader_extend(&mut reader, &chunk[..n]);
         };
+        assert_eq!(&frame[..4], &7u32.to_le_bytes(), "answered under its seq");
+        let resp = RegistryResponse::decode(frame.slice(4..)).unwrap();
         assert!(matches!(resp, RegistryResponse::Error { .. }));
-        // The same server still serves real traffic.
+
+        // Unknown mode: EOF on this socket, nothing written first.
+        let mut bad = std::net::TcpStream::connect(addr).unwrap();
+        bad.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        write_frame(&mut bad, &[9u8, 0, 0, 0, 0, 0xFF]).unwrap();
+        let mut chunk = [0u8; 64];
+        assert_eq!(bad.read(&mut chunk).unwrap(), 0, "expected a clean close");
+
+        // The first connection and the server still serve real traffic.
+        body.truncate(CallHeader::encoded_len(None));
+        RegistryRequest::Status.encode_into(&mut body);
+        write_frame(&mut raw, &body).unwrap();
+        let n = raw.read(&mut chunk).unwrap();
+        assert!(n > 0, "the well-framed connection must survive");
         let c = rt.client(SiteId(0), 0);
         c.publish("after-garbage", 1).unwrap();
         assert!(c.resolve("after-garbage").is_ok());

@@ -1,41 +1,40 @@
 //! The framed-TCP connection layer: one listener per site driven by a
 //! pool of readiness reactors ([`TcpConfig::reactors`] threads per site,
-//! nonblocking sockets multiplexed through the vendored `polling` shim),
-//! plus a legacy thread-per-connection accept pool kept as a
-//! compatibility path behind [`TcpConfig::thread_per_conn`]. Reactor 0
-//! owns the listener and hands accepted connections off round-robin to
-//! the pool via per-reactor mailboxes; a connection is owned by exactly
-//! one reactor for its lifetime, so connection state is never shared.
+//! nonblocking sockets multiplexed through the vendored `polling` shim).
+//! Reactor 0 owns the listener and hands accepted connections off
+//! round-robin to the pool via per-reactor mailboxes; a connection is
+//! owned by exactly one reactor for its lifetime, so connection state is
+//! never shared.
 //!
 //! Wire protocol (on top of [`crate::frame`]):
 //!
-//! * client → server: frame body = `[mode u8][RegistryRequest]` where
-//!   mode 0 = CALL (a response frame follows), mode 1 = CAST
-//!   (fire-and-forget, no response), and mode 2 = CALL_SEQ (pipelined
-//!   call: a `u32_le` sequence id follows the mode byte and is echoed
-//!   ahead of the response, so many calls can be in flight on one
-//!   connection and resolve to the right callers regardless of
-//!   interleaving);
-//! * server → client: frame body = `[RegistryResponse]` for CALL,
-//!   `[u32_le seq][RegistryResponse]` for CALL_SEQ.
+//! * client → server: frame body = `[MODE_CAST][RegistryRequest]`
+//!   (fire-and-forget, no response) or `[CallHeader][RegistryRequest]`
+//!   (see [`CallHeader`]: a sequence id, optionally the caller's
+//!   membership epoch);
+//! * server → client: frame body = `[u32_le seq][RegistryResponse]`, one
+//!   per call, so many calls can be in flight on one connection and
+//!   resolve to the right callers regardless of interleaving.
 //!
-//! A malformed request never kills a connection's peers: CALLs answer
-//! with `RegistryResponse::Error` (the codec is total), CASTs are
-//! dropped. The reactor decodes every frame a readiness pass delivered
-//! and serves them as one ordered batch through
-//! [`ServiceCore::serve_batch`], which groups runs of consecutive reads
-//! into shard-grouped `multi_get`s. Poll waits are bounded by the
-//! configured tick so the loop observes the runtime's shutdown flag; at
-//! shutdown the dummy connection from [`ConnectionLayer::unblock`] also
-//! wakes the poller immediately.
+//! A malformed *request* never kills a connection's peers: calls answer
+//! with `RegistryResponse::Error` under their sequence id (the codec is
+//! total), casts are dropped. A malformed *header* — unknown mode byte,
+//! body shorter than its header — leaves nothing to answer under, so
+//! that one connection is dropped. The reactor decodes every frame a
+//! readiness pass delivered and serves them as one ordered batch:
+//! borrowed `Get` keys through [`ServiceCore::serve_gets`], everything
+//! else through [`ServiceCore::serve_batch_into`]. Poll waits are
+//! bounded by the configured tick so the loop observes the runtime's
+//! shutdown flag; at shutdown the dummy connection from
+//! [`ConnectionLayer::unblock`] also wakes the poller immediately.
 
 use crate::client::TcpClientTransport;
-use crate::frame::{write_frame, Fill, FrameReader, MAX_FRAME};
+use crate::frame::{CallHeader, Fill, FrameReader, MAX_FRAME, MODE_CAST};
 use geometa_core::protocol::{self, RegistryRequest, RegistryResponse};
 use geometa_core::runtime::{BatchScratch, ConnectionLayer, ServiceCore, Spawner};
 use geometa_core::MetaError;
 use geometa_sim::topology::SiteId;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use polling::{Event, Poller};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -44,23 +43,6 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Frame-body mode byte: blocking RPC, a response frame follows.
-pub const MODE_CALL: u8 = 0;
-/// Frame-body mode byte: fire-and-forget, no response.
-pub const MODE_CAST: u8 = 1;
-/// Frame-body mode byte: pipelined RPC. A `u32_le` sequence id follows
-/// the mode byte; the response frame leads with the same id.
-pub const MODE_CALL_SEQ: u8 = 2;
-/// Frame-body mode byte: epoch-guarded pipelined RPC. Layout
-/// `[mode][u32_le seq][u64_le epoch][request]`. The server rejects the
-/// request with [`MetaError::WrongEpoch`] when `epoch` is behind the
-/// cluster's membership epoch — the live cluster's defence against
-/// clients routing by a retired placement plan. The epoch lives at the
-/// *frame* layer, not in `RegistryRequest`, so the simulator's wire-size
-/// accounting (and the repro pipeline's byte-identical CSVs) are
-/// untouched.
-pub const MODE_CALL_EPOCH: u8 = 3;
 
 /// Whether a request's placement depends on the membership plan. Only
 /// these are epoch-rejected: `Status`/`Reconfigure` must work from stale
@@ -81,21 +63,15 @@ pub struct TcpConfig {
     /// Port for site 0 (site *i* binds `base_port + i`); 0 = ephemeral
     /// ports chosen by the OS (tests).
     pub base_port: u16,
-    /// Bounded accept pool: at most this many live connection threads per
-    /// site; further accepts wait for a slot.
+    /// At most this many live connections per site, summed over the
+    /// reactor pool; at the cap the listener is paused and further
+    /// clients wait in the kernel backlog.
     pub max_conns_per_site: usize,
-    /// Connection-thread read poll tick (shutdown observation latency).
+    /// Poll tick of the server reactors and the client's call reactor
+    /// (shutdown observation latency).
     pub read_timeout: Duration,
     /// Client-side deadline for one call's response.
     pub call_timeout: Duration,
-    /// Client-side idle connections kept per target site; size to the
-    /// expected call concurrency or calls churn fresh handshakes. Only
-    /// meaningful for the legacy pool; the pipelined client multiplexes
-    /// every call onto one connection per target.
-    pub pool_per_site: usize,
-    /// Compatibility path: serve each connection on its own blocking
-    /// thread (the pre-reactor model) instead of the per-site reactor.
-    pub thread_per_conn: bool,
     /// Reactor threads per site. 0 = auto (`min(4, cores)`). Reactor 0
     /// owns the listener and hands accepted connections off round-robin
     /// to the pool; a connection lives on one reactor for its lifetime.
@@ -109,8 +85,6 @@ impl Default for TcpConfig {
             max_conns_per_site: 128,
             read_timeout: Duration::from_millis(25),
             call_timeout: Duration::from_secs(10),
-            pool_per_site: crate::client::DEFAULT_POOL_PER_SITE,
-            thread_per_conn: false,
             reactors: 0,
         }
     }
@@ -130,44 +104,14 @@ impl TcpConfig {
     }
 }
 
-/// Counting gate bounding live connection threads per site.
-struct ConnGate {
-    max: usize,
-    live: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl ConnGate {
-    fn new(max: usize) -> Arc<ConnGate> {
-        Arc::new(ConnGate {
-            max: max.max(1),
-            live: Mutex::new(0),
-            freed: Condvar::new(),
-        })
-    }
-
-    fn acquire(&self) {
-        let mut live = self.live.lock();
-        while *live >= self.max {
-            self.freed.wait(&mut live);
-        }
-        *live += 1;
-    }
-
-    fn release(&self) {
-        *self.live.lock() -= 1;
-        self.freed.notify_one();
-    }
-}
-
 /// The TCP [`ConnectionLayer`]: binds one loopback listener per site on
-/// start, serves framed requests through [`ServiceCore::serve`], and
-/// hands out pooling [`TcpClientTransport`]s.
+/// start, serves framed requests on the site's reactor pool, and hands
+/// every client the one shared pipelining [`TcpClientTransport`].
 pub struct TcpLayer {
     config: TcpConfig,
     addrs: HashMap<SiteId, SocketAddr>,
     /// One transport shared by every client of this runtime: routing is
-    /// per call target, and the connection pool + cast-pump thread are
+    /// per call target, and the call-reactor and cast-pump threads are
     /// too expensive to duplicate per client.
     shared: Mutex<Option<Arc<TcpClientTransport>>>,
 }
@@ -215,45 +159,36 @@ impl ConnectionLayer for TcpLayer {
             self.addrs.insert(site, addr);
             let core = Arc::clone(core);
             let read_timeout = self.config.read_timeout;
-            if self.config.thread_per_conn {
-                let gate = ConnGate::new(self.config.max_conns_per_site);
-                spawner.spawn(format!("tcp-accept-{site}"), move || {
-                    accept_loop(&listener, &core, site, &gate, read_timeout)
-                });
-            } else {
-                let max_conns = self.config.max_conns_per_site;
-                let pool = self.config.resolved_reactors().max(1);
-                // One live-connection counter shared by the whole pool:
-                // the listener pauses against the *site* total, exactly
-                // like the single-reactor gate did.
-                let live = Arc::new(AtomicUsize::new(0));
-                let mut peers: Vec<Arc<ReactorInbox>> = Vec::new();
-                for k in 1..pool {
-                    let Ok((wake_tx, wake_rx)) = UnixStream::pair() else {
-                        break; // fd pressure: serve with fewer reactors
-                    };
-                    if wake_tx.set_nonblocking(true).is_err()
-                        || wake_rx.set_nonblocking(true).is_err()
-                    {
-                        break;
-                    }
-                    let inbox = Arc::new(ReactorInbox {
-                        queue: Mutex::new(Vec::new()),
-                        wake: wake_tx,
-                    });
-                    peers.push(Arc::clone(&inbox));
-                    let core = Arc::clone(&core);
-                    let live = Arc::clone(&live);
-                    spawner.spawn(format!("tcp-reactor-{site}-{k}"), move || {
-                        let role = ReactorRole::Worker { inbox, wake_rx };
-                        reactor_loop(role, &core, site, &live, max_conns, read_timeout)
-                    });
+            let max_conns = self.config.max_conns_per_site;
+            let pool = self.config.resolved_reactors().max(1);
+            // One live-connection counter shared by the whole pool: the
+            // listener pauses against the *site* total.
+            let live = Arc::new(AtomicUsize::new(0));
+            let mut peers: Vec<Arc<ReactorInbox>> = Vec::new();
+            for k in 1..pool {
+                let Ok((wake_tx, wake_rx)) = UnixStream::pair() else {
+                    break; // fd pressure: serve with fewer reactors
+                };
+                if wake_tx.set_nonblocking(true).is_err() || wake_rx.set_nonblocking(true).is_err()
+                {
+                    break;
                 }
-                spawner.spawn(format!("tcp-reactor-{site}"), move || {
-                    let role = ReactorRole::Accepting { listener, peers };
+                let inbox = Arc::new(ReactorInbox {
+                    queue: Mutex::new(Vec::new()),
+                    wake: wake_tx,
+                });
+                peers.push(Arc::clone(&inbox));
+                let core = Arc::clone(&core);
+                let live = Arc::clone(&live);
+                spawner.spawn(format!("tcp-reactor-{site}-{k}"), move || {
+                    let role = ReactorRole::Worker { inbox, wake_rx };
                     reactor_loop(role, &core, site, &live, max_conns, read_timeout)
                 });
             }
+            spawner.spawn(format!("tcp-reactor-{site}"), move || {
+                let role = ReactorRole::Accepting { listener, peers };
+                reactor_loop(role, &core, site, &live, max_conns, read_timeout)
+            });
         }
     }
 
@@ -268,8 +203,8 @@ impl ConnectionLayer for TcpLayer {
     }
 
     fn unblock(&self) {
-        // One dummy connection per listener pops its blocking accept; the
-        // loop then observes the shutdown flag and drains.
+        // One dummy connection per listener wakes its reactor's poll
+        // wait; the loop then observes the shutdown flag and drains.
         // geometa-lint: allow(unordered-iter) shutdown poke: every listener gets one connection, order is irrelevant
         for addr in self.addrs.values() {
             let _ = TcpStream::connect_timeout(addr, Duration::from_millis(250));
@@ -277,219 +212,8 @@ impl ConnectionLayer for TcpLayer {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    core: &Arc<ServiceCore>,
-    site: SiteId,
-    gate: &Arc<ConnGate>,
-    read_timeout: Duration,
-) {
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        // Bounded pool: wait for a slot *before* accepting, so the backlog
-        // queues in the kernel instead of as unbounded threads.
-        gate.acquire();
-        if core.is_shutdown() {
-            gate.release();
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if core.is_shutdown() {
-                    gate.release();
-                    break;
-                }
-                // Join (not just drop) finished handles: a connection
-                // thread flips `is_finished` before its stack fully
-                // unwinds, and "no leaked threads" at shutdown means
-                // nothing may still be mid-exit when the drain below
-                // returns. Joining a finished thread does not block.
-                let mut i = 0;
-                while i < conns.len() {
-                    if conns[i].is_finished() {
-                        let _ = conns.swap_remove(i).join();
-                    } else {
-                        i += 1;
-                    }
-                }
-                let core = Arc::clone(core);
-                let thread_gate = Arc::clone(gate);
-                // geometa-lint: allow(untracked-thread) connection threads are collected in `conns` and joined in the drain below before accept_loop returns
-                let spawned = std::thread::Builder::new()
-                    .name(format!("tcp-conn-{site}"))
-                    .spawn(move || {
-                        core.conn_opened(site);
-                        serve_connection(stream, &core, site, read_timeout);
-                        core.conn_closed(site);
-                        thread_gate.release();
-                    });
-                match spawned {
-                    Ok(h) => conns.push(h),
-                    // Thread exhaustion is reachable from connection
-                    // pressure: shed this connection (dropping the stream
-                    // closed it with the closure) instead of panicking
-                    // the accept loop out from under every other client.
-                    Err(_) => gate.release(),
-                }
-            }
-            Err(_) => {
-                gate.release();
-                if core.is_shutdown() {
-                    break;
-                }
-                // A persistently failing accept (e.g. fd exhaustion under
-                // EMFILE) must not busy-spin the core; back off briefly so
-                // connection threads can finish and release descriptors.
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
-
-fn serve_connection(
-    mut stream: TcpStream,
-    core: &Arc<ServiceCore>,
-    site: SiteId,
-    read_timeout: Duration,
-) {
-    if stream.set_read_timeout(Some(read_timeout)).is_err() {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    let mut reader = FrameReader::new();
-    loop {
-        loop {
-            match reader.next_frame() {
-                Ok(Some(body)) => {
-                    if !handle_frame(&mut stream, core, site, body) {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => return, // implausible frame length: drop the conn
-            }
-        }
-        if core.is_shutdown() {
-            return;
-        }
-        match reader.fill(&mut stream) {
-            Ok(Fill::Progress) => {}
-            Ok(Fill::Idle) => {}
-            Ok(Fill::Eof) | Err(_) => return,
-        }
-    }
-}
-
-/// Serve one frame; returns false when the connection should close.
-fn handle_frame(
-    stream: &mut TcpStream,
-    core: &Arc<ServiceCore>,
-    site: SiteId,
-    body: bytes::Bytes,
-) -> bool {
-    if body.is_empty() {
-        return false;
-    }
-    let mode = body[0];
-    let decoded = RegistryRequest::decode(body.slice(1..));
-    match mode {
-        MODE_CALL => {
-            let resp = match decoded {
-                Ok(req) => core.serve(site, req),
-                Err(error) => RegistryResponse::Error { error },
-            };
-            write_frame(stream, &resp.encode())
-                .and_then(|()| stream.flush())
-                .is_ok()
-        }
-        MODE_CAST => {
-            if let Ok(req) = decoded {
-                let _ = core.serve(site, req);
-            }
-            true
-        }
-        MODE_CALL_SEQ => {
-            let Some((seq, req)) = split_seq(&body) else {
-                return false; // truncated seq header: protocol violation
-            };
-            let resp = match req {
-                Ok(req) => core.serve(site, req),
-                Err(error) => RegistryResponse::Error { error },
-            };
-            write_frame(stream, &seq_response_body(seq, &resp))
-                .and_then(|()| stream.flush())
-                .is_ok()
-        }
-        MODE_CALL_EPOCH => {
-            let Some((seq, epoch, req)) = split_epoch(&body) else {
-                return false; // truncated header: protocol violation
-            };
-            let resp = match req {
-                Ok(req) => {
-                    let current = core.membership_epoch();
-                    if epoch != current && epoch_checked(&req) {
-                        RegistryResponse::Error {
-                            error: MetaError::WrongEpoch { epoch: current },
-                        }
-                    } else {
-                        core.serve(site, req)
-                    }
-                }
-                Err(error) => RegistryResponse::Error { error },
-            };
-            write_frame(stream, &seq_response_body(seq, &resp))
-                .and_then(|()| stream.flush())
-                .is_ok()
-        }
-        _ => {
-            // Unknown mode: answer CALL-style so a confused client fails
-            // fast instead of hanging on a missing response.
-            let resp = RegistryResponse::Error {
-                error: MetaError::Codec(format!("unknown frame mode {mode}")),
-            };
-            write_frame(stream, &resp.encode()).is_ok()
-        }
-    }
-}
-
-/// Parse a CALL_SEQ body (`[mode][u32_le seq][request]`). `None` means
-/// the seq header itself is truncated — a protocol violation.
-fn split_seq(body: &bytes::Bytes) -> Option<(u32, Result<RegistryRequest, MetaError>)> {
-    if body.len() < 5 {
-        return None;
-    }
-    let seq = u32::from_le_bytes([body[1], body[2], body[3], body[4]]);
-    Some((seq, RegistryRequest::decode(body.slice(5..))))
-}
-
-/// Parse a CALL_EPOCH body (`[mode][u32_le seq][u64_le epoch][request]`).
-/// `None` means the header itself is truncated — a protocol violation.
-#[allow(clippy::type_complexity)]
-fn split_epoch(body: &bytes::Bytes) -> Option<(u32, u64, Result<RegistryRequest, MetaError>)> {
-    if body.len() < 13 {
-        return None;
-    }
-    let seq = u32::from_le_bytes([body[1], body[2], body[3], body[4]]);
-    let mut e = [0u8; 8];
-    e.copy_from_slice(&body[5..13]);
-    let epoch = u64::from_le_bytes(e);
-    Some((seq, epoch, RegistryRequest::decode(body.slice(13..))))
-}
-
-/// Response frame body for a CALL_SEQ: `[u32_le seq][response]`.
-fn seq_response_body(seq: u32, resp: &RegistryResponse) -> Vec<u8> {
-    let encoded = resp.encode();
-    let mut out = Vec::with_capacity(4 + encoded.len());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&encoded);
-    out
-}
-
 // ---------------------------------------------------------------------------
-// Readiness reactor (the default serving model)
+// Readiness reactor
 // ---------------------------------------------------------------------------
 
 /// Poller key reserved for the site's listener.
@@ -533,26 +257,6 @@ enum ReactorRole {
     },
 }
 
-/// What one decoded frame owes the peer.
-enum Reply {
-    /// CAST: nothing.
-    None,
-    /// CALL: a bare response frame.
-    Bare,
-    /// CALL_SEQ: a seq-prefixed response frame.
-    Seq(u32),
-}
-
-/// A decoded frame on its way to a response.
-enum Outcome {
-    /// Answered by the pass's borrowed-key read run, in get order.
-    FromGets(Reply),
-    /// Answered by the pass's `serve_batch_into` call, in batch order.
-    FromBatch(Reply),
-    /// The response is already known (decode error, epoch reject).
-    Immediate(Reply, RegistryResponse),
-}
-
 /// One reactor-managed connection. The scratch vectors at the bottom are
 /// the allocation story of the wire path: cleared and reused every
 /// readiness pass, they reach a high-water mark during warmup and the
@@ -565,15 +269,17 @@ struct RConn {
     sent: usize,
     /// Peer sent EOF: serve what arrived, drain `out`, then close.
     closing: bool,
-    /// One entry per frame of the current pass, in arrival order.
-    outcomes: Vec<Outcome>,
     /// Owned (non-get) requests of the pass, drained by `serve_batch_into`.
     reqs: Vec<RegistryRequest>,
+    /// Per request in `reqs`, the sequence id its response is owed under
+    /// (`None` for a cast, which is owed nothing).
+    req_seqs: Vec<Option<u32>>,
     /// Responses to `reqs`, appended by `serve_batch_into`.
     resps: Vec<RegistryResponse>,
-    /// Byte ranges (into `reader`'s buffer) of borrowed get keys.
-    get_keys: Vec<std::ops::Range<usize>>,
-    /// Responses to the borrowed gets, appended by `serve_gets`.
+    /// The pass's borrowed gets: sequence id and the key's byte range in
+    /// `reader`'s buffer.
+    gets: Vec<(u32, std::ops::Range<usize>)>,
+    /// Responses to `gets`, appended by `serve_gets`.
     get_resps: Vec<RegistryResponse>,
     /// The core's own per-batch scratch, held per connection.
     batch: BatchScratch,
@@ -587,17 +293,17 @@ impl RConn {
             out: Vec::new(),
             sent: 0,
             closing: false,
-            outcomes: Vec::new(),
             reqs: Vec::new(),
+            req_seqs: Vec::new(),
             resps: Vec::new(),
-            get_keys: Vec::new(),
+            gets: Vec::new(),
             get_resps: Vec::new(),
             batch: BatchScratch::default(),
         }
     }
 
     /// Drain the readable socket into the frame reader, serve every
-    /// complete frame as one ordered batch, queue the responses.
+    /// complete frame as one batch, queue the responses.
     /// Returns false when the connection must be dropped.
     fn pump_read(&mut self, core: &Arc<ServiceCore>, site: SiteId) -> bool {
         let mut eof = false;
@@ -619,9 +325,9 @@ impl RConn {
         ok
     }
 
-    /// Decode and serve everything buffered, replying into `out` in
-    /// arrival order — which is what keeps CALL (unsequenced) correct:
-    /// its responses come back in the order the requests went out.
+    /// Decode and serve everything buffered, replying into `out`. Every
+    /// response names its call's sequence id, so reply order is free:
+    /// refusals first, then the reads, then the owned batch.
     ///
     /// The zero-allocation path: frames are popped as *ranges* into the
     /// reader's buffer, `Get` keys stay borrowed `&str` views resolved
@@ -632,11 +338,14 @@ impl RConn {
     /// call (whole-batch shard-grouped reads, one WAL append).
     // geometa-hot
     fn dispatch(&mut self, core: &Arc<ServiceCore>, site: SiteId) -> bool {
-        self.outcomes.clear();
         self.reqs.clear();
+        self.req_seqs.clear();
         self.resps.clear();
-        self.get_keys.clear();
+        self.gets.clear();
         self.get_resps.clear();
+        let wrong_epoch = |epoch| RegistryResponse::Error {
+            error: MetaError::WrongEpoch { epoch },
+        };
         // One epoch read per pass: every frame in a batch is judged
         // against the same epoch (a flip mid-pass rejects from the next
         // pass on, which is within the flip's happens-before anyway).
@@ -648,143 +357,85 @@ impl RConn {
                 Err(_) => return false, // implausible frame length
             };
             let body = self.reader.view(range.clone());
-            if body.is_empty() {
-                return false;
-            }
-            // Header split: reply owed, payload offset, frame epoch.
-            let (reply, off, frame_epoch) = match body[0] {
-                MODE_CALL => (Reply::Bare, 1usize, None),
-                MODE_CAST => (Reply::None, 1, None),
-                MODE_CALL_SEQ => {
-                    if body.len() < 5 {
-                        return false; // truncated seq header
-                    }
-                    let seq = u32::from_le_bytes([body[1], body[2], body[3], body[4]]);
-                    (Reply::Seq(seq), 5, None)
-                }
-                MODE_CALL_EPOCH => {
-                    if body.len() < 13 {
-                        return false; // truncated header
-                    }
-                    let seq = u32::from_le_bytes([body[1], body[2], body[3], body[4]]);
-                    let mut e = [0u8; 8];
-                    e.copy_from_slice(&body[5..13]);
-                    (Reply::Seq(seq), 13, Some(u64::from_le_bytes(e)))
-                }
-                mode => {
-                    self.outcomes.push(Outcome::Immediate(
-                        Reply::Bare,
-                        RegistryResponse::Error {
-                            // geometa-lint: allow(hot-alloc) malformed-frame error path, never steady state
-                            error: MetaError::Codec(format!("unknown frame mode {mode}")),
-                        },
-                    ));
-                    continue;
+            // Header split: seq owed, payload offset, frame epoch.
+            let (reply, off, frame_epoch) = if body.first() == Some(&MODE_CAST) {
+                (None, 1usize, None)
+            } else {
+                match CallHeader::parse(body) {
+                    Some((header, off)) => (Some(header.seq), off, header.epoch),
+                    None => return false, // not a call, or truncated header
                 }
             };
-            let payload = &body[off..];
-            // Borrowed-GET fast path: the key never leaves the read
-            // buffer. Gets are always epoch-checked, so a stale frame is
-            // rejected before any decode. Cast gets (legal, pointless)
-            // fall through to the owned batch so their reads still count.
-            if protocol::decode_get_key(payload).is_some() {
-                if let Some(epoch) = frame_epoch {
-                    let current = *current_epoch.get_or_insert_with(|| core.membership_epoch());
-                    if epoch != current {
-                        self.outcomes.push(Outcome::Immediate(
-                            reply,
-                            RegistryResponse::Error {
-                                error: MetaError::WrongEpoch { epoch: current },
-                            },
-                        ));
-                        continue;
-                    }
-                }
-                if !matches!(reply, Reply::None) {
-                    self.get_keys.push(range.start + off + 5..range.end);
-                    self.outcomes.push(Outcome::FromGets(reply));
+            // The current epoch, iff the frame is stamped with another.
+            let stale = frame_epoch.and_then(|epoch| {
+                let current = *current_epoch.get_or_insert_with(|| core.membership_epoch());
+                (epoch != current).then_some(current)
+            });
+            let is_get = protocol::decode_get_key(&body[off..]).is_some();
+            // What is known without serving: a stale plan, a malformed
+            // request. Everything else joins the pass's reads or batch.
+            let refusal = match (is_get, stale, reply) {
+                // Gets are always epoch-checked: refused before any decode.
+                (true, Some(epoch), _) => wrong_epoch(epoch),
+                // Borrowed-GET fast path: the key never leaves the read
+                // buffer. Cast gets (legal, pointless) fall through to the
+                // owned batch so their reads still count.
+                (true, None, Some(seq)) => {
+                    self.gets.push((seq, range.start + off + 5..range.end));
                     continue;
                 }
-            }
-            // Owned path: everything that mutates or replicates escapes
-            // the read buffer (its decoded `MetaStr`s outlive the pass).
-            let owned = self.reader.materialize(range.start + off..range.end);
-            match RegistryRequest::decode(owned) {
-                Ok(req) => {
-                    if let Some(epoch) = frame_epoch {
-                        let current = *current_epoch.get_or_insert_with(|| core.membership_epoch());
-                        if epoch != current && epoch_checked(&req) {
-                            self.outcomes.push(Outcome::Immediate(
-                                reply,
-                                RegistryResponse::Error {
-                                    error: MetaError::WrongEpoch { epoch: current },
-                                },
-                            ));
+                // Owned path: everything that mutates or replicates escapes
+                // the read buffer (its decoded `MetaStr`s outlive the pass).
+                _ => match RegistryRequest::decode(
+                    self.reader.materialize(range.start + off..range.end),
+                ) {
+                    Ok(req) => match stale.filter(|_| epoch_checked(&req)) {
+                        Some(epoch) => wrong_epoch(epoch),
+                        None => {
+                            self.reqs.push(req);
+                            self.req_seqs.push(reply);
                             continue;
                         }
-                    }
-                    self.reqs.push(req);
-                    self.outcomes.push(Outcome::FromBatch(reply));
-                }
-                Err(error) => {
-                    // Malformed casts are dropped, as in the threaded path.
-                    if !matches!(reply, Reply::None) {
-                        self.outcomes
-                            .push(Outcome::Immediate(reply, RegistryResponse::Error { error }));
-                    }
-                }
+                    },
+                    Err(error) => RegistryResponse::Error { error },
+                },
+            };
+            // A cast is owed nothing: a refused one is just dropped.
+            if let Some(seq) = reply {
+                append_reply(&mut self.out, seq, &refusal);
             }
-        }
-        if self.outcomes.is_empty() {
-            return true;
         }
         // Resolve the borrowed reads: a single get probes the store with
         // no allocation at all; two or more share shard locks through
         // one grouped read (the collect below is amortized over ≥2).
-        match self.get_keys.len() {
-            0 => {}
-            1 => {
-                let key_bytes = self.reader.view(self.get_keys[0].clone());
-                let key = std::str::from_utf8(key_bytes).unwrap_or("");
-                core.serve_gets(site, &[key], &mut self.get_resps);
-            }
-            _ => {
-                let keys: Vec<&str> = self
-                    .get_keys
-                    .iter()
-                    .map(|r| std::str::from_utf8(self.reader.view(r.clone())).unwrap_or(""))
-                    // geometa-lint: allow(hot-alloc) amortized over >=2 gets per pass; the single-get path above is the strictly allocation-free one
-                    .collect();
+        let key = |(_, range): &(u32, std::ops::Range<usize>)| {
+            std::str::from_utf8(self.reader.view(range.clone())).unwrap_or("")
+        };
+        match self.gets.as_slice() {
+            [] => {}
+            [one] => core.serve_gets(site, &[key(one)], &mut self.get_resps),
+            many => {
+                // geometa-lint: allow(hot-alloc) amortized over >=2 gets per pass; the single-get path above is the strictly allocation-free one
+                let keys: Vec<&str> = many.iter().map(key).collect();
                 core.serve_gets(site, &keys, &mut self.get_resps);
             }
         }
         if !self.reqs.is_empty() {
             core.serve_batch_into(site, &mut self.reqs, &mut self.resps, &mut self.batch);
         }
-        // Weave the two response runs back into arrival order.
-        let (mut gi, mut bi) = (0usize, 0usize);
-        for outcome in &self.outcomes {
-            let (reply, resp) = match outcome {
-                Outcome::FromGets(reply) => match self.get_resps.get(gi) {
-                    Some(resp) => {
-                        gi += 1;
-                        (reply, resp)
-                    }
-                    // serve_gets/serve_batch_into answer every request; a
-                    // shortfall is a server-side invariant breach — drop
-                    // the connection rather than answer the wrong caller.
-                    None => return false,
-                },
-                Outcome::FromBatch(reply) => match self.resps.get(bi) {
-                    Some(resp) => {
-                        bi += 1;
-                        (reply, resp)
-                    }
-                    None => return false,
-                },
-                Outcome::Immediate(reply, resp) => (reply, resp),
-            };
-            append_reply(&mut self.out, reply, resp);
+        // serve_gets/serve_batch_into answer every request; a shortfall is
+        // a server-side invariant breach — drop the connection rather
+        // than answer the wrong caller.
+        if self.get_resps.len() != self.gets.len() || self.resps.len() != self.req_seqs.len() {
+            return false;
+        }
+        for ((seq, _), resp) in self.gets.iter().zip(&self.get_resps) {
+            append_reply(&mut self.out, *seq, resp);
+        }
+        for (reply, resp) in self.req_seqs.iter().zip(&self.resps) {
+            if let Some(seq) = reply {
+                append_reply(&mut self.out, *seq, resp);
+            }
         }
         true
     }
@@ -829,18 +480,13 @@ impl RConn {
     }
 }
 
-/// Queue one response frame on `out`, encoding the response *in place*
-/// behind its frame header — no intermediate body buffer. The length
+/// Queue one response frame (`[u32_le seq][response]`) on `out`,
+/// encoding the response *in place* behind its frame header — no intermediate body buffer. The length
 /// prefix is exact up front because [`RegistryResponse::encoded_len`]
 /// is, which the debug assert pins.
 // geometa-hot
-fn append_reply(out: &mut Vec<u8>, reply: &Reply, resp: &RegistryResponse) {
-    let (seq, seq_len) = match reply {
-        Reply::None => return,
-        Reply::Bare => (0u32, 0usize),
-        Reply::Seq(seq) => (*seq, 4usize),
-    };
-    let body_len = seq_len + resp.encoded_len();
+fn append_reply(out: &mut Vec<u8>, seq: u32, resp: &RegistryResponse) {
+    let body_len = 4 + resp.encoded_len();
     if body_len > MAX_FRAME {
         // Response exceeds the frame cap (a pathological Delta): send an
         // encoded error instead so the caller fails fast rather than
@@ -849,13 +495,11 @@ fn append_reply(out: &mut Vec<u8>, reply: &Reply, resp: &RegistryResponse) {
             // geometa-lint: allow(hot-alloc) pathological oversize-response path, never steady state
             error: MetaError::Codec("response exceeds frame cap".to_string()),
         };
-        append_reply(out, reply, &err);
+        append_reply(out, seq, &err);
         return;
     }
     out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    if seq_len == 4 {
-        out.extend_from_slice(&seq.to_le_bytes());
-    }
+    out.extend_from_slice(&seq.to_le_bytes());
     let before = out.len();
     resp.encode_into(out);
     debug_assert_eq!(out.len() - before, resp.encoded_len());
@@ -905,7 +549,7 @@ fn reactor_loop(
         }
         // Re-arm a paused listener once the pool has room again. Any
         // reactor may have freed the slot; reactor 0 notices within one
-        // tick — the same latency class as the threaded gate's wakeup.
+        // tick.
         if listener_paused && live.load(Ordering::SeqCst) < max_conns {
             if let ReactorRole::Accepting { listener, .. } = &role {
                 if poller
@@ -968,8 +612,7 @@ fn reactor_loop(
     }
     // Dropping the connections closes every socket; in-flight requests
     // were either answered above or die with the connection, which the
-    // client surfaces as Unavailable — the same contract as the
-    // threaded path at shutdown.
+    // client surfaces as Unavailable.
     for conn in conns.into_iter().flatten() {
         drop(conn);
         live.fetch_sub(1, Ordering::SeqCst);
@@ -989,8 +632,8 @@ fn reactor_loop(
 /// Accept until the listener would block, distributing connections
 /// round-robin over the reactor pool (slot 0 = the accepting reactor
 /// itself). At `max_conns` *site-wide* the listener's read interest is
-/// paused (further clients queue in the kernel backlog, exactly like
-/// the threaded path's gate) and re-armed when a connection closes.
+/// paused (further clients queue in the kernel backlog) and re-armed
+/// when a connection closes.
 #[allow(clippy::too_many_arguments)]
 fn accept_ready(
     listener: &TcpListener,
@@ -1042,7 +685,7 @@ fn accept_ready(
             Err(_) => {
                 // Persistent accept failure (EMFILE and friends) with a
                 // pending backlog would spin the poll loop at syscall
-                // speed; back off briefly, as the threaded path does.
+                // speed; back off briefly.
                 std::thread::sleep(Duration::from_millis(10));
                 return;
             }

@@ -6,7 +6,7 @@
 //! the production WAL decoder and counts, record by record, which
 //! pre-join keys were absorbed where after the join started.
 //!
-//! Also exercised on the way: `MODE_CALL_EPOCH` rejection of the stale
+//! Also exercised on the way: frame-header epoch rejection of the stale
 //! client plan (the shared transport still stamps epoch 0 after the
 //! flip; its first read takes a `WrongEpoch`, refreshes, retries), and
 //! the `Status` poll loop an operator would run.

@@ -9,8 +9,7 @@
 use geometa_core::protocol::{RegistryRequest, RegistryResponse};
 use geometa_core::transport::RegistryTransport;
 use geometa_core::{FileLocation, MetaError, RegistryEntry};
-use geometa_net::frame::{Fill, FrameReader};
-use geometa_net::server::{MODE_CALL_EPOCH, MODE_CALL_SEQ};
+use geometa_net::frame::{CallHeader, Fill, FrameReader};
 use geometa_net::TcpClientTransport;
 use geometa_sim::topology::SiteId;
 use std::collections::HashMap;
@@ -36,31 +35,29 @@ fn read_frame(stream: &mut TcpStream, reader: &mut FrameReader) -> Option<bytes:
     }
 }
 
-/// Split a client call frame body into (seq, decoded request).
-/// Epoch-checked requests (Get/Put/Remove) arrive as CALL_EPOCH
-/// (`[mode][seq][epoch u64][req]`), the rest as CALL_SEQ
-/// (`[mode][seq][req]`); the response format is the same for both.
+/// Split a client call frame body into (seq, decoded request). The
+/// response format is the same with and without an epoch.
 fn parse_call(body: &bytes::Bytes) -> (u32, RegistryRequest) {
-    let seq = u32::from_le_bytes([body[1], body[2], body[3], body[4]]);
-    let req_at = match body[0] {
-        MODE_CALL_SEQ => 5,
-        MODE_CALL_EPOCH => 5 + 8,
-        mode => panic!("pipelined client sent unexpected frame mode {mode}"),
-    };
+    let (header, req_at) = CallHeader::parse(body).unwrap_or_else(|| {
+        panic!(
+            "pipelined client sent a non-call frame, mode {:?}",
+            body.first()
+        )
+    });
     let req = RegistryRequest::decode(body.slice(req_at..)).expect("decodable request");
     // Routing-sensitive requests must carry the epoch stamp — a client
-    // that silently downgrades them to CALL_SEQ would dodge the
-    // server's WrongEpoch staleness check.
+    // that silently omits it would dodge the server's WrongEpoch
+    // staleness check.
     if matches!(
         req,
         RegistryRequest::Get { .. } | RegistryRequest::Put { .. } | RegistryRequest::Remove { .. }
     ) {
-        assert_eq!(body[0], MODE_CALL_EPOCH, "{req:?} must be epoch-stamped");
+        assert!(header.epoch.is_some(), "{req:?} must be epoch-stamped");
     }
-    (seq, req)
+    (header.seq, req)
 }
 
-/// Frame a CALL_SEQ response (`[u32 seq][response]`) onto a byte buffer.
+/// Frame a call response (`[u32 seq][response]`) onto a byte buffer.
 fn push_response(wire: &mut Vec<u8>, seq: u32, resp: &RegistryResponse) {
     let mut body = seq.to_le_bytes().to_vec();
     body.extend_from_slice(&resp.encode());
