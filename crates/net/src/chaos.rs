@@ -249,7 +249,6 @@ impl ConnectionLayer for ChaosLayer {
             Arc::new(TcpClientTransport::new(
                 self.proxy_addrs.clone(),
                 self.inner.config().call_timeout,
-                self.inner.config().read_timeout,
             ))
         }))
     }
@@ -420,8 +419,7 @@ fn pump(
             return;
         }
         match reader.fill(&mut src) {
-            Ok(Fill::Progress) => {}
-            Ok(Fill::Idle) => {}
+            Ok(Fill::Progress | Fill::Short | Fill::Idle) => {}
             Ok(Fill::Eof) | Err(_) => {
                 // Half-close: propagate so the peer's read side drains
                 // naturally instead of hanging until its own timeout.

@@ -1,38 +1,67 @@
-//! The TCP client transport: one pipelined connection per target site
-//! driven by a reactor thread, with a background cast pump so the lazy
-//! path never blocks on a slow target.
+//! The TCP client transport: one pipelined connection per target site,
+//! written and read by the calling threads themselves, with a background
+//! cast pump so the lazy path never blocks on a slow target.
 //!
-//! # Calls: pipelining and exactly-once retries
+//! # Calls: caller-driven I/O
 //!
-//! Every `call` runs on a *slot* from a free-list slab: the caller
-//! encodes the request into the slot's reused submission buffer, pushes
-//! the slot onto the reactor's queue, and sleeps on the slot's condvar.
-//! After warmup the whole round trip — submit, frame, correlate, wake —
-//! performs no heap allocation: slots, buffers and queues all reach a
-//! high-water mark and are recycled. The reactor owns one nonblocking
-//! connection per target, tags each request with a per-connection
-//! sequence id (the frame's [`CallHeader`]), and writes
-//! every submission that arrived in one pass back-to-back — so
-//! concurrent callers share a connection, their requests coalesce into
-//! one kernel write, and the server's batch decode turns them into
-//! shard-grouped multi-gets. Responses are correlated back to callers by
-//! the echoed sequence id, so they may resolve in any order; a slot
-//! generation counter (bumped on every submission and on timeout)
-//! guards recycled slots against late deliveries.
+//! A `call` frames `[len][CallHeader][request]` straight into its target
+//! connection's output buffer, registers itself pending under a
+//! per-connection sequence id and issues the nonblocking `write` itself;
+//! there is no I/O thread. Someone must then read the socket. Each
+//! connection has one *read half* (its [`FrameReader`]), and holding it is
+//! *leading* the connection: the leader polls the socket
+//! ([`polling::wait_one`], bounded by its own call deadline), reads, and
+//! correlates every response frame by its echoed sequence id, so responses
+//! may arrive in any order. A caller takes the read half if it rests on
+//! the connection; otherwise a leader exists and the caller parks on its
+//! call slot's condvar. The hand-off rule, by what the leader does:
 //!
-//! Retries are governed by one invariant: **a request may be re-sent
-//! only if it provably never reached the server**. The reactor tracks,
-//! per connection, the absolute byte offset handed to the kernel; when a
-//! connection dies, a pending call whose frame was not yet *fully*
-//! flushed is reported [`CallOutcome::NotSent`] (a partial frame can
-//! never be decoded, let alone applied) and `call` transparently retries
-//! once on a fresh connection. Everything else — a flushed frame with no
-//! response, a response timeout, any bytes of a response — is
-//! `Unavailable` with **no second send**: the server may have applied
-//! the request, and `Put`/OCC writes are not idempotent across duplicate
-//! delivery.
+//! * pops **its own response** — returns with it, once it has resolved
+//!   whatever else the same read delivered;
+//! * pops **another caller's response** — removes that call from the
+//!   pending list, stores the outcome in its slot and wakes it;
+//! * **leaves** (own response, own deadline, dead connection) — moves the
+//!   read half into one still-pending caller's slot *under the slot
+//!   mutex*, or rests it on the connection if no call is pending.
+//!
+//! A parked caller therefore wakes to exactly one of its outcome, the
+//! lead, or its deadline; a promotion cannot be lost, and while any call
+//! is pending exactly one thread holds the read half or has it waiting in
+//! its slot. A connection with no pending calls has no leader, so nobody
+//! would see its peer's FIN: a caller that picks the read half up off the
+//! connection *probes* it with one nonblocking read first, and on EOF
+//! drops the connection and dials afresh — a peer restart costs a redial,
+//! not a failed call. Dials run on the calling thread under a per-site
+//! guard, so a dark site stalls only its own callers.
+//!
+//! Lock order: site table (`Site::dial`, then `Site::conn`) → write half
+//! (`Conn::w`) → pending list (`Conn::pending`) → call slot
+//! (`CallSlot::state`). None is held across `poll` or `read`: writers and
+//! the leader share `&TcpStream`, the leader owns the `FrameReader` by
+//! value, and the write-half lock covers at most one nonblocking `write`.
+//! A short write leaves its tail in the output buffer (later frames queue
+//! behind it, so bytes never leave out of order) and raises
+//! [`Conn::backlog`]; the leader adds `POLLOUT` to its wait and finishes
+//! the flush. After warm-up a call allocates nothing: slots and buffers
+//! are reused, and a slot generation counter (bumped on every attempt and
+//! on timeout) guards recycled slots against late deliveries.
+//!
+//! # Exactly-once retries
+//!
+//! **A request may be re-sent only if it provably never reached the
+//! server.** Each connection counts the bytes handed to the kernel; when
+//! it dies, every pending call — parked ones included — is resolved at
+//! once: one whose frame was not yet *fully* flushed is
+//! [`CallOutcome::NotSent`] (a partial frame can never be decoded, let
+//! alone applied) and `call` retries it once on a fresh connection.
+//! Everything else — a flushed frame with no response, a response
+//! timeout, any bytes of a response — is `Unavailable` with **no second
+//! send**: the server may have applied the request, and `Put`/OCC writes
+//! are not idempotent across duplicate delivery.
 
-use crate::frame::{write_frame_with_mode, CallHeader, Fill, FrameReader, MAX_FRAME, MODE_CAST};
+use crate::frame::{
+    write_frame_with_mode, CallHeader, Fill, FrameReader, MAX_FILLS_PER_PASS, MAX_FRAME, MODE_CAST,
+};
 use crate::server::epoch_checked;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use geometa_core::protocol::{self, RegistryRequest, RegistryResponse};
@@ -41,11 +70,10 @@ use geometa_core::MetaError;
 use geometa_sim::rng::SplitMix64;
 use geometa_sim::topology::SiteId;
 use parking_lot::{Condvar, Mutex};
-use polling::{Event, Poller};
-use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::os::unix::net::UnixStream;
+use polling::{wait_one, Event};
+use std::collections::{BTreeMap, HashMap};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -219,7 +247,7 @@ impl CircuitBreaker {
     }
 }
 
-/// How one submitted call ended, as reported by the reactor.
+/// How one call attempt ended on its connection.
 enum CallOutcome {
     /// A correlated response arrived.
     Response(RegistryResponse),
@@ -232,57 +260,25 @@ enum CallOutcome {
 }
 
 /// Mutable state of one call slot, guarded by the slot's mutex.
+#[derive(Default)]
 struct SlotState {
-    /// Submission generation: bumped by the caller on every submission
-    /// and again on timeout, so a late delivery against a stale
-    /// generation is dropped instead of resolving a recycled slot.
+    /// Attempt generation: bumped by the caller on every attempt and
+    /// again on timeout, so a late delivery against a stale generation is
+    /// dropped instead of resolving a recycled slot.
     gen: u64,
-    /// The reactor's verdict for the current generation.
+    /// The verdict for the current generation.
     outcome: Option<CallOutcome>,
-    /// The caller's reused submission buffer: cleared (never shrunk) and
-    /// re-encoded into on every call, so steady-state submission touches
-    /// no allocator.
-    body: Vec<u8>,
-    target: SiteId,
-    /// Membership epoch to stamp on the frame's [`CallHeader`]; `None`
-    /// for epoch-exempt requests.
-    epoch: Option<u64>,
+    /// The connection's read half, handed on by a leaving leader: the
+    /// slot's caller leads from here on.
+    lead: Option<FrameReader>,
 }
 
-/// One slot of the call slab: a caller parks on `cv` until the reactor
-/// delivers an outcome for its generation.
+/// One slot of the call slab: a caller parks on `cv` until a leader
+/// delivers an outcome for its generation or hands it the lead.
+#[derive(Default)]
 struct CallSlot {
     state: Mutex<SlotState>,
     cv: Condvar,
-}
-
-impl CallSlot {
-    fn new() -> CallSlot {
-        CallSlot {
-            state: Mutex::new(SlotState {
-                gen: 0,
-                outcome: None,
-                body: Vec::new(),
-                target: SiteId(0),
-                epoch: None,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-/// The call slab: a free list of recycled slots plus the submission
-/// queue the reactor drains. Both are plain `Mutex<Vec>`s — pushing a
-/// recycled slot or a submission is lock-push-unlock with no allocation
-/// once the vectors reach their high-water mark (a channel here would
-/// allocate per send in the vendored shim).
-struct CallSlab {
-    /// Submissions awaiting the reactor, with the generation each was
-    /// made under. Drained wholesale by `mem::swap` into the reactor's
-    /// local vector.
-    queue: Mutex<Vec<(Arc<CallSlot>, u64)>>,
-    /// Recycled slots ready for the next caller.
-    free: Mutex<Vec<Arc<CallSlot>>>,
 }
 
 /// Deliver `outcome` to a slot if its generation still matches, waking
@@ -295,6 +291,16 @@ fn deliver(slot: &CallSlot, gen: u64, outcome: CallOutcome) {
     }
 }
 
+/// Take the slot's outcome, or — none arrived — bump the generation so a
+/// delivery racing this timeout is dropped.
+fn settle(st: &mut SlotState) -> Option<CallOutcome> {
+    let outcome = st.outcome.take();
+    if outcome.is_none() {
+        st.gen = st.gen.wrapping_add(1);
+    }
+    outcome
+}
+
 /// A call waiting for its response on some connection.
 struct PendingCall {
     seq: u32,
@@ -302,14 +308,13 @@ struct PendingCall {
     /// fully in the kernel iff `end_abs <= flushed_abs`.
     end_abs: u64,
     slot: Arc<CallSlot>,
-    /// Generation the slot was submitted under (guards late delivery).
+    /// Generation the slot was registered under (guards late delivery).
     gen: u64,
 }
 
-/// One reactor-owned pipelined connection.
-struct CConn {
-    stream: TcpStream,
-    reader: FrameReader,
+/// A connection's write half: callers append and flush one at a time.
+#[derive(Default)]
+struct WriteHalf {
     /// Pending output; `sent` is the already-flushed prefix.
     out: Vec<u8>,
     sent: usize,
@@ -318,328 +323,255 @@ struct CConn {
     /// Lifetime bytes appended to `out` on this connection.
     queued_abs: u64,
     next_seq: u32,
-    pending: VecDeque<PendingCall>,
+    /// Set by [`Conn::kill`]: nothing is appended or written afterwards,
+    /// so `flushed_abs` is final.
+    dead: bool,
 }
 
-/// Max `FrameReader::fill` calls per readiness pass (≤16 KiB each); the
-/// level-triggered poller re-fires for leftovers.
-const MAX_FILLS_PER_PASS: usize = 16;
-
-impl CConn {
-    fn new(stream: TcpStream) -> CConn {
-        CConn {
-            stream,
-            reader: FrameReader::new(),
-            out: Vec::new(),
-            sent: 0,
-            flushed_abs: 0,
-            queued_abs: 0,
-            next_seq: 0,
-            pending: VecDeque::new(),
-        }
-    }
-
-    /// Frame one call (`[CallHeader][req]`) onto the output buffer and
-    /// record it pending.
+impl WriteHalf {
+    /// Frame one call (`[len][CallHeader][req]`) onto the output buffer.
+    /// Returns its sequence id and the offset one past its frame.
     // geometa-hot
-    fn enqueue_call(&mut self, body: &[u8], epoch: Option<u64>, slot: Arc<CallSlot>, gen: u64) {
+    fn enqueue(&mut self, req: &RegistryRequest, epoch: Option<u64>) -> (u32, u64) {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        let frame_body = CallHeader::encoded_len(epoch) + body.len();
+        let frame_body = CallHeader::encoded_len(epoch) + req.encoded_len();
+        let at = self.out.len();
         self.out
             .extend_from_slice(&(frame_body as u32).to_le_bytes());
         CallHeader { seq, epoch }.encode_into(&mut self.out);
-        self.out.extend_from_slice(body);
+        req.encode_into(&mut self.out);
+        debug_assert_eq!(self.out.len() - at, 4 + frame_body);
         self.queued_abs += (4 + frame_body) as u64;
-        self.pending.push_back(PendingCall {
-            seq,
-            end_abs: self.queued_abs,
-            slot,
-            gen,
-        });
+        (seq, self.queued_abs)
+    }
+}
+
+/// The calls awaiting a response on one connection.
+struct Waiters {
+    calls: Vec<PendingCall>,
+    /// The read half while nobody leads (`None` = someone holds it).
+    reader: Option<FrameReader>,
+}
+
+/// One pipelined connection, shared by every caller to its site.
+struct Conn {
+    /// Nonblocking; written under `w`, read by whoever leads.
+    stream: TcpStream,
+    w: Mutex<WriteHalf>,
+    pending: Mutex<Waiters>,
+    /// An unflushed tail sits in `w.out`: the leader adds `POLLOUT` to its
+    /// wait. A hint — the bytes live under `w` — so `Relaxed` suffices. A
+    /// leader already in `poll` acts on it at its next wake-up: a
+    /// response, or the hand-off to the caller whose write fell short.
+    backlog: AtomicBool,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        Conn {
+            stream,
+            w: Mutex::new(WriteHalf::default()),
+            pending: Mutex::new(Waiters {
+                calls: Vec::new(),
+                reader: Some(FrameReader::new()),
+            }),
+            backlog: AtomicBool::new(false),
+        }
     }
 
-    /// Drain readable bytes and resolve every complete response frame.
-    /// Returns false when the connection must be dropped.
+    /// Frame `req` behind whatever is still unflushed, register it pending
+    /// for `slot`, take the lead if it is free, and write. On `Err` the
+    /// connection must be [killed](Conn::kill), which also settles this
+    /// call if it got as far as being registered.
     // geometa-hot
-    fn pump_read(&mut self) -> bool {
-        let mut alive = true;
-        for _ in 0..MAX_FILLS_PER_PASS {
-            match self.reader.fill(&mut self.stream) {
-                Ok(Fill::Progress) => continue,
-                Ok(Fill::Idle) => break,
-                Ok(Fill::Eof) | Err(_) => {
-                    alive = false;
-                    break;
-                }
+    fn send(
+        &self,
+        req: &RegistryRequest,
+        epoch: Option<u64>,
+        slot: &Arc<CallSlot>,
+        gen: u64,
+        lead: &mut Option<FrameReader>,
+    ) -> std::io::Result<()> {
+        let mut w = self.w.lock();
+        if w.dead {
+            return Err(std::io::ErrorKind::NotConnected.into());
+        }
+        let (seq, end_abs) = w.enqueue(req, epoch);
+        {
+            let mut p = self.pending.lock();
+            p.calls.push(PendingCall {
+                seq,
+                end_abs,
+                slot: Arc::clone(slot),
+                gen,
+            });
+            if lead.is_none() {
+                *lead = p.reader.take();
             }
         }
-        // Resolve responses that made it through even when the stream
-        // just died — those callers get real answers, not Unavailable.
-        // Frames are popped as ranges into the read buffer: correlating
-        // a response touches the heap only when the response carries a
-        // payload (`Found`/`Delta`/`Status`) that must outlive the pass.
-        loop {
-            let range = match self.reader.next_frame_range() {
-                Ok(Some(range)) => range,
-                Ok(None) => break,
-                Err(_) => return false,
-            };
-            if !resolve_frame(&self.reader, range, &mut self.pending) {
-                return false;
-            }
-        }
-        alive
+        self.flush(&mut w)
     }
 
-    /// Push pending output to the kernel. `Ok(true)` = fully drained.
-    fn flush_out(&mut self) -> std::io::Result<bool> {
-        while self.sent < self.out.len() {
-            match self.stream.write(&self.out[self.sent..]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "peer stopped accepting bytes",
-                    ))
-                }
+    /// Push the write half's pending output to the kernel and publish
+    /// whether a tail remains ([`Conn::backlog`]).
+    // geometa-hot
+    fn flush(&self, w: &mut WriteHalf) -> std::io::Result<()> {
+        if w.dead {
+            return Err(std::io::ErrorKind::NotConnected.into());
+        }
+        while w.sent < w.out.len() {
+            match (&self.stream).write(&w.out[w.sent..]) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
                 Ok(n) => {
-                    self.sent += n;
-                    self.flushed_abs += n as u64;
+                    w.sent += n;
+                    w.flushed_abs += n as u64;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if self.sent > 256 * 1024 {
-                        self.out.drain(..self.sent);
-                        self.sent = 0;
+                    if w.sent > 256 * 1024 {
+                        w.out.drain(..w.sent);
+                        w.sent = 0;
                     }
-                    return Ok(false);
+                    self.backlog.store(true, Ordering::Relaxed);
+                    return Ok(());
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
-        self.out.clear();
-        self.sent = 0;
-        Ok(true)
+        w.out.clear();
+        w.sent = 0;
+        self.backlog.store(false, Ordering::Relaxed);
+        Ok(())
     }
 
-    /// The connection is dead: report every pending call per the
-    /// exactly-once rule — fully-flushed frames *may* have been applied
-    /// (`Failed`), partially-flushed ones cannot have been (`NotSent`).
-    fn fail_pending(self) {
-        for p in self.pending {
-            let outcome = if p.end_abs <= self.flushed_abs {
+    /// Whether an idle connection is still open (nobody was reading it, so
+    /// a peer's FIN shows up only now). Bytes that do arrive answer calls
+    /// that timed out; the next read pass drops them as unknown seqs.
+    fn probe(&self, reader: &mut FrameReader) -> bool {
+        for _ in 0..MAX_FILLS_PER_PASS {
+            match reader.fill(&mut &self.stream) {
+                Ok(Fill::Idle) => return true,
+                Ok(Fill::Progress | Fill::Short) => continue,
+                Ok(Fill::Eof) | Err(_) => return false,
+            }
+        }
+        true
+    }
+
+    /// Drain readable bytes and resolve every complete response frame:
+    /// the leader's own (slot `me`) into `mine`, the others to their
+    /// slots. Returns false when the connection must be dropped —
+    /// responses that made it through before the stream died still
+    /// resolve; those callers get real answers, not Unavailable.
+    // geometa-hot
+    fn pump_read(
+        &self,
+        reader: &mut FrameReader,
+        me: &Arc<CallSlot>,
+        mine: &mut Option<CallOutcome>,
+    ) -> bool {
+        let alive = matches!(reader.drain(&mut &self.stream), Ok(false));
+        // Frames are popped as ranges into the read buffer: correlating a
+        // response touches the heap only when it carries a payload
+        // (`Found`/`Delta`/`Status`) that must outlive the pass.
+        loop {
+            let range = match reader.next_frame_range() {
+                Ok(Some(range)) => range,
+                Ok(None) => break,
+                Err(_) => return false,
+            };
+            let body = reader.view(range.clone());
+            if body.len() < 4 {
+                return false; // no sequence id: protocol violation
+            }
+            let seq = u32::from_le_bytes([body[0], body[1], body[2], body[3]]);
+            let call = {
+                let mut p = self.pending.lock();
+                let at = p.calls.iter().position(|c| c.seq == seq);
+                at.map(|at| p.calls.swap_remove(at))
+            };
+            // An unknown seq is a caller that already timed out.
+            let Some(call) = call else { continue };
+            // Fixed-shape responses (`Ack`, payload-free errors) decode
+            // from the borrowed view; the rest are copied out first. A
+            // garbled response still *arrived*: it resolves the call (as
+            // a codec error), it does not trigger a retry.
+            let resp = match protocol::decode_fixed_response(&body[4..]) {
+                Some(resp) => resp,
+                None => {
+                    let owned = reader.materialize(range.start + 4..range.end);
+                    RegistryResponse::decode(owned)
+                        .unwrap_or_else(|error| RegistryResponse::Error { error })
+                }
+            };
+            // A slot has at most one call registered at a time.
+            if Arc::ptr_eq(&call.slot, me) {
+                *mine = Some(CallOutcome::Response(resp));
+            } else {
+                deliver(&call.slot, call.gen, CallOutcome::Response(resp));
+            }
+        }
+        alive
+    }
+
+    /// Leave the lead: hand the read half to one still-pending caller, or
+    /// rest it on the connection. Entries whose generation moved on are
+    /// callers between timing out and unregistering; they are skipped.
+    fn hand_on(&self, reader: FrameReader) {
+        let mut p = self.pending.lock();
+        let mut reader = Some(reader);
+        for call in &p.calls {
+            let mut st = call.slot.state.lock();
+            if st.gen == call.gen {
+                st.lead = reader.take();
+                call.slot.cv.notify_one();
+                return;
+            }
+        }
+        p.reader = reader;
+    }
+
+    /// The connection is dead: stop further sends, wake whoever waits on
+    /// the socket, and report every pending call per the exactly-once
+    /// rule — fully-flushed frames *may* have been applied (`Failed`),
+    /// partially-flushed ones cannot have been (`NotSent`). Idempotent,
+    /// and delivered under the pending lock: when any `kill` returns,
+    /// every call that was pending has its verdict.
+    fn kill(&self) {
+        let flushed_abs = {
+            let mut w = self.w.lock();
+            w.dead = true;
+            w.flushed_abs
+        };
+        let _ = self.stream.shutdown(Shutdown::Both);
+        let mut p = self.pending.lock();
+        for call in p.calls.drain(..) {
+            let outcome = if call.end_abs <= flushed_abs {
                 CallOutcome::Failed
             } else {
                 CallOutcome::NotSent
             };
-            deliver(&p.slot, p.gen, outcome);
+            deliver(&call.slot, call.gen, outcome);
         }
     }
 }
 
-/// Correlate one response frame (`[u32_le seq][response]`) back to its
-/// caller. False on a protocol violation. Fixed-shape responses (`Ack`,
-/// payload-free errors) decode straight from the borrowed frame view;
-/// everything else is copied out of the read buffer first. A garbled
-/// response still *arrived*: per the exactly-once contract it resolves
-/// the call (as a codec error), it does not trigger a retry. An unknown
-/// seq is a caller that already timed out — nothing to do.
-// geometa-hot
-fn resolve_frame(
-    reader: &FrameReader,
-    range: std::ops::Range<usize>,
-    pending: &mut VecDeque<PendingCall>,
-) -> bool {
-    let body = reader.view(range.clone());
-    if body.len() < 4 {
-        return false;
-    }
-    let seq = u32::from_le_bytes([body[0], body[1], body[2], body[3]]);
-    let Some(pos) = pending.iter().position(|p| p.seq == seq) else {
-        return true;
-    };
-    let resp = match protocol::decode_fixed_response(&body[4..]) {
-        Some(resp) => resp,
-        None => match RegistryResponse::decode(reader.materialize(range.start + 4..range.end)) {
-            Ok(resp) => resp,
-            Err(error) => RegistryResponse::Error { error },
-        },
-    };
-    if let Some(p) = pending.remove(pos) {
-        deliver(&p.slot, p.gen, CallOutcome::Response(resp));
-    }
-    true
-}
-
-/// Poller key for the reactor's wake pipe.
-const WAKE_KEY: usize = usize::MAX;
-
-/// The client-side reactor: one thread multiplexing every pipelined
-/// connection plus the wake pipe through the poll shim.
-struct CallReactor {
-    poller: Poller,
-    /// Connections indexed by `SiteId.0` (site ids are dense).
-    conns: Vec<Option<CConn>>,
-    addrs: HashMap<SiteId, SocketAddr>,
-    tick: Duration,
-    /// True only while the reactor may be blocked in `poll`. Submitters
-    /// skip the wake-byte syscall whenever this is false — under load
-    /// the reactor is mid-pass and will drain the queue anyway, so the
-    /// common case sends zero wake bytes.
-    parked: Arc<AtomicBool>,
-}
-
-impl CallReactor {
-    fn run(mut self, slab: Arc<CallSlab>, wake_rx: UnixStream, closing: Arc<AtomicBool>) {
-        let mut events: Vec<Event> = Vec::new();
-        // Reactor-local submission scratch, swapped with the slab queue:
-        // draining N submissions is one lock and zero allocation.
-        let mut local: Vec<(Arc<CallSlot>, u64)> = Vec::new();
-        while !closing.load(Ordering::Acquire) {
-            events.clear();
-            // Park gate, SeqCst-paired with the swap in
-            // `TcpClientTransport::submit`: either the submitter sees
-            // `parked == true` and writes a wake byte, or its push is
-            // already visible to the drain below and we skip the sleep.
-            // Both orders are covered; a missed wake is not possible.
-            self.parked.store(true, Ordering::SeqCst);
-            std::mem::swap(&mut *slab.queue.lock(), &mut local);
-            if !local.is_empty() {
-                // Submissions raced our parking (their callers may have
-                // skipped the wake byte): process them now, don't sleep.
-                self.parked.store(false, Ordering::SeqCst);
-                for (slot, gen) in local.drain(..) {
-                    self.submit(&slot, gen);
-                }
-            } else if self.poller.wait(&mut events, Some(self.tick)).is_err() {
-                break;
-            } else {
-                self.parked.store(false, Ordering::SeqCst);
-            }
-            for &ev in &events {
-                if ev.key == WAKE_KEY {
-                    drain_wake(&wake_rx);
-                    continue;
-                }
-                if !ev.readable {
-                    continue; // writes happen in the flush pass below
-                }
-                let Some(conn) = self.conns.get_mut(ev.key).and_then(Option::as_mut) else {
-                    continue;
-                };
-                if !conn.pump_read() {
-                    self.kill(ev.key);
-                }
-            }
-            // Coalesce: every submission queued right now is framed
-            // before the flush pass, so concurrent callers' requests
-            // leave in one kernel write per connection.
-            std::mem::swap(&mut *slab.queue.lock(), &mut local);
-            for (slot, gen) in local.drain(..) {
-                self.submit(&slot, gen);
-            }
-            self.flush_all();
-        }
-        // Shutdown: nothing more will be read, so every still-pending
-        // call is dead. Report per the flushed-bytes rule; callers map
-        // both outcomes to Unavailable once the transport is closing.
-        for conn in std::mem::take(&mut self.conns).into_iter().flatten() {
-            let _ = self.poller.delete(&conn.stream);
-            conn.fail_pending();
-        }
-        // Submissions still queued never touched a socket: resolve them
-        // too (as Failed — the transport is closing, the caller maps it
-        // to Unavailable) instead of leaving callers to ride out their
-        // full timeout.
-        std::mem::swap(&mut *slab.queue.lock(), &mut local);
-        for (slot, gen) in local.drain(..) {
-            deliver(&slot, gen, CallOutcome::Failed);
-        }
-    }
-
-    /// Route one submission onto its target's connection, dialing if
-    /// needed. Dial failures are `NotSent` by definition.
-    // geometa-hot
-    fn submit(&mut self, slot: &Arc<CallSlot>, gen: u64) {
-        let st = slot.state.lock();
-        if CallHeader::encoded_len(st.epoch) + st.body.len() > MAX_FRAME {
-            drop(st);
-            deliver(slot, gen, CallOutcome::NotSent); // unframeable
-            return;
-        }
-        let key = st.target.0 as usize;
-        if key >= self.conns.len() {
-            self.conns.resize_with(key + 1, || None);
-        }
-        if self.conns[key].is_none() {
-            let Some(&addr) = self.addrs.get(&st.target) else {
-                drop(st);
-                deliver(slot, gen, CallOutcome::NotSent); // unknown site
-                return;
-            };
-            let conn = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).and_then(|stream| {
-                stream.set_nonblocking(true)?;
-                let _ = stream.set_nodelay(true);
-                self.poller.add(&stream, Event::readable(key))?;
-                Ok(CConn::new(stream))
-            });
-            match conn {
-                Ok(conn) => self.conns[key] = Some(conn),
-                Err(_) => {
-                    drop(st);
-                    deliver(slot, gen, CallOutcome::NotSent);
-                    return;
-                }
-            }
-        }
-        if let Some(conn) = self.conns[key].as_mut() {
-            conn.enqueue_call(&st.body, st.epoch, Arc::clone(slot), gen);
-        }
-    }
-
-    /// Flush every connection's backlog and refresh poller interest.
-    fn flush_all(&mut self) {
-        for key in 0..self.conns.len() {
-            let Some(conn) = self.conns[key].as_mut() else {
-                continue;
-            };
-            let flushed = conn.flush_out();
-            match flushed {
-                Err(_) => self.kill(key),
-                Ok(drained) => {
-                    let interest = Event {
-                        key,
-                        readable: true,
-                        writable: !drained,
-                    };
-                    if self.poller.modify(&conn.stream, interest).is_err() {
-                        self.kill(key);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drop one connection, resolving its pending calls.
-    fn kill(&mut self, key: usize) {
-        if let Some(conn) = self.conns[key].take() {
-            let _ = self.poller.delete(&conn.stream);
-            conn.fail_pending();
-        }
-    }
-}
-
-/// Drain the wake pipe (coalesced wake-ups are the point).
-fn drain_wake(wake_rx: &UnixStream) {
-    let mut sink = [0u8; 256];
-    while matches!((&mut { wake_rx }).read(&mut sink), Ok(n) if n > 0) {}
+/// One target site's entry in the site table.
+struct Site {
+    addr: SocketAddr,
+    /// The live connection, if any.
+    conn: Mutex<Option<Arc<Conn>>>,
+    /// Held across a dial: one caller connects while the site's other
+    /// callers wait for its result; other sites' callers are unaffected.
+    dial: Mutex<()>,
 }
 
 /// A pipelining, reconnecting [`RegistryTransport`] over framed TCP.
 ///
 /// * **Pipelining** — all calls to one target share one connection;
-///   many can be in flight at once, correlated by sequence id, and
-///   submissions queued together coalesce into one kernel write.
+///   many can be in flight at once, correlated by sequence id; callers
+///   write their own requests and one at a time reads for all.
 /// * **Exactly-once retries** — a call is re-sent only when its frame
 ///   provably never fully reached the kernel (connect failure, pre-write
 ///   error, partial flush). Timeouts and post-flush failures surface as
@@ -648,16 +580,14 @@ fn drain_wake(wake_rx: &UnixStream) {
 ///   background pump thread with its own connections; the caller returns
 ///   immediately, so a slow or dead target cannot stall the lazy path.
 pub struct TcpClientTransport {
-    addrs: HashMap<SiteId, SocketAddr>,
-    /// The call slab (slots + submission queue) shared with the reactor.
-    slab: Arc<CallSlab>,
-    wake_tx: UnixStream,
-    reactor: Option<std::thread::JoinHandle<()>>,
+    /// The site table (ordered, so [`RegistryTransport::sites`] is too).
+    targets: BTreeMap<SiteId, Site>,
+    /// Recycled call slots. A plain `Mutex<Vec>`: lock-push-unlock with no
+    /// allocation once it reaches its high-water mark.
+    free: Mutex<Vec<Arc<CallSlot>>>,
     cast_tx: Option<Sender<(SiteId, bytes::Bytes)>>,
     cast_worker: Option<std::thread::JoinHandle<()>>,
     closing: Arc<AtomicBool>,
-    /// Mirror of the reactor's park gate (see `CallReactor::parked`).
-    reactor_parked: Arc<AtomicBool>,
     call_timeout: Duration,
     boot: Instant,
     /// Last membership epoch learned from the cluster; stamped on every
@@ -681,45 +611,9 @@ pub struct TcpClientTransport {
 impl TcpClientTransport {
     /// A transport dialing `addrs` (lazily, per target). Routing is fully
     /// determined by the target argument of each call, so one instance is
-    /// shared by clients at every site. `io_tick` bounds the reactor's
-    /// poll wait — it is the shutdown-observation latency, plumbed from
-    /// `TcpConfig::read_timeout` by the TCP layer.
-    pub fn new(
-        addrs: HashMap<SiteId, SocketAddr>,
-        call_timeout: Duration,
-        io_tick: Duration,
-    ) -> TcpClientTransport {
+    /// shared by clients at every site. Its one thread is the cast pump.
+    pub fn new(addrs: HashMap<SiteId, SocketAddr>, call_timeout: Duration) -> TcpClientTransport {
         let closing = Arc::new(AtomicBool::new(false));
-
-        // -- call reactor ---------------------------------------------------
-        let (wake_tx, wake_rx) = UnixStream::pair().expect("socketpair"); // geometa-lint: allow(net-unwrap) construction-time, before any peer traffic: a host that cannot allocate a socketpair cannot run the transport at all
-        let _ = wake_tx.set_nonblocking(true);
-        let _ = wake_rx.set_nonblocking(true);
-        let slab = Arc::new(CallSlab {
-            queue: Mutex::new(Vec::new()),
-            free: Mutex::new(Vec::new()),
-        });
-        let poller = Poller::new().expect("poller"); // geometa-lint: allow(net-unwrap) construction-time, infallible in the poll(2) shim
-        poller
-            .add(&wake_rx, Event::readable(WAKE_KEY))
-            .expect("register wake pipe"); // geometa-lint: allow(net-unwrap) construction-time: fresh poller, fresh fd, cannot already be registered
-        let reactor_parked = Arc::new(AtomicBool::new(true));
-        let reactor_state = CallReactor {
-            poller,
-            conns: Vec::new(),
-            addrs: addrs.clone(),
-            tick: io_tick,
-            parked: Arc::clone(&reactor_parked),
-        };
-        let reactor_closing = Arc::clone(&closing);
-        let reactor_slab = Arc::clone(&slab);
-        // geometa-lint: allow(untracked-thread) the reactor's handle is stored in `reactor` and joined in Drop
-        let reactor = std::thread::Builder::new()
-            .name("tcp-call-reactor".into())
-            .spawn(move || reactor_state.run(reactor_slab, wake_rx, reactor_closing))
-            .expect("spawn call reactor"); // geometa-lint: allow(net-unwrap) construction-time, before any peer traffic: a host that cannot spawn one thread cannot run the transport at all
-
-        // -- cast pump ------------------------------------------------------
         let (cast_tx, cast_rx) = bounded::<(SiteId, bytes::Bytes)>(CAST_QUEUE);
         let pump_addrs = addrs.clone();
         let pump_closing = Arc::clone(&closing);
@@ -730,16 +624,20 @@ impl TcpClientTransport {
             .name("tcp-cast-pump".into())
             .spawn(move || cast_pump(&cast_rx, &pump_addrs, &pump_closing, &pump_backoff))
             .expect("spawn cast pump"); // geometa-lint: allow(net-unwrap) construction-time, before any peer traffic: a host that cannot spawn one thread cannot run the transport at all
-
+        let site = |(id, addr)| {
+            let site = Site {
+                addr,
+                conn: Mutex::new(None),
+                dial: Mutex::new(()),
+            };
+            (id, site)
+        };
         TcpClientTransport {
-            addrs,
-            slab,
-            wake_tx,
-            reactor: Some(reactor),
+            targets: addrs.into_iter().map(site).collect::<BTreeMap<_, _>>(),
+            free: Mutex::new(Vec::new()),
             cast_tx: Some(cast_tx),
             cast_worker: Some(cast_worker),
             closing,
-            reactor_parked,
             call_timeout,
             boot: Instant::now(),
             mem_epoch: AtomicU64::new(0),
@@ -750,98 +648,135 @@ impl TcpClientTransport {
         }
     }
 
-    /// Hand one slot to the reactor, waking it only if it might be
-    /// blocked in `poll` (see `CallReactor::parked` for the pairing).
+    /// The site's connection, dialed on this thread if there is none.
     // geometa-hot
-    fn submit(&self, slot: &Arc<CallSlot>, gen: u64) -> Result<(), ()> {
-        if self.closing.load(Ordering::Acquire) {
-            return Err(());
+    fn connect(&self, site: &Site) -> Option<Arc<Conn>> {
+        if let Some(conn) = &*site.conn.lock() {
+            return Some(Arc::clone(conn));
         }
-        self.slab.queue.lock().push((Arc::clone(slot), gen));
-        // swap, not load: concurrent submitters collapse into a single
-        // wake byte, and a full wake pipe already guarantees a pending
-        // wake-up anyway.
-        if self.reactor_parked.swap(false, Ordering::SeqCst) {
-            let _ = (&self.wake_tx).write(&[1]);
+        let _dialing = site.dial.lock();
+        if let Some(conn) = &*site.conn.lock() {
+            return Some(Arc::clone(conn)); // the dialer ahead of us got through
         }
-        Ok(())
+        let stream = TcpStream::connect_timeout(&site.addr, CONNECT_TIMEOUT).ok()?;
+        stream.set_nonblocking(true).ok()?;
+        let _ = stream.set_nodelay(true);
+        let conn = Arc::new(Conn::new(stream));
+        *site.conn.lock() = Some(Arc::clone(&conn));
+        Some(conn)
     }
 
-    /// Run one call on an acquired slot: encode into the slot's reused
-    /// buffer, submit, park on the slot's condvar, apply the
-    /// exactly-once retry rule. The slot is returned to the free list by
-    /// the caller ([`RegistryTransport::call`]).
+    /// Unlist and kill a dead connection (the next call dials afresh).
+    fn drop_conn(&self, site: &Site, conn: &Arc<Conn>) {
+        let mut listed = site.conn.lock();
+        if listed.as_ref().is_some_and(|c| Arc::ptr_eq(c, conn)) {
+            *listed = None;
+        }
+        drop(listed);
+        conn.kill();
+    }
+
+    /// Lead `conn` until the response to the caller's own call (slot `me`)
+    /// arrives. `None` = the connection died (the verdict is in the slot)
+    /// or `deadline` passed.
     // geometa-hot
-    fn call_on_slot(
+    fn lead(
         &self,
+        site: &Site,
+        conn: &Arc<Conn>,
+        reader: &mut FrameReader,
+        me: &Arc<CallSlot>,
+        deadline: Instant,
+    ) -> Option<CallOutcome> {
+        let mut mine = None;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            let interest = Event {
+                writable: conn.backlog.load(Ordering::Relaxed),
+                ..Event::readable(0)
+            };
+            let alive = wait_one(&conn.stream, interest, left).is_ok_and(|ev| {
+                (!ev.writable || conn.flush(&mut conn.w.lock()).is_ok())
+                    && (!ev.readable || conn.pump_read(reader, me, &mut mine))
+            });
+            if !alive {
+                // Dead by our reading or by a writer's `kill` (its shutdown
+                // woke the poll): every pending call has its verdict now.
+                self.drop_conn(site, conn);
+            }
+            if mine.is_some() || !alive {
+                return mine;
+            }
+        }
+    }
+
+    /// One attempt at one call: connect, probe, send, then lead the
+    /// connection or park behind its leader. `None` = timed out.
+    // geometa-hot
+    fn attempt(
+        &self,
+        site: &Site,
         slot: &Arc<CallSlot>,
-        target: SiteId,
         epoch: Option<u64>,
         req: &RegistryRequest,
-    ) -> RegistryResponse {
-        for attempt in 0..2 {
-            let gen = {
-                let mut st = slot.state.lock();
-                st.gen = st.gen.wrapping_add(1);
-                st.outcome = None;
-                st.target = target;
-                st.epoch = epoch;
-                if attempt == 0 {
-                    st.body.clear();
-                    req.encode_into(&mut st.body);
+    ) -> Option<CallOutcome> {
+        // A failed dial is `NotSent` by definition.
+        let Some(conn) = self.connect(site) else {
+            return Some(CallOutcome::NotSent);
+        };
+        let mut lead = conn.pending.lock().reader.take();
+        if lead.as_mut().is_some_and(|reader| !conn.probe(reader)) {
+            self.drop_conn(site, &conn);
+            return Some(CallOutcome::NotSent);
+        }
+        let gen = {
+            let mut st = slot.state.lock();
+            debug_assert!(st.lead.is_none(), "a free slot never holds a read half");
+            st.gen = st.gen.wrapping_add(1);
+            st.outcome = None;
+            st.gen
+        };
+        let deadline = Instant::now() + self.call_timeout;
+        let outcome = if conn.send(req, epoch, slot, gen, &mut lead).is_err() {
+            self.drop_conn(site, &conn);
+            // Registered: `kill` judged the call by its flushed bytes (a
+            // hand-off may have reached the slot first). Not registered:
+            // nothing left this process.
+            let mut st = slot.state.lock();
+            lead = lead.or(st.lead.take());
+            Some(st.outcome.take().unwrap_or(CallOutcome::NotSent))
+        } else {
+            loop {
+                if let Some(reader) = lead.as_mut() {
+                    let outcome = self.lead(site, &conn, reader, slot, deadline);
+                    break outcome.or_else(|| settle(&mut slot.state.lock()));
                 }
-                // A NotSent retry reuses the already-encoded body.
-                st.gen
-            };
-            if self.submit(slot, gen).is_err() {
-                break; // transport closing
-            }
-            let deadline = Instant::now() + self.call_timeout;
-            let outcome = {
+                // A leader exists: park until our outcome or the lead arrives.
                 let mut st = slot.state.lock();
-                while st.outcome.is_none() {
+                while st.outcome.is_none() && st.lead.is_none() {
                     if slot.cv.wait_until(&mut st, deadline).timed_out() {
                         break;
                     }
                 }
-                let outcome = st.outcome.take();
-                if outcome.is_none() {
-                    // Timed out: bump the generation under the lock so a
-                    // late delivery against this submission is dropped
-                    // instead of resolving the slot's next occupant.
-                    st.gen = st.gen.wrapping_add(1);
+                lead = st.lead.take();
+                if lead.is_none() || st.outcome.is_some() {
+                    break settle(&mut st);
                 }
-                outcome
-            };
-            match outcome {
-                Some(CallOutcome::Response(resp)) => {
-                    // Any correlated response — even a server-sent error
-                    // — proves the transport works: close the breaker.
-                    self.breaker.lock().record_success(target);
-                    // A WrongEpoch rejection names the current epoch:
-                    // adopt it eagerly so the very next call is stamped
-                    // correctly even before the caller re-plans.
-                    if let RegistryResponse::Error {
-                        error: MetaError::WrongEpoch { epoch },
-                    } = resp
-                    {
-                        self.mem_epoch.store(epoch, Ordering::Release);
-                    }
-                    return resp;
-                }
-                // The frame never fully reached the kernel: the one case
-                // where a second send cannot double-apply.
-                Some(CallOutcome::NotSent) if attempt == 0 => continue,
-                // Flushed-but-unanswered, exhausted retries, a timeout,
-                // or reactor death: the server may have applied the
-                // request — report Unavailable, never re-send.
-                Some(CallOutcome::NotSent) | Some(CallOutcome::Failed) | None => break,
             }
+        };
+        if outcome.is_none() {
+            // Timed out (generation already bumped): unregister, so the
+            // late response is dropped as an unknown sequence id.
+            let mut p = conn.pending.lock();
+            p.calls.retain(|c| !Arc::ptr_eq(&c.slot, slot));
         }
-        self.breaker.lock().record_failure(target, Instant::now());
-        RegistryResponse::Error {
-            error: MetaError::Unavailable,
+        if let Some(reader) = lead {
+            conn.hand_on(reader);
         }
+        outcome
     }
 
     /// Membership epoch this transport currently stamps on calls.
@@ -872,7 +807,7 @@ impl TcpClientTransport {
 }
 
 /// The cast pump loop: drain the queue, coalesce by target, deliver each
-/// group with one flush.
+/// group with one write.
 fn cast_pump(
     cast_rx: &Receiver<(SiteId, bytes::Bytes)>,
     addrs: &HashMap<SiteId, SocketAddr>,
@@ -880,6 +815,8 @@ fn cast_pump(
     backoff: &Mutex<CastBackoff>,
 ) {
     let mut conns: HashMap<SiteId, TcpStream> = HashMap::new();
+    // One group's frames, assembled here so they leave in one write.
+    let mut wire: Vec<u8> = Vec::new();
     while let Ok(first) = cast_rx.recv() {
         // On close, discard the backlog instead of pushing it through
         // (possibly wedged) peers — otherwise Drop could wait
@@ -889,7 +826,7 @@ fn cast_pump(
         }
         // Write coalescing: everything already queued leaves in this
         // pass, grouped by target (per-target arrival order preserved),
-        // each group written back-to-back with a single flush.
+        // each group framed back-to-back into a single write.
         let mut groups: Vec<(SiteId, Vec<bytes::Bytes>)> = Vec::new();
         for (target, body) in std::iter::once(first).chain(cast_rx.try_iter()) {
             match groups.iter_mut().find(|(t, _)| *t == target) {
@@ -915,12 +852,12 @@ fn cast_pump(
             // dropped (lazy pushes are best-effort — the strategies
             // re-converge via absorb idempotence). Every write is
             // deadline-armed, so a stalled target costs at most
-            // CAST_WRITE_TIMEOUT per frame before the pump moves on.
+            // CAST_WRITE_TIMEOUT per group before the pump moves on.
             let mut delivered = false;
             for _ in 0..2 {
                 let ok = match conns.entry(target) {
                     std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let ok = write_cast_group(e.get_mut(), &bodies).is_ok();
+                        let ok = write_cast_group(e.get_mut(), &bodies, &mut wire).is_ok();
                         if !ok {
                             e.remove();
                         }
@@ -931,7 +868,7 @@ fn cast_pump(
                             Ok(mut s) => {
                                 let _ = s.set_nodelay(true);
                                 let _ = s.set_write_timeout(Some(CAST_WRITE_TIMEOUT));
-                                let ok = write_cast_group(&mut s, &bodies).is_ok();
+                                let ok = write_cast_group(&mut s, &bodies, &mut wire).is_ok();
                                 if ok {
                                     e.insert(s);
                                 }
@@ -955,12 +892,21 @@ fn cast_pump(
     }
 }
 
-/// Write one target's coalesced cast frames, flushing once at the end.
-fn write_cast_group(stream: &mut TcpStream, bodies: &[bytes::Bytes]) -> std::io::Result<()> {
+/// Write one target's coalesced cast frames as a single `write_all`: the
+/// socket is `TCP_NODELAY`, so every separate write is a segment of its
+/// own. The frames are assembled in `wire` (reused across groups) first;
+/// an oversized body fails the group before anything reaches the wire.
+fn write_cast_group(
+    stream: &mut TcpStream,
+    bodies: &[bytes::Bytes],
+    wire: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    wire.clear();
+    wire.shrink_to(1 << 20); // one burst of big batches must not pin its high-water mark
     for body in bodies {
-        write_frame_with_mode(stream, MODE_CAST, body)?;
+        write_frame_with_mode(wire, MODE_CAST, body)?;
     }
-    stream.flush()
+    stream.write_all(wire)
 }
 
 impl RegistryTransport for TcpClientTransport {
@@ -979,14 +925,45 @@ impl RegistryTransport for TcpClientTransport {
             };
         }
         let epoch = checked.then(|| self.mem_epoch.load(Ordering::Acquire));
+        // An unknown site or an unframeable request fails like a dial.
+        let framed = CallHeader::encoded_len(epoch) + req.encoded_len();
+        let site = self.targets.get(&target).filter(|_| framed <= MAX_FRAME);
         // A recycled slot from the free list; the slab grows (one Arc)
         // only while warming up past its previous high-water mark.
         let slot = {
-            let recycled = self.slab.free.lock().pop();
-            recycled.unwrap_or_else(|| Arc::new(CallSlot::new()))
+            let recycled = self.free.lock().pop();
+            recycled.unwrap_or_else(|| Arc::new(CallSlot::default()))
         };
-        let resp = self.call_on_slot(&slot, target, epoch, &req);
-        self.slab.free.lock().push(slot);
+        // One retry, and only of `NotSent`: the frame never fully reached
+        // the kernel, so a second send cannot double-apply. A flushed but
+        // unanswered frame or a timeout may have been applied — those
+        // surface as Unavailable, never re-sent.
+        let mut outcome = None;
+        for _attempt in 0..2 {
+            outcome = site.and_then(|site| self.attempt(site, &slot, epoch, &req));
+            if !matches!(outcome, Some(CallOutcome::NotSent)) {
+                break;
+            }
+        }
+        self.free.lock().push(slot);
+        let Some(CallOutcome::Response(resp)) = outcome else {
+            self.breaker.lock().record_failure(target, Instant::now());
+            return RegistryResponse::Error {
+                error: MetaError::Unavailable,
+            };
+        };
+        // Any correlated response — even a server-sent error — proves the
+        // transport works: close the breaker.
+        self.breaker.lock().record_success(target);
+        // A WrongEpoch rejection names the current epoch: adopt it eagerly
+        // so the very next call is stamped correctly even before the
+        // caller re-plans.
+        if let RegistryResponse::Error {
+            error: MetaError::WrongEpoch { epoch },
+        } = resp
+        {
+            self.mem_epoch.store(epoch, Ordering::Release);
+        }
         resp
     }
 
@@ -1013,9 +990,7 @@ impl RegistryTransport for TcpClientTransport {
     }
 
     fn sites(&self) -> Vec<SiteId> {
-        let mut s: Vec<SiteId> = self.addrs.keys().copied().collect();
-        s.sort();
-        s
+        self.targets.keys().copied().collect()
     }
 
     /// Ask the cluster for the current membership: probe every known
@@ -1035,16 +1010,11 @@ impl RegistryTransport for TcpClientTransport {
 
 impl Drop for TcpClientTransport {
     fn drop(&mut self) {
-        // Flag first so both workers discard any backlog (and `submit`
-        // rejects new slots), then poke the wake pipe so they observe
-        // the flag promptly; joins are bounded by one poll tick / write
-        // timeout. The reactor resolves everything pending or queued on
-        // its way out.
+        // `&mut self`: no call is in flight, and the connections close
+        // with their fields. Flag first so the pump discards its backlog,
+        // then disconnect its queue; the join is bounded by one write
+        // timeout.
         self.closing.store(true, Ordering::Release);
-        let _ = (&self.wake_tx).write(&[1]);
-        if let Some(h) = self.reactor.take() {
-            let _ = h.join();
-        }
         drop(self.cast_tx.take());
         if let Some(h) = self.cast_worker.take() {
             let _ = h.join();
@@ -1055,17 +1025,13 @@ impl Drop for TcpClientTransport {
 /// Convenience: a transport for a cluster listening on `addrs[i]` for
 /// site *i* (the `geometa-load --connect` path).
 pub fn transport_for(addrs: &[SocketAddr], call_timeout: Duration) -> Arc<TcpClientTransport> {
-    // geometa-lint: allow(unordered-iter) `addrs` here is the slice parameter (caller-ordered), not this file's HashMap field of the same name
+    // geometa-lint: allow(unordered-iter) `addrs` here is the slice parameter (caller-ordered), not a HashMap
     let map = addrs
         .iter()
         .enumerate()
         .map(|(i, &a)| (SiteId(i as u16), a))
         .collect();
-    Arc::new(TcpClientTransport::new(
-        map,
-        call_timeout,
-        Duration::from_millis(25),
-    ))
+    Arc::new(TcpClientTransport::new(map, call_timeout))
 }
 
 #[cfg(test)]
@@ -1135,41 +1101,66 @@ mod tests {
         assert!(!b.is_dead(SiteId(0), now + d));
     }
 
+    /// A connection to a throwaway loopback listener that never reads.
+    fn idle_conn() -> (Conn, std::net::TcpListener) {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = std::net::TcpStream::connect(l.local_addr().unwrap()).unwrap();
+        stream.set_nonblocking(true).unwrap();
+        (Conn::new(stream), l)
+    }
+
+    fn send(conn: &Conn, slot: &Arc<CallSlot>, lead: &mut Option<FrameReader>) {
+        let sent = conn.send(&RegistryRequest::Status, None, slot, 0, lead);
+        sent.unwrap();
+    }
+
     #[test]
     fn pending_calls_resolve_by_the_flushed_bytes_rule() {
-        // Two frames queued; only the first fully flushed when the
-        // connection dies. The first may have been applied (Failed),
+        // Two frames sent; pretend only the first was fully flushed when
+        // the connection dies. The first may have been applied (Failed),
         // the second provably was not (NotSent).
-        let (a, _b) = std::os::unix::net::UnixStream::pair().unwrap();
-        let stream = {
-            // A TcpStream is required by the struct; dial a throwaway
-            // loopback listener (never read from).
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            std::net::TcpStream::connect(l.local_addr().unwrap()).unwrap()
-        };
-        drop(a);
-        let mut conn = CConn::new(stream);
-        let slot1 = Arc::new(CallSlot::new());
-        let slot2 = Arc::new(CallSlot::new());
-        conn.enqueue_call(b"first", None, Arc::clone(&slot1), 0);
-        let first_end = conn.queued_abs;
-        conn.enqueue_call(b"second", None, Arc::clone(&slot2), 0);
-        // Pretend the kernel took the first frame plus half the second.
-        conn.flushed_abs = first_end + 3;
-        conn.fail_pending();
-        assert!(matches!(
-            slot1.state.lock().outcome,
-            Some(CallOutcome::Failed)
-        ));
-        assert!(matches!(
-            slot2.state.lock().outcome,
-            Some(CallOutcome::NotSent)
-        ));
+        let (conn, _listener) = idle_conn();
+        let (slot1, slot2) = (Arc::new(CallSlot::default()), Arc::new(CallSlot::default()));
+        let mut lead = None;
+        send(&conn, &slot1, &mut lead);
+        assert!(lead.is_some(), "the first caller takes the idle read half");
+        let first_end = conn.w.lock().queued_abs;
+        send(&conn, &slot2, &mut lead);
+        conn.w.lock().flushed_abs = first_end + 3;
+        conn.kill();
+        let outcome = |slot: &CallSlot| slot.state.lock().outcome.take();
+        assert!(matches!(outcome(&slot1), Some(CallOutcome::Failed)));
+        assert!(matches!(outcome(&slot2), Some(CallOutcome::NotSent)));
+        // Dead means dead: nothing is framed or written afterwards.
+        let req = RegistryRequest::Status;
+        assert!(conn.send(&req, None, &slot1, 1, &mut lead).is_err());
+        assert!(conn.pending.lock().calls.is_empty());
+    }
+
+    #[test]
+    fn a_leaving_leader_hands_the_read_half_to_a_pending_caller_or_rests_it() {
+        let (conn, _listener) = idle_conn();
+        let (slot1, slot2) = (Arc::new(CallSlot::default()), Arc::new(CallSlot::default()));
+        let (mut lead1, mut lead2) = (None, None);
+        send(&conn, &slot1, &mut lead1);
+        send(&conn, &slot2, &mut lead2);
+        assert!(lead1.is_some() && lead2.is_none(), "one leader at a time");
+        // Caller 1 times out: generation bumped, not yet unregistered. The
+        // hand-off must skip its stale entry and reach caller 2.
+        assert!(settle(&mut slot1.state.lock()).is_none());
+        conn.hand_on(lead1.take().unwrap());
+        assert!(slot1.state.lock().lead.is_none());
+        let handed = slot2.state.lock().lead.take();
+        assert!(handed.is_some(), "the promotion waits in the slot");
+        // Nobody left pending: the read half rests on the connection.
+        conn.pending.lock().calls.clear();
+        conn.hand_on(handed.unwrap());
+        assert!(conn.pending.lock().reader.is_some());
     }
 
     #[test]
     fn stale_generation_deliveries_are_dropped() {
-        let slot = Arc::new(CallSlot::new());
+        let slot = Arc::new(CallSlot::default());
         slot.state.lock().gen = 7;
         deliver(&slot, 6, CallOutcome::Failed);
         assert!(slot.state.lock().outcome.is_none(), "stale gen must drop");
@@ -1182,24 +1173,20 @@ mod tests {
 
     #[test]
     fn epoch_calls_carry_the_epoch_in_the_frame_header() {
-        let stream = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            std::net::TcpStream::connect(l.local_addr().unwrap()).unwrap()
-        };
-        let mut conn = CConn::new(stream);
-        let slot = Arc::new(CallSlot::new());
-        conn.enqueue_call(b"req", Some(0xDEAD_BEEF_0042), slot, 0);
-        // [len u32][mode][seq u32][epoch u64][body]
-        let out = &conn.out;
+        let mut w = WriteHalf::default();
+        let req = RegistryRequest::DeltaPull { since: 9 };
+        let (seq, end_abs) = w.enqueue(&req, Some(0xDEAD_BEEF_0042));
+        // [len u32][mode][seq u32][epoch u64][request]
+        let out = &w.out;
         let len = u32::from_le_bytes([out[0], out[1], out[2], out[3]]) as usize;
-        assert_eq!(len, 1 + 4 + 8 + 3);
+        assert_eq!(len, 1 + 4 + 8 + req.encoded_len());
         let header = CallHeader {
-            seq: 0,
+            seq,
             epoch: Some(0xDEAD_BEEF_0042),
         };
         assert_eq!(CallHeader::parse(&out[4..]), Some((header, 13)));
-        assert_eq!(&out[17..20], b"req");
-        assert_eq!(conn.queued_abs, (4 + len) as u64);
+        assert_eq!(&out[17..], &req.encode()[..]);
+        assert_eq!((seq, end_abs, w.queued_abs), (0, (4 + len) as u64, end_abs));
     }
 
     #[test]

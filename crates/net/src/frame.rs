@@ -98,27 +98,42 @@ pub fn write_frame_with_mode(w: &mut impl Write, mode: u8, body: &[u8]) -> std::
 /// What one [`FrameReader::fill`] call observed on the stream.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Fill {
-    /// Bytes arrived (complete frames may now be poppable).
+    /// Bytes arrived and filled all the space offered: more may be
+    /// waiting, so a draining loop fills again.
     Progress,
+    /// Bytes arrived, fewer than offered: the stream is drained for now.
+    /// A readiness loop stops here instead of paying one more read to be
+    /// told `WouldBlock`; the level-triggered poller re-fires for anything
+    /// that lands later, a FIN included.
+    Short,
     /// The peer closed the stream cleanly.
     Eof,
     /// The read timed out / would block; buffered state is intact.
     Idle,
 }
 
-/// Incremental frame decoder for a blocking (possibly timeout-armed)
-/// stream.
+/// Least space one [`FrameReader::fill`] offers the stream.
+const READ_CHUNK: usize = 16 * 1024;
+/// Max fills per [`FrameReader::drain`]: bounds how long one firehose
+/// connection can hold the thread that reads it.
+pub(crate) const MAX_FILLS_PER_PASS: usize = 16;
+
+/// Incremental frame decoder for a nonblocking or timeout-armed stream.
 ///
-/// Consumed frames advance a cursor instead of memmoving the buffer
-/// tail, so popping N pipelined frames is O(total bytes), not
-/// O(N × buffered). The one remaining copy per frame (buffer → owned
-/// `Bytes`) is what lets the decoded message's `MetaStr` views outlive
-/// the reusable read buffer.
+/// The buffer is kept initialised to its full length and `end` marks how
+/// far it holds stream bytes, so a fill reads straight into the tail: no
+/// per-call scratch to zero and no second copy. Consumed frames advance
+/// `start` instead of memmoving the tail, so popping N pipelined frames
+/// is O(total bytes), not O(N × buffered). The one remaining copy per
+/// frame (buffer → owned `Bytes`, [`FrameReader::materialize`]) is what
+/// lets a decoded message's `MetaStr` views outlive the read buffer.
 #[derive(Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
     /// Start of unconsumed bytes in `buf`.
     start: usize,
+    /// One past the last stream byte in `buf`; the rest is spare room.
+    end: usize,
 }
 
 impl FrameReader {
@@ -127,16 +142,22 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Pull more bytes off `r`. Timeouts surface as [`Fill::Idle`] rather
-    /// than errors so callers can poll a shutdown flag and carry on.
+    /// Pull more bytes off `r`, offering it at least [`READ_CHUNK`] bytes
+    /// of room. Timeouts surface as [`Fill::Idle`] rather than errors so
+    /// callers can poll a shutdown flag and carry on.
+    // geometa-hot
     pub fn fill(&mut self, r: &mut impl Read) -> std::io::Result<Fill> {
-        let mut chunk = [0u8; 16 * 1024];
-        match r.read(&mut chunk) {
+        self.make_room();
+        let room = self.buf.len() - self.end;
+        match r.read(&mut self.buf[self.end..]) {
             Ok(0) => Ok(Fill::Eof),
             Ok(n) => {
-                self.compact();
-                self.buf.extend_from_slice(&chunk[..n]);
-                Ok(Fill::Progress)
+                self.end += n;
+                Ok(if n == room {
+                    Fill::Progress
+                } else {
+                    Fill::Short
+                })
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -149,15 +170,38 @@ impl FrameReader {
         }
     }
 
+    /// One readiness pass: fill until the stream is drained for now (a
+    /// short read or `WouldBlock`), the peer closes (`Ok(true)`), or
+    /// [`MAX_FILLS_PER_PASS`] reads. A level-triggered poller re-fires for
+    /// whatever the pass leaves behind, a FIN after a short read included.
+    // geometa-hot
+    pub fn drain(&mut self, r: &mut impl Read) -> std::io::Result<bool> {
+        for _ in 0..MAX_FILLS_PER_PASS {
+            match self.fill(r)? {
+                Fill::Progress => continue,
+                Fill::Short | Fill::Idle => break,
+                Fill::Eof => return Ok(true),
+            }
+        }
+        Ok(false)
+    }
+
     /// Reclaim consumed space (amortized: only when fully drained or the
-    /// dead prefix has grown past a threshold).
-    fn compact(&mut self) {
-        if self.start == self.buf.len() {
-            self.buf.clear();
+    /// dead prefix has grown past a threshold), then grow the buffer if
+    /// the tail is shorter than one read chunk. Growth doubles, so the
+    /// zeroing `resize` does is paid once per byte of high-water mark.
+    fn make_room(&mut self) {
+        if self.start == self.end {
             self.start = 0;
+            self.end = 0;
         } else if self.start > 64 * 1024 {
-            self.buf.drain(..self.start);
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
+        }
+        if self.buf.len() - self.end < READ_CHUNK {
+            let grown = (self.buf.len() * 2).max(self.end + READ_CHUNK);
+            self.buf.resize(grown, 0);
         }
     }
 
@@ -173,13 +217,13 @@ impl FrameReader {
     /// Pop one complete frame if buffered, as a *range into the internal
     /// buffer*; `Err` on an implausible length prefix (the connection
     /// should be dropped). The range stays valid until the next
-    /// [`FrameReader::fill`] (the only call that may compact); a batch
+    /// [`FrameReader::fill`] (the only call that may compact or grow); a batch
     /// loop pops every buffered range, resolves them through
     /// [`FrameReader::view`], and only then fills again. No owned `Bytes`
     /// is built, so popping a frame does not touch the heap.
     // geometa-hot
     pub fn next_frame_range(&mut self) -> std::io::Result<Option<std::ops::Range<usize>>> {
-        let avail = &self.buf[self.start..];
+        let avail = &self.buf[self.start..self.end];
         if avail.len() < 4 {
             return Ok(None);
         }
@@ -217,7 +261,7 @@ impl FrameReader {
     /// Whether any partial bytes are buffered (a pooled connection must be
     /// clean before reuse).
     pub fn is_clean(&self) -> bool {
-        self.start == self.buf.len()
+        self.start == self.end
     }
 }
 
@@ -286,7 +330,7 @@ mod tests {
             parts: vec![u32::MAX.to_le_bytes().to_vec()],
             at: 0,
         };
-        assert_eq!(r.fill(&mut src).unwrap(), Fill::Progress);
+        assert_eq!(r.fill(&mut src).unwrap(), Fill::Short);
         assert!(r.next_frame().is_err());
     }
 
@@ -320,8 +364,64 @@ mod tests {
                 assert_eq!(f[0], 3);
                 break;
             }
-            assert_eq!(r.fill(&mut src).unwrap(), Fill::Progress);
+            assert!(matches!(
+                r.fill(&mut src).unwrap(),
+                Fill::Progress | Fill::Short
+            ));
         }
+    }
+
+    /// A drained nonblocking socket: hands out as much of one byte string
+    /// as fits, then reports `WouldBlock`. Counts the reads it was asked for.
+    struct Nonblocking {
+        bytes: Vec<u8>,
+        reads: usize,
+    }
+    impl Read for Nonblocking {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            if self.bytes.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = out.len().min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes.drain(..n);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_pass_stops_at_a_short_read_but_not_at_an_exactly_full_one() {
+        let socket = |bytes: Vec<u8>| Nonblocking { bytes, reads: 0 };
+        // One frame sized to the reader's first offer, to the byte: the
+        // stream is drained, but the reader cannot know — it reports
+        // Progress, so the pass reads once more and learns it from Idle.
+        let body = vec![7u8; READ_CHUNK - 4];
+        let mut src = socket(framed(&body));
+        let mut r = FrameReader::new();
+        assert_eq!(r.fill(&mut src).unwrap(), Fill::Progress);
+        assert_eq!(r.fill(&mut src).unwrap(), Fill::Idle);
+        assert_eq!(&r.next_frame().unwrap().unwrap()[..], &body[..]);
+        let (mut r, mut src) = (FrameReader::new(), socket(framed(&body)));
+        assert!(!r.drain(&mut src).unwrap());
+        assert_eq!(src.reads, 2, "an exactly full read is followed by another");
+        assert_eq!(r.next_frame().unwrap().unwrap().len(), body.len());
+        // A byte less than the offer is a short read: the pass ends there,
+        // without a read that only collects `WouldBlock`.
+        let mut src = socket(framed(&body[1..]));
+        assert!(!r.drain(&mut src).unwrap());
+        assert_eq!(src.reads, 1, "a short read ends the pass");
+        assert_eq!(r.next_frame().unwrap().unwrap().len(), body.len() - 1);
+        assert!(r.is_clean());
+        // More than one offer: Progress until the tail, then Short.
+        let mut src = socket(framed(&vec![9u8; 5 * READ_CHUNK]));
+        let mut fills = Vec::new();
+        while r.next_frame_range().unwrap().is_none() {
+            fills.push(r.fill(&mut src).unwrap());
+        }
+        let (last, before) = fills.split_last().unwrap();
+        assert_eq!(*last, Fill::Short);
+        assert!(before.iter().all(|f| *f == Fill::Progress));
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //!   `ServiceCore::serve_batch_into` so a pass's reads share shard locks
 //!   and its writes share one WAL append;
 //! * [`client`] — [`TcpClientTransport`]: one pipelined connection per
-//!   target driven by a single reactor thread, requests correlated by
-//!   per-connection sequence ids so many callers share one socket;
-//!   retries follow the exactly-once rule (re-send only when the frame
-//!   provably never reached the kernel), plus a background cast pump
-//!   with write coalescing so lazy pushes never stall on a slow target;
+//!   target, driven by its callers — each writes its own request, and
+//!   one of them at a time (the connection's leader) polls and reads the
+//!   socket, correlating responses by per-connection sequence id and
+//!   handing the lead on when it leaves; no I/O thread. Retries follow
+//!   the exactly-once rule (re-send only when the frame provably never
+//!   reached the kernel), plus a background cast pump with write
+//!   coalescing so lazy pushes never stall on a slow target;
 //! * [`loadgen`] — the seeded load generator driving synthetic /
 //!   Montage / BuzzFlow op streams (`geometa_workflow::apps::ops`) in
 //!   closed-loop and coordinated-omission-safe open-loop modes;
@@ -174,8 +176,7 @@ mod tests {
             });
 
             let addrs = std::iter::once((SiteId(0), addr)).collect();
-            let transport =
-                TcpClientTransport::new(addrs, Duration::from_secs(5), Duration::from_millis(25));
+            let transport = TcpClientTransport::new(addrs, Duration::from_secs(5));
             // Batches big enough that the total (64 × ~120 KB ≈ 8 MB) far
             // exceeds any loopback socket buffer: the pump's *writes* wedge,
             // not just its queue — exercising the write-timeout path.

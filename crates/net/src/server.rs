@@ -29,7 +29,7 @@
 //! [`ConnectionLayer::unblock`] also wakes the poller immediately.
 
 use crate::client::TcpClientTransport;
-use crate::frame::{CallHeader, Fill, FrameReader, MAX_FRAME, MODE_CAST};
+use crate::frame::{CallHeader, FrameReader, MAX_FRAME, MODE_CAST};
 use geometa_core::protocol::{self, RegistryRequest, RegistryResponse};
 use geometa_core::runtime::{BatchScratch, ConnectionLayer, ServiceCore, Spawner};
 use geometa_core::MetaError;
@@ -67,8 +67,9 @@ pub struct TcpConfig {
     /// reactor pool; at the cap the listener is paused and further
     /// clients wait in the kernel backlog.
     pub max_conns_per_site: usize,
-    /// Poll tick of the server reactors and the client's call reactor
-    /// (shutdown observation latency).
+    /// Poll tick of the server reactors (shutdown observation latency).
+    /// The client has no tick: a caller waits on its own socket until
+    /// its `call_timeout` deadline.
     pub read_timeout: Duration,
     /// Client-side deadline for one call's response.
     pub call_timeout: Duration,
@@ -111,8 +112,8 @@ pub struct TcpLayer {
     config: TcpConfig,
     addrs: HashMap<SiteId, SocketAddr>,
     /// One transport shared by every client of this runtime: routing is
-    /// per call target, and the call-reactor and cast-pump threads are
-    /// too expensive to duplicate per client.
+    /// per call target, callers pipeline on its one connection per site,
+    /// and its cast-pump thread is too expensive to duplicate per client.
     shared: Mutex<Option<Arc<TcpClientTransport>>>,
 }
 
@@ -197,7 +198,6 @@ impl ConnectionLayer for TcpLayer {
             Arc::new(TcpClientTransport::new(
                 self.addrs.clone(),
                 self.config.call_timeout,
-                self.config.read_timeout,
             ))
         }))
     }
@@ -218,11 +218,6 @@ impl ConnectionLayer for TcpLayer {
 
 /// Poller key reserved for the site's listener.
 const LISTENER_KEY: usize = usize::MAX;
-/// Max `FrameReader::fill` calls per connection per readiness pass
-/// (≤16 KiB each): bounds how long one firehose connection can hold the
-/// reactor. The poller is level-triggered, so leftovers re-fire on the
-/// next pass.
-const MAX_FILLS_PER_PASS: usize = 16;
 /// Pending-output high-water mark: a connection whose peer stops reading
 /// accumulates at most this much before the reactor stops *reading* from
 /// it (write interest stays armed), pushing backpressure onto the peer
@@ -306,18 +301,9 @@ impl RConn {
     /// complete frame as one batch, queue the responses.
     /// Returns false when the connection must be dropped.
     fn pump_read(&mut self, core: &Arc<ServiceCore>, site: SiteId) -> bool {
-        let mut eof = false;
-        for _ in 0..MAX_FILLS_PER_PASS {
-            match self.reader.fill(&mut self.stream) {
-                Ok(Fill::Progress) => continue,
-                Ok(Fill::Idle) => break,
-                Ok(Fill::Eof) => {
-                    eof = true;
-                    break;
-                }
-                Err(_) => return false,
-            }
-        }
+        let Ok(eof) = self.reader.drain(&mut self.stream) else {
+            return false;
+        };
         let ok = self.dispatch(core, site);
         if eof {
             self.closing = true;
