@@ -863,7 +863,7 @@ pub trait ConnectionLayer: Send {
 
     /// A client transport viewed from `site`. Returned as `Arc` so layers
     /// whose transports are location-independent (TCP: routing is per
-    /// target, and the call reactor + cast pump are expensive) can hand
+    /// target, and its pipelined connections are worth sharing) can hand
     /// every client a clone of one shared instance.
     fn transport(&self, core: &Arc<ServiceCore>, site: SiteId) -> Arc<Self::Transport>;
 
@@ -1078,7 +1078,7 @@ impl PullBackoff {
 /// Delivery is *acked*: pushes go through blocking `call` (the agent is
 /// a background thread; the paper's agent is sequential anyway), because
 /// a fire-and-forget `cast` may legitimately be dropped by a network
-/// transport (bounded pump queue, unreachable peer) and the agent is the
+/// transport (bounded output buffer, unreachable peer) and the agent is the
 /// replicated strategy's durability mechanism — it must not advance past
 /// entries that never arrived. Failures roll the source watermark back
 /// so the window is re-pulled and re-pushed next cycle (absorb is

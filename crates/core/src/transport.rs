@@ -35,7 +35,8 @@ pub trait RegistryTransport: Send + Sync {
     /// response") silently violated this for any transport with real
     /// latency, so every transport now states its delivery mechanism
     /// explicitly (in-process: serve inline — zero latency; live: delay
-    /// line; net: background cast pump).
+    /// line; net: framed onto the target's call connection, leaving with
+    /// that connection's next nonblocking write).
     fn cast(&self, target: SiteId, req: RegistryRequest);
 
     /// Monotonic logical clock in microseconds (stamped onto writes).

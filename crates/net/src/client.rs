@@ -1,6 +1,6 @@
 //! The TCP client transport: one pipelined connection per target site,
-//! written and read by the calling threads themselves, with a background
-//! cast pump so the lazy path never blocks on a slow target.
+//! written and read by the calling threads themselves — acked calls and
+//! lazy pushes alike; the transport has no thread of its own.
 //!
 //! # Calls: caller-driven I/O
 //!
@@ -58,12 +58,25 @@
 //! timeout, any bytes of a response — is `Unavailable` with **no second
 //! send**: the server may have applied the request, and `Put`/OCC writes
 //! are not idempotent across duplicate delivery.
+//!
+//! # Casts: the next write carries them
+//!
+//! A `cast` frames `[len][MODE_CAST][request]` onto the same connection's
+//! output buffer, so a thread's later call to a site is FIFO-ordered
+//! behind its own lazy push to that site. Who issues the `write` is
+//! decided under the pending lock. While someone holds the read half — a
+//! leader polling the socket, a caller about to send or to leave — the
+//! cast raises [`Conn::backlog`] and returns without a syscall: the holder
+//! flushes with its own send, at its next wake-up, or before it rests the
+//! read half. While the read half rests nobody else is about to write, so
+//! the caster issues the one nonblocking `write` itself. A cast never
+//! waits for a write (past [`CAST_BACKLOG_MAX`] unflushed bytes it is
+//! shed), never touches the read half, and waits for at most one dial: its
+//! own, or one in progress, whose result it shares. A failed dial is a
+//! breaker strike, so a dead peer's casts end up shed by the open breaker.
 
-use crate::frame::{
-    write_frame_with_mode, CallHeader, Fill, FrameReader, MAX_FILLS_PER_PASS, MAX_FRAME, MODE_CAST,
-};
+use crate::frame::{CallHeader, Fill, FrameReader, MAX_FILLS_PER_PASS, MAX_FRAME, MODE_CAST};
 use crate::server::epoch_checked;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use geometa_core::protocol::{self, RegistryRequest, RegistryResponse};
 use geometa_core::transport::RegistryTransport;
 use geometa_core::MetaError;
@@ -78,89 +91,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// TCP connect deadline for calls.
+/// TCP connect deadline, for calls and casts alike.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
-/// Cast-pump connect deadline: shorter, so a down site costs little.
-const CAST_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
-/// Cast-pump per-write deadline: a target that accepts but stops reading
-/// (full socket buffer) fails the write instead of head-of-line-blocking
-/// lazy pushes to every other site — and instead of hanging the pump
-/// join in `Drop`.
-const CAST_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
-/// Bounded cast queue: when the pump falls this far behind, new casts are
-/// dropped. Lazy pushes are best-effort — a miss at the hash owner is
+/// Unflushed bytes a connection may hold before further casts to it are
+/// shed. Lazy pushes are best-effort — a miss at the hash owner is
 /// repaired by the next read probing further, and the *sync agent* never
-/// uses `cast` (it requires acked delivery; see
-/// `geometa_core::runtime::drive_sync_agent`).
-const CAST_QUEUE: usize = 4096;
-/// First-failure cooldown for a cast target. Doubles on every further
-/// consecutive failure up to [`CAST_BACKOFF_CAP`], so one dropped
-/// connect mutes a peer briefly while a real outage is probed ever more
-/// rarely — a black-holed site must not head-of-line-block pushes to
-/// healthy sites, but neither should it eat a connect timeout per
-/// message once per fixed window forever.
-const CAST_BACKOFF_BASE: Duration = Duration::from_millis(125);
-/// Ceiling on the per-target cast cooldown (pre-jitter).
-const CAST_BACKOFF_CAP: Duration = Duration::from_secs(8);
-/// Multiplicative jitter spread on every cooldown (`±25%`), so pumps at
-/// many clients that watched the same site die do not re-probe it in
-/// lockstep. Drawn from a seeded [`SplitMix64`] stream: the sequence is
-/// reproducible per transport instance, never wall-clock dependent.
-const CAST_BACKOFF_JITTER: f64 = 0.25;
-/// Seed for the cast pump's jitter stream.
-const CAST_BACKOFF_SEED: u64 = 0xCA57_BACC_0FF5;
-
-/// Per-target capped exponential backoff for the cast pump.
-struct CastBackoff {
-    rng: SplitMix64,
-    strikes: HashMap<SiteId, u32>,
-    until: HashMap<SiteId, Instant>,
-}
-
-impl CastBackoff {
-    fn new(seed: u64) -> CastBackoff {
-        CastBackoff {
-            rng: SplitMix64::new(seed),
-            strikes: HashMap::new(),
-            until: HashMap::new(),
-        }
-    }
-
-    /// Whether casts to `target` should be dropped right now.
-    fn is_dead(&self, target: SiteId, now: Instant) -> bool {
-        self.until.get(&target).is_some_and(|&t| now < t)
-    }
-
-    /// Consecutive failures recorded against `target` (0 after a
-    /// success). Exposed through
-    /// [`TcpClientTransport::cast_strikes`] so recovery tests can assert
-    /// the schedule reset, not just infer it from timing.
-    fn strikes(&self, target: SiteId) -> u32 {
-        self.strikes.get(&target).copied().unwrap_or(0)
-    }
-
-    /// A delivery succeeded: the target is healthy again.
-    fn record_success(&mut self, target: SiteId) {
-        self.strikes.remove(&target);
-        self.until.remove(&target);
-    }
-
-    /// A delivery failed: extend the cooldown. Returns the jittered
-    /// delay so tests (and tracing) can observe the schedule.
-    fn record_failure(&mut self, target: SiteId, now: Instant) -> Duration {
-        let strikes = self.strikes.entry(target).or_insert(0);
-        *strikes = strikes.saturating_add(1);
-        // 125ms, 250ms, … doubling to the cap; the shift is clamped so
-        // a long outage cannot overflow the multiplier.
-        let base = CAST_BACKOFF_BASE
-            .saturating_mul(1u32 << (*strikes - 1).min(16))
-            .min(CAST_BACKOFF_CAP);
-        let factor = 1.0 + self.rng.jitter(CAST_BACKOFF_JITTER);
-        let delay = base.mul_f64(factor);
-        self.until.insert(target, now + delay);
-        delay
-    }
-}
+/// uses `cast` (see `geometa_core::runtime::drive_sync_agent`).
+const CAST_BACKLOG_MAX: usize = 1 << 20;
 
 /// Consecutive transport-level failures before a site's breaker opens.
 /// Three strikes separates a stray timeout from a dead peer without
@@ -329,21 +266,30 @@ struct WriteHalf {
 }
 
 impl WriteHalf {
+    /// Append one frame of `body` bytes — length prefix, then whatever
+    /// `encode` writes — and return the offset one past it.
+    // geometa-hot
+    fn frame(&mut self, body: usize, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
+        let at = self.out.len();
+        self.out.extend_from_slice(&(body as u32).to_le_bytes());
+        encode(&mut self.out);
+        debug_assert_eq!(self.out.len() - at, 4 + body);
+        self.queued_abs += (4 + body) as u64;
+        self.queued_abs
+    }
+
     /// Frame one call (`[len][CallHeader][req]`) onto the output buffer.
     /// Returns its sequence id and the offset one past its frame.
     // geometa-hot
     fn enqueue(&mut self, req: &RegistryRequest, epoch: Option<u64>) -> (u32, u64) {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        let frame_body = CallHeader::encoded_len(epoch) + req.encoded_len();
-        let at = self.out.len();
-        self.out
-            .extend_from_slice(&(frame_body as u32).to_le_bytes());
-        CallHeader { seq, epoch }.encode_into(&mut self.out);
-        req.encode_into(&mut self.out);
-        debug_assert_eq!(self.out.len() - at, 4 + frame_body);
-        self.queued_abs += (4 + frame_body) as u64;
-        (seq, self.queued_abs)
+        let body = CallHeader::encoded_len(epoch) + req.encoded_len();
+        let end_abs = self.frame(body, |out| {
+            CallHeader { seq, epoch }.encode_into(out);
+            req.encode_into(out);
+        });
+        (seq, end_abs)
     }
 }
 
@@ -360,10 +306,13 @@ struct Conn {
     stream: TcpStream,
     w: Mutex<WriteHalf>,
     pending: Mutex<Waiters>,
-    /// An unflushed tail sits in `w.out`: the leader adds `POLLOUT` to its
-    /// wait. A hint — the bytes live under `w` — so `Relaxed` suffices. A
-    /// leader already in `poll` acts on it at its next wake-up: a
-    /// response, or the hand-off to the caller whose write fell short.
+    /// An unflushed tail sits in `w.out` — a short write's, or casts framed
+    /// while someone held the read half: the leader adds `POLLOUT` to its
+    /// wait, and flushes after it rests the read half. The bytes live under
+    /// `w`, and a deferring cast raises the flag under `pending`, which a
+    /// resting leader locks before it looks, so `Relaxed` suffices. A
+    /// leader already in `poll` acts on it at its next wake-up: a response,
+    /// or the hand-off to the caller whose write fell short.
     backlog: AtomicBool,
 }
 
@@ -411,6 +360,35 @@ impl Conn {
             }
         }
         self.flush(&mut w)
+    }
+
+    /// Frame a lazy push (`[len][MODE_CAST][req]`: no sequence id, nothing
+    /// answers it) behind whatever is still unflushed, and write unless
+    /// someone holds the read half. `Ok(false)` = shed at the byte bound;
+    /// on `Err` the connection must be [killed](Conn::kill).
+    // geometa-hot
+    fn cast(&self, req: &RegistryRequest) -> std::io::Result<bool> {
+        let mut w = self.w.lock();
+        if w.dead {
+            return Err(std::io::ErrorKind::NotConnected.into());
+        }
+        if w.out.len() - w.sent > CAST_BACKLOG_MAX {
+            return Ok(false);
+        }
+        w.frame(1 + req.encoded_len(), |out| {
+            out.push(MODE_CAST);
+            req.encode_into(out);
+        });
+        {
+            // Raised before the pending lock is released: a leader that
+            // rests the read half after this looks at the flag after that.
+            let p = self.pending.lock();
+            if p.reader.is_none() {
+                self.backlog.store(true, Ordering::Relaxed);
+                return Ok(true);
+            }
+        }
+        self.flush(&mut w).map(|()| true)
     }
 
     /// Push the write half's pending output to the kernel and publish
@@ -516,20 +494,29 @@ impl Conn {
     }
 
     /// Leave the lead: hand the read half to one still-pending caller, or
-    /// rest it on the connection. Entries whose generation moved on are
-    /// callers between timing out and unregistering; they are skipped.
-    fn hand_on(&self, reader: FrameReader) {
-        let mut p = self.pending.lock();
-        let mut reader = Some(reader);
-        for call in &p.calls {
-            let mut st = call.slot.state.lock();
-            if st.gen == call.gen {
-                st.lead = reader.take();
-                call.slot.cv.notify_one();
-                return;
+    /// rest it on the connection and flush what casts left behind the
+    /// leader. Entries whose generation moved on are callers between
+    /// timing out and unregistering; they are skipped. On `Err` the
+    /// connection must be [killed](Conn::kill).
+    fn hand_on(&self, reader: FrameReader) -> std::io::Result<()> {
+        {
+            let mut p = self.pending.lock();
+            let mut reader = Some(reader);
+            for call in &p.calls {
+                let mut st = call.slot.state.lock();
+                if st.gen == call.gen {
+                    st.lead = reader.take();
+                    call.slot.cv.notify_one();
+                    return Ok(());
+                }
             }
+            p.reader = reader;
         }
-        p.reader = reader;
+        // A cast that comes now writes itself.
+        if self.backlog.load(Ordering::Relaxed) {
+            return self.flush(&mut self.w.lock());
+        }
+        Ok(())
     }
 
     /// The connection is dead: stop further sends, wake whoever waits on
@@ -567,6 +554,14 @@ struct Site {
     dial: Mutex<()>,
 }
 
+/// Why [`TcpClientTransport::connect`] came back without a connection.
+enum NoConn {
+    /// The dial this thread waited for was another's, and it failed.
+    Shared,
+    /// This thread's own dial failed.
+    Failed,
+}
+
 /// A pipelining, reconnecting [`RegistryTransport`] over framed TCP.
 ///
 /// * **Pipelining** — all calls to one target share one connection;
@@ -576,18 +571,16 @@ struct Site {
 ///   provably never fully reached the kernel (connect failure, pre-write
 ///   error, partial flush). Timeouts and post-flush failures surface as
 ///   `Unavailable` without a second send (see the module docs).
-/// * **Fire-and-forget casts** — `cast` hands the pre-encoded frame to a
-///   background pump thread with its own connections; the caller returns
-///   immediately, so a slow or dead target cannot stall the lazy path.
+/// * **Fire-and-forget casts** — `cast` frames the push onto the same
+///   connection, for the leader's next write or one nonblocking `write` of
+///   its own; it never waits for a write or a response, so a slow target
+///   cannot stall the lazy path.
 pub struct TcpClientTransport {
     /// The site table (ordered, so [`RegistryTransport::sites`] is too).
     targets: BTreeMap<SiteId, Site>,
     /// Recycled call slots. A plain `Mutex<Vec>`: lock-push-unlock with no
     /// allocation once it reaches its high-water mark.
     free: Mutex<Vec<Arc<CallSlot>>>,
-    cast_tx: Option<Sender<(SiteId, bytes::Bytes)>>,
-    cast_worker: Option<std::thread::JoinHandle<()>>,
-    closing: Arc<AtomicBool>,
     call_timeout: Duration,
     boot: Instant,
     /// Last membership epoch learned from the cluster; stamped on every
@@ -600,30 +593,15 @@ pub struct TcpClientTransport {
     /// Calls answered `Unavailable` without touching the socket because
     /// the target's breaker was open.
     breaker_fast_fails: AtomicU64,
-    /// Casts dropped at enqueue because the target's breaker was open
-    /// (shed lazy pushes before acked calls under breaker pressure).
+    /// Casts dropped instead of sent (see [`Self::casts_shed`]).
     casts_shed: AtomicU64,
-    /// The cast pump's backoff schedule, shared so callers can observe
-    /// per-target strike counts ([`Self::cast_strikes`]).
-    cast_backoff: Arc<Mutex<CastBackoff>>,
 }
 
 impl TcpClientTransport {
     /// A transport dialing `addrs` (lazily, per target). Routing is fully
     /// determined by the target argument of each call, so one instance is
-    /// shared by clients at every site. Its one thread is the cast pump.
+    /// shared by clients at every site. It spawns no thread.
     pub fn new(addrs: HashMap<SiteId, SocketAddr>, call_timeout: Duration) -> TcpClientTransport {
-        let closing = Arc::new(AtomicBool::new(false));
-        let (cast_tx, cast_rx) = bounded::<(SiteId, bytes::Bytes)>(CAST_QUEUE);
-        let pump_addrs = addrs.clone();
-        let pump_closing = Arc::clone(&closing);
-        let cast_backoff = Arc::new(Mutex::new(CastBackoff::new(CAST_BACKOFF_SEED)));
-        let pump_backoff = Arc::clone(&cast_backoff);
-        // geometa-lint: allow(untracked-thread) the cast pump's handle is stored in cast_worker and joined in Drop
-        let cast_worker = std::thread::Builder::new()
-            .name("tcp-cast-pump".into())
-            .spawn(move || cast_pump(&cast_rx, &pump_addrs, &pump_closing, &pump_backoff))
-            .expect("spawn cast pump"); // geometa-lint: allow(net-unwrap) construction-time, before any peer traffic: a host that cannot spawn one thread cannot run the transport at all
         let site = |(id, addr)| {
             let site = Site {
                 addr,
@@ -635,35 +613,41 @@ impl TcpClientTransport {
         TcpClientTransport {
             targets: addrs.into_iter().map(site).collect::<BTreeMap<_, _>>(),
             free: Mutex::new(Vec::new()),
-            cast_tx: Some(cast_tx),
-            cast_worker: Some(cast_worker),
-            closing,
             call_timeout,
             boot: Instant::now(),
             mem_epoch: AtomicU64::new(0),
             breaker: Mutex::new(CircuitBreaker::new(BREAKER_SEED)),
             breaker_fast_fails: AtomicU64::new(0),
             casts_shed: AtomicU64::new(0),
-            cast_backoff,
         }
     }
 
-    /// The site's connection, dialed on this thread if there is none.
+    /// The site's connection, dialed on this thread if there is none. A
+    /// thread that finds a dial in progress waits for it and shares the
+    /// connection it made; if it made none, a call dials again in its turn
+    /// (`redial`), and a cast — which waits for one dial at most — does not.
     // geometa-hot
-    fn connect(&self, site: &Site) -> Option<Arc<Conn>> {
+    fn connect(&self, site: &Site, redial: bool) -> Result<Arc<Conn>, NoConn> {
         if let Some(conn) = &*site.conn.lock() {
-            return Some(Arc::clone(conn));
+            return Ok(Arc::clone(conn));
         }
-        let _dialing = site.dial.lock();
+        let (_dialing, waited) = match site.dial.try_lock() {
+            Some(dialing) => (dialing, false),
+            None => (site.dial.lock(), true),
+        };
         if let Some(conn) = &*site.conn.lock() {
-            return Some(Arc::clone(conn)); // the dialer ahead of us got through
+            return Ok(Arc::clone(conn)); // the dialer ahead of us got through
         }
-        let stream = TcpStream::connect_timeout(&site.addr, CONNECT_TIMEOUT).ok()?;
-        stream.set_nonblocking(true).ok()?;
+        if waited && !redial {
+            return Err(NoConn::Shared);
+        }
+        let stream = TcpStream::connect_timeout(&site.addr, CONNECT_TIMEOUT)
+            .and_then(|stream| stream.set_nonblocking(true).map(|()| stream))
+            .map_err(|_| NoConn::Failed)?;
         let _ = stream.set_nodelay(true);
         let conn = Arc::new(Conn::new(stream));
         *site.conn.lock() = Some(Arc::clone(&conn));
-        Some(conn)
+        Ok(conn)
     }
 
     /// Unlist and kill a dead connection (the next call dials afresh).
@@ -724,7 +708,7 @@ impl TcpClientTransport {
         req: &RegistryRequest,
     ) -> Option<CallOutcome> {
         // A failed dial is `NotSent` by definition.
-        let Some(conn) = self.connect(site) else {
+        let Ok(conn) = self.connect(site, true) else {
             return Some(CallOutcome::NotSent);
         };
         let mut lead = conn.pending.lock().reader.take();
@@ -773,10 +757,36 @@ impl TcpClientTransport {
             let mut p = conn.pending.lock();
             p.calls.retain(|c| !Arc::ptr_eq(&c.slot, slot));
         }
-        if let Some(reader) = lead {
-            conn.hand_on(reader);
+        if lead.is_some_and(|reader| conn.hand_on(reader).is_err()) {
+            self.drop_conn(site, &conn);
         }
         outcome
+    }
+
+    /// Frame one lazy push onto `site`'s connection; false = dropped. Two
+    /// attempts, as for a `NotSent` call: a write error kills the
+    /// connection and the push goes once more, on a fresh dial.
+    // geometa-hot
+    fn push(&self, target: SiteId, site: &Site, req: &RegistryRequest) -> bool {
+        for _attempt in 0..2 {
+            let conn = match self.connect(site, false) {
+                Ok(conn) => conn,
+                // The dialer it waited for takes the strike.
+                Err(NoConn::Shared) => return false,
+                Err(NoConn::Failed) => {
+                    // The dead-peer cooldown: three of these and the open
+                    // breaker sheds the site's casts without dialing. The
+                    // way back is a correlated response — never a cast.
+                    self.breaker.lock().record_failure(target, Instant::now());
+                    return false;
+                }
+            };
+            match conn.cast(req) {
+                Ok(framed) => return framed,
+                Err(_) => self.drop_conn(site, &conn),
+            }
+        }
+        false
     }
 
     /// Membership epoch this transport currently stamps on calls.
@@ -794,119 +804,13 @@ impl TcpClientTransport {
         self.breaker_fast_fails.load(Ordering::Relaxed)
     }
 
-    /// Casts shed at enqueue because the target's breaker was open.
+    /// Casts dropped instead of sent: the target's breaker was open (lazy
+    /// pushes are shed before acked calls under breaker pressure), its
+    /// unflushed tail was past the byte bound, or no connection was to be
+    /// had within one dial.
     pub fn casts_shed(&self) -> u64 {
         self.casts_shed.load(Ordering::Relaxed)
     }
-
-    /// The cast pump's consecutive-failure count for `target` (0 once a
-    /// delivery succeeds — recovery tests assert this reset directly).
-    pub fn cast_strikes(&self, target: SiteId) -> u32 {
-        self.cast_backoff.lock().strikes(target)
-    }
-}
-
-/// The cast pump loop: drain the queue, coalesce by target, deliver each
-/// group with one write.
-fn cast_pump(
-    cast_rx: &Receiver<(SiteId, bytes::Bytes)>,
-    addrs: &HashMap<SiteId, SocketAddr>,
-    closing: &AtomicBool,
-    backoff: &Mutex<CastBackoff>,
-) {
-    let mut conns: HashMap<SiteId, TcpStream> = HashMap::new();
-    // One group's frames, assembled here so they leave in one write.
-    let mut wire: Vec<u8> = Vec::new();
-    while let Ok(first) = cast_rx.recv() {
-        // On close, discard the backlog instead of pushing it through
-        // (possibly wedged) peers — otherwise Drop could wait
-        // queue_len × write_timeout.
-        if closing.load(Ordering::Acquire) {
-            break;
-        }
-        // Write coalescing: everything already queued leaves in this
-        // pass, grouped by target (per-target arrival order preserved),
-        // each group framed back-to-back into a single write.
-        let mut groups: Vec<(SiteId, Vec<bytes::Bytes>)> = Vec::new();
-        for (target, body) in std::iter::once(first).chain(cast_rx.try_iter()) {
-            match groups.iter_mut().find(|(t, _)| *t == target) {
-                Some((_, bodies)) => bodies.push(body),
-                None => groups.push((target, vec![body])),
-            }
-        }
-        for (target, bodies) in groups {
-            if closing.load(Ordering::Acquire) {
-                return;
-            }
-            let Some(&addr) = addrs.get(&target) else {
-                continue;
-            };
-            // Dead-peer backoff: casts to a recently failed target drop
-            // instantly rather than paying connect timeouts per group
-            // and starving other sites. The lock is shared only with
-            // cheap observers (`cast_strikes`), never held across I/O.
-            if backoff.lock().is_dead(target, Instant::now()) {
-                continue;
-            }
-            // One reconnect attempt per group; on failure the group is
-            // dropped (lazy pushes are best-effort — the strategies
-            // re-converge via absorb idempotence). Every write is
-            // deadline-armed, so a stalled target costs at most
-            // CAST_WRITE_TIMEOUT per group before the pump moves on.
-            let mut delivered = false;
-            for _ in 0..2 {
-                let ok = match conns.entry(target) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let ok = write_cast_group(e.get_mut(), &bodies, &mut wire).is_ok();
-                        if !ok {
-                            e.remove();
-                        }
-                        ok
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        match TcpStream::connect_timeout(&addr, CAST_CONNECT_TIMEOUT) {
-                            Ok(mut s) => {
-                                let _ = s.set_nodelay(true);
-                                let _ = s.set_write_timeout(Some(CAST_WRITE_TIMEOUT));
-                                let ok = write_cast_group(&mut s, &bodies, &mut wire).is_ok();
-                                if ok {
-                                    e.insert(s);
-                                }
-                                ok
-                            }
-                            Err(_) => false,
-                        }
-                    }
-                };
-                if ok {
-                    delivered = true;
-                    break;
-                }
-            }
-            if delivered {
-                backoff.lock().record_success(target);
-            } else {
-                backoff.lock().record_failure(target, Instant::now());
-            }
-        }
-    }
-}
-
-/// Write one target's coalesced cast frames as a single `write_all`: the
-/// socket is `TCP_NODELAY`, so every separate write is a segment of its
-/// own. The frames are assembled in `wire` (reused across groups) first;
-/// an oversized body fails the group before anything reaches the wire.
-fn write_cast_group(
-    stream: &mut TcpStream,
-    bodies: &[bytes::Bytes],
-    wire: &mut Vec<u8>,
-) -> std::io::Result<()> {
-    wire.clear();
-    wire.shrink_to(1 << 20); // one burst of big batches must not pin its high-water mark
-    for body in bodies {
-        write_frame_with_mode(wire, MODE_CAST, body)?;
-    }
-    stream.write_all(wire)
 }
 
 impl RegistryTransport for TcpClientTransport {
@@ -967,21 +871,17 @@ impl RegistryTransport for TcpClientTransport {
         resp
     }
 
-    /// Enqueue on the cast pump; never blocks on the target. When the
-    /// pump is `CAST_QUEUE` messages behind the cast is dropped rather
-    /// than growing the queue without bound, and when the target's call
-    /// breaker is open the cast is shed immediately — under breaker
-    /// pressure lazy pushes are sacrificed before acked calls
-    /// (best-effort semantics; absorb idempotence re-converges).
+    /// Frame the push onto the target's connection (see the module docs).
+    /// A cast that cannot is dropped and counted ([`Self::casts_shed`]) —
+    /// best-effort semantics; absorb idempotence re-converges.
+    // geometa-hot
     fn cast(&self, target: SiteId, req: RegistryRequest) {
-        if self.breaker.lock().is_open(target, Instant::now()) {
+        let open = self.breaker.lock().is_open(target, Instant::now());
+        let site = self.targets.get(&target);
+        // The mode byte and the request must fit one frame.
+        let site = site.filter(|_| !open && req.encoded_len() < MAX_FRAME);
+        if !site.is_some_and(|site| self.push(target, site, &req)) {
             self.casts_shed.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if let Some(tx) = &self.cast_tx {
-            if let Err(TrySendError::Full(_)) = tx.try_send((target, req.encode())) {
-                // Dropped: the pump is saturated or wedged on a slow peer.
-            }
         }
     }
 
@@ -1008,20 +908,6 @@ impl RegistryTransport for TcpClientTransport {
     }
 }
 
-impl Drop for TcpClientTransport {
-    fn drop(&mut self) {
-        // `&mut self`: no call is in flight, and the connections close
-        // with their fields. Flag first so the pump discards its backlog,
-        // then disconnect its queue; the join is bounded by one write
-        // timeout.
-        self.closing.store(true, Ordering::Release);
-        drop(self.cast_tx.take());
-        if let Some(h) = self.cast_worker.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 /// Convenience: a transport for a cluster listening on `addrs[i]` for
 /// site *i* (the `geometa-load --connect` path).
 pub fn transport_for(addrs: &[SocketAddr], call_timeout: Duration) -> Arc<TcpClientTransport> {
@@ -1038,69 +924,6 @@ pub fn transport_for(addrs: &[SocketAddr], call_timeout: Duration) -> Arc<TcpCli
 mod tests {
     use super::*;
 
-    #[test]
-    fn cast_backoff_doubles_to_the_cap_within_jitter_bounds() {
-        let mut b = CastBackoff::new(1);
-        let t = SiteId(0);
-        let now = Instant::now();
-        let mut expected = CAST_BACKOFF_BASE;
-        let mut prev_hit_cap = false;
-        for _ in 0..12 {
-            let d = b.record_failure(t, now);
-            let lo = expected.mul_f64(1.0 - CAST_BACKOFF_JITTER);
-            let hi = expected.mul_f64(1.0 + CAST_BACKOFF_JITTER);
-            assert!(
-                d >= lo && d <= hi,
-                "delay {d:?} outside jitter band [{lo:?}, {hi:?}]"
-            );
-            if expected >= CAST_BACKOFF_CAP {
-                prev_hit_cap = true;
-            } else {
-                expected *= 2;
-                expected = expected.min(CAST_BACKOFF_CAP);
-            }
-        }
-        assert!(prev_hit_cap, "12 strikes must reach the cap");
-    }
-
-    #[test]
-    fn cast_backoff_success_resets_and_targets_are_independent() {
-        let mut b = CastBackoff::new(2);
-        let now = Instant::now();
-        let (a, c) = (SiteId(1), SiteId(2));
-        for _ in 0..5 {
-            b.record_failure(a, now);
-        }
-        // Target `c` starts from the base despite `a`'s strike count…
-        assert!(b.record_failure(c, now) <= CAST_BACKOFF_BASE.mul_f64(1.0 + CAST_BACKOFF_JITTER));
-        assert!(b.is_dead(a, now));
-        // …and a success forgets the whole history for that target only.
-        b.record_success(a);
-        assert!(!b.is_dead(a, now));
-        assert!(b.is_dead(c, now));
-        assert!(b.record_failure(a, now) <= CAST_BACKOFF_BASE.mul_f64(1.0 + CAST_BACKOFF_JITTER));
-    }
-
-    #[test]
-    fn cast_backoff_jitter_is_deterministic_per_seed() {
-        let now = Instant::now();
-        let run = |seed: u64| -> Vec<Duration> {
-            let mut b = CastBackoff::new(seed);
-            (0..8).map(|_| b.record_failure(SiteId(0), now)).collect()
-        };
-        assert_eq!(run(7), run(7), "same seed, same schedule");
-        assert_ne!(run(7), run(8), "different seeds de-correlate");
-    }
-
-    #[test]
-    fn cast_backoff_expires_by_the_clock() {
-        let mut b = CastBackoff::new(3);
-        let now = Instant::now();
-        let d = b.record_failure(SiteId(0), now);
-        assert!(b.is_dead(SiteId(0), now));
-        assert!(!b.is_dead(SiteId(0), now + d));
-    }
-
     /// A connection to a throwaway loopback listener that never reads.
     fn idle_conn() -> (Conn, std::net::TcpListener) {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1116,17 +939,21 @@ mod tests {
 
     #[test]
     fn pending_calls_resolve_by_the_flushed_bytes_rule() {
-        // Two frames sent; pretend only the first was fully flushed when
-        // the connection dies. The first may have been applied (Failed),
-        // the second provably was not (NotSent).
+        // Two calls sent with a cast between them; pretend the first call
+        // and the cast were fully flushed, and three bytes of the second
+        // call, when the connection dies. The first may have been applied
+        // (Failed), the second provably was not (NotSent) — which takes the
+        // cast's bytes being counted: its frame is longer than a call's.
         let (conn, _listener) = idle_conn();
         let (slot1, slot2) = (Arc::new(CallSlot::default()), Arc::new(CallSlot::default()));
         let mut lead = None;
         send(&conn, &slot1, &mut lead);
         assert!(lead.is_some(), "the first caller takes the idle read half");
-        let first_end = conn.w.lock().queued_abs;
+        let cast = RegistryRequest::DeltaPull { since: 9 };
+        assert!(conn.cast(&cast).unwrap());
+        let cast_end = conn.w.lock().queued_abs;
         send(&conn, &slot2, &mut lead);
-        conn.w.lock().flushed_abs = first_end + 3;
+        conn.w.lock().flushed_abs = cast_end + 3;
         conn.kill();
         let outcome = |slot: &CallSlot| slot.state.lock().outcome.take();
         assert!(matches!(outcome(&slot1), Some(CallOutcome::Failed)));
@@ -1148,14 +975,46 @@ mod tests {
         // Caller 1 times out: generation bumped, not yet unregistered. The
         // hand-off must skip its stale entry and reach caller 2.
         assert!(settle(&mut slot1.state.lock()).is_none());
-        conn.hand_on(lead1.take().unwrap());
+        conn.hand_on(lead1.take().unwrap()).unwrap();
         assert!(slot1.state.lock().lead.is_none());
         let handed = slot2.state.lock().lead.take();
         assert!(handed.is_some(), "the promotion waits in the slot");
         // Nobody left pending: the read half rests on the connection.
         conn.pending.lock().calls.clear();
-        conn.hand_on(handed.unwrap());
+        conn.hand_on(handed.unwrap()).unwrap();
         assert!(conn.pending.lock().reader.is_some());
+    }
+
+    #[test]
+    fn a_cast_behind_a_pending_call_waits_for_the_leader_to_write_it() {
+        let (conn, _listener) = idle_conn();
+        let slot = Arc::new(CallSlot::default());
+        let mut lead = None;
+        send(&conn, &slot, &mut lead);
+        let call_end = conn.w.lock().flushed_abs;
+        // The caller leads: it is the one about to write, not the caster.
+        let cast = RegistryRequest::DeltaPull { since: 9 };
+        assert!(conn.cast(&cast).unwrap());
+        {
+            let w = conn.w.lock();
+            assert_eq!((w.flushed_abs, w.sent), (call_end, 0), "no write");
+            assert_eq!(&w.out[..5], &[10, 0, 0, 0, MODE_CAST]);
+            assert_eq!(&w.out[5..], &cast.encode()[..]);
+            assert_eq!(w.queued_abs, call_end + 14);
+        }
+        assert!(conn.backlog.load(Ordering::Relaxed));
+        // The leader leaves with nobody to hand the lead to: it rests the
+        // read half and writes the cast.
+        conn.pending.lock().calls.clear();
+        conn.hand_on(lead.take().unwrap()).unwrap();
+        let w = conn.w.lock();
+        assert!(w.out.is_empty() && w.flushed_abs == w.queued_abs);
+        assert!(!conn.backlog.load(Ordering::Relaxed));
+        drop(w);
+        // On the idle connection the caster writes at once.
+        assert!(conn.cast(&cast).unwrap());
+        let w = conn.w.lock();
+        assert!(w.out.is_empty() && w.flushed_abs == call_end + 28);
     }
 
     #[test]

@@ -112,8 +112,8 @@ pub struct TcpLayer {
     config: TcpConfig,
     addrs: HashMap<SiteId, SocketAddr>,
     /// One transport shared by every client of this runtime: routing is
-    /// per call target, callers pipeline on its one connection per site,
-    /// and its cast-pump thread is too expensive to duplicate per client.
+    /// per call target, and calls and casts from every client pipeline on
+    /// its one connection per site.
     shared: Mutex<Option<Arc<TcpClientTransport>>>,
 }
 

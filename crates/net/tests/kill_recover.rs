@@ -40,7 +40,7 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SITES: usize = 4;
 const WRITES_PER_CELL: usize = 24;
@@ -278,15 +278,15 @@ fn free_base_port() -> u16 {
     panic!("no free base port found");
 }
 
-/// The cast pump's dead-peer backoff must *recover*: strikes accumulate
-/// while the peer is down and reset to zero after the reborn peer takes
-/// a delivery. One transport lives across the kill and the restart —
-/// the cluster must come back on the same ports for its strike history
-/// to be about the same addresses.
+/// A dead peer costs its casters a few dials and then nothing: the failed
+/// dials open the site's breaker, which sheds further casts, and the
+/// reborn peer takes casts again. One transport lives across the kill and
+/// the restart — the cluster must come back on the same ports for its
+/// breaker history to be about the same addresses.
 #[test]
-fn cast_backoff_strikes_reset_after_peer_recovery() {
+fn casts_to_a_dead_peer_are_shed_until_it_is_reborn() {
     let (root, keep) = data_root();
-    let data_dir = root.join("cast-backoff-recovery");
+    let data_dir = root.join("cast-recovery");
     std::fs::create_dir_all(&data_dir).expect("create data dir");
     let base = free_base_port();
 
@@ -306,9 +306,9 @@ fn cast_backoff_strikes_reset_after_peer_recovery() {
         .collect();
     let transport = transport_for(&addrs, CALL_TIMEOUT);
     let target = SiteId(1);
-    let absorb = || RegistryRequest::Absorb {
+    let absorb = |name: &str| RegistryRequest::Absorb {
         entries: vec![geometa_core::RegistryEntry::new(
-            "cast-backoff-probe",
+            name,
             64,
             geometa_core::FileLocation {
                 site: target,
@@ -317,11 +317,18 @@ fn cast_backoff_strikes_reset_after_peer_recovery() {
             1,
         )],
     };
+    // Cast `name` at the target; true once it can be read back from there.
+    let cast_lands = |name: &str| {
+        transport.cast(target, absorb(name));
+        let key = geometa_core::Key::from(name);
+        matches!(
+            transport.call(target, RegistryRequest::Get { key }),
+            geometa_core::protocol::RegistryResponse::Found { .. }
+        )
+    };
 
     // One acked write so `--recover` later has on-disk state to replay,
-    // then a warm cast delivery, confirmed by reading the absorbed entry
-    // back from the target (strikes alone start at 0, which proves
-    // nothing about delivery).
+    // then a warm cast delivery.
     {
         let sites: Vec<SiteId> = (0..SITES as u16).map(SiteId).collect();
         let controller = Arc::new(ArchitectureController::with_kind(
@@ -336,33 +343,30 @@ fn cast_backoff_strikes_reset_after_peer_recovery() {
                 node: 0,
             },
         );
-        client
-            .publish("cast-backoff-anchor", 64)
-            .expect("publish anchor");
+        client.publish("cast-anchor", 64).expect("publish anchor");
     }
-    transport.cast(target, absorb());
-    wait_until("first cast delivered", || {
-        matches!(
-            transport.call(
-                target,
-                RegistryRequest::Get {
-                    key: geometa_core::Key::from("cast-backoff-probe"),
-                },
-            ),
-            geometa_core::protocol::RegistryResponse::Found { .. }
-        )
-    });
-    assert_eq!(transport.cast_strikes(target), 0);
+    wait_until("first cast delivered", || cast_lands("cast-before-kill"));
+    assert_eq!(transport.casts_shed(), 0);
 
-    // Kill the whole cluster; casts now strike out.
+    // Kill the whole cluster. Casts now fail their dials — each waits for
+    // its own dial at most, here a refused connect — until the strikes
+    // open the breaker; from then on they are shed without dialing.
     child.kill().expect("SIGKILL server");
     let _ = child.wait();
-    wait_until("strikes accumulate against the dead peer", || {
-        transport.cast(target, absorb());
-        transport.cast_strikes(target) >= 2
+    let mut slowest = Duration::ZERO;
+    wait_until("the breaker opens against the dead peer", || {
+        let t0 = Instant::now();
+        transport.cast(target, absorb("cast-into-the-void"));
+        slowest = slowest.max(t0.elapsed());
+        transport.breaker_open(target)
     });
-    let down_strikes = transport.cast_strikes(target);
-    assert!(down_strikes >= 2, "dead peer accumulated {down_strikes}");
+    assert!(
+        slowest < Duration::from_secs(2),
+        "a cast to a dead peer took {slowest:?}: more than one dial"
+    );
+    let shed = transport.casts_shed();
+    transport.cast(target, absorb("cast-into-the-void"));
+    assert_eq!(transport.casts_shed(), shed + 1, "an open breaker sheds");
 
     // Rebirth on the same ports.
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_geometa-server"));
@@ -377,11 +381,13 @@ fn cast_backoff_strikes_reset_after_peer_recovery() {
     let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
     wait_ready(&mut stdout);
 
-    // One delivered cast wipes the whole strike history for the target.
-    wait_until("strikes reset after the peer recovered", || {
-        transport.cast(target, absorb());
-        transport.cast_strikes(target) == 0
+    // Once the open interval lapses a cast dials the reborn peer and is
+    // delivered; the `Get` that reads it back is the correlated response
+    // that closes the breaker.
+    wait_until("a cast reaches the reborn peer", || {
+        cast_lands("cast-after-rebirth")
     });
+    assert!(!transport.breaker_open(target));
 
     drop(child.stdin.take());
     let mut rest = String::new();
@@ -406,7 +412,7 @@ fn wait_ready(stdout: &mut BufReader<std::process::ChildStdout>) {
     }
 }
 
-/// Poll `cond` for up to 30s (cast cooldowns reach seconds under
+/// Poll `cond` for up to 30s (breaker open intervals reach seconds under
 /// repeated strikes), panicking with `what` on timeout.
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     for _ in 0..600 {

@@ -1,7 +1,7 @@
 //! Wire-level regression tests for the pipelined client: exactly-once
 //! call delivery (the PR 8 headline bugfix), sequence-id correlation
-//! under fragmented out-of-order delivery, reconnects, and fast failure
-//! on refused connections. Every test runs the real `TcpClientTransport`
+//! under fragmented out-of-order delivery, casts sharing the call
+//! connection, reconnects, and fast failure on refused connections. Every test runs the real `TcpClientTransport`
 //! against a hand-rolled fake server so the exact byte traffic — most
 //! importantly *how many request frames the server ever saw* — can be
 //! asserted.
@@ -9,7 +9,7 @@
 use geometa_core::protocol::{RegistryRequest, RegistryResponse};
 use geometa_core::transport::RegistryTransport;
 use geometa_core::{FileLocation, MetaError, RegistryEntry};
-use geometa_net::frame::{CallHeader, Fill, FrameReader};
+use geometa_net::frame::{CallHeader, Fill, FrameReader, MODE_CAST};
 use geometa_net::TcpClientTransport;
 use geometa_sim::topology::SiteId;
 use std::collections::HashMap;
@@ -510,6 +510,131 @@ fn a_leader_that_returns_hands_the_connection_on() {
 #[test]
 fn a_leader_that_times_out_hands_the_connection_on() {
     leader_leaves_while_a_follower_waits(false);
+}
+
+/// Serve the one connection `listener` gets until the client closes it:
+/// `Ack` every call, answer no cast, and show each request to `seen`
+/// (`true` = it came as a cast).
+fn ack_calls(listener: &TcpListener, mut seen: impl FnMut(bool, RegistryRequest)) {
+    let (mut stream, _) = listener.accept().expect("accept");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = FrameReader::new();
+    while let Some(body) = read_frame(&mut stream, &mut reader) {
+        if body[0] == MODE_CAST {
+            let req = RegistryRequest::decode(body.slice(1..)).expect("decodable cast");
+            seen(true, req);
+            continue;
+        }
+        let (seq, req) = parse_call(&body);
+        seen(false, req);
+        let mut wire = Vec::new();
+        push_response(&mut wire, seq, &RegistryResponse::Ack);
+        stream.write_all(&wire).expect("respond");
+    }
+}
+
+/// A thread's lazy push and its later call to the same site travel on the
+/// site's one connection, in that order: the server sees the cast frame
+/// first, owes it nothing, and the call's response still finds its caller.
+#[test]
+fn casts_and_calls_share_one_connection_in_order() {
+    const ROUNDS: usize = 50;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+
+    std::thread::scope(|scope| {
+        let server = scope.spawn(move || -> Vec<String> {
+            let mut seen = Vec::new();
+            ack_calls(&listener, |_, req| seen.push(put_name(&req)));
+            assert!(
+                listener.set_nonblocking(true).is_ok() && listener.accept().is_err(),
+                "casts must not open a connection of their own"
+            );
+            seen
+        });
+
+        let transport = transport_to(addr, Duration::from_secs(10));
+        let mut sent = Vec::new();
+        for round in 0..ROUNDS {
+            // The very first frame is a cast: it dials the connection.
+            transport.cast(SiteId(0), put_request(&format!("cast/{round}")));
+            let resp = transport.call(SiteId(0), put_request(&format!("call/{round}")));
+            assert!(matches!(resp, RegistryResponse::Ack), "got {resp:?}");
+            sent.extend([format!("cast/{round}"), format!("call/{round}")]);
+        }
+        assert_eq!(transport.casts_shed(), 0);
+        drop(transport);
+        assert_eq!(server.join().expect("server"), sent);
+    });
+}
+
+/// A cast that finds a leader on its connection writes nothing itself, so
+/// someone must. One thread casts for as long as another has a call in
+/// flight on the same connection, so the last casts of every burst race
+/// the leader's leaving; then both go quiet, and with no further traffic
+/// to carry them every cast so far must reach the server — one stranded in
+/// the output buffer would sit there until the next burst.
+#[test]
+fn no_cast_is_stranded_when_the_callers_go_quiet() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const BURSTS: usize = 2000;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let casts_seen = AtomicUsize::new(0);
+    let calling = AtomicBool::new(true);
+    let quiet = std::sync::Barrier::new(2);
+
+    std::thread::scope(|scope| {
+        let (casts_seen, calling, quiet) = (&casts_seen, &calling, &quiet);
+        let server = scope.spawn(move || {
+            ack_calls(&listener, |cast, _| {
+                casts_seen.fetch_add(usize::from(cast), Ordering::Relaxed);
+            })
+        });
+
+        let transport = transport_to(addr, Duration::from_secs(10));
+        std::thread::scope(|bursts| {
+            let transport = &transport;
+            bursts.spawn(move || {
+                for _ in 0..BURSTS {
+                    let resp = transport.call(SiteId(0), put_request("quiet/call"));
+                    assert!(matches!(resp, RegistryResponse::Ack), "got {resp:?}");
+                    calling.store(false, Ordering::SeqCst);
+                    quiet.wait();
+                    quiet.wait();
+                }
+            });
+            let mut cast = 0;
+            let mut stranded = None;
+            for burst in 0..BURSTS {
+                while calling.load(Ordering::SeqCst) {
+                    transport.cast(SiteId(0), put_request("quiet/cast"));
+                    cast += 1;
+                }
+                quiet.wait();
+                // Both threads are quiet. Behind a call that took long the
+                // casts may have piled up to the byte bound and been shed;
+                // all others are owed. (A failure is reported after the
+                // last burst: the caller thread waits on the barrier.)
+                let owed = cast - transport.casts_shed() as usize;
+                let deadline = Instant::now() + Duration::from_secs(2);
+                while stranded.is_none() && casts_seen.load(Ordering::Relaxed) < owed {
+                    if Instant::now() >= deadline {
+                        stranded = Some(burst);
+                    }
+                    std::thread::yield_now();
+                }
+                calling.store(true, Ordering::SeqCst);
+                quiet.wait();
+            }
+            assert_eq!(
+                stranded, None,
+                "a cast sat in the output buffer with nobody to write it"
+            );
+        });
+        drop(transport);
+        server.join().expect("server thread");
+    });
 }
 
 /// A refused connection is a provable not-sent: the call fails fast as
