@@ -1,7 +1,6 @@
 //! Cache entries, write conditions and error types.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A versioned cache entry.
@@ -23,7 +22,7 @@ pub struct CacheEntry {
 }
 
 /// Condition attached to a conditional put (optimistic concurrency).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PutCondition {
     /// Write unconditionally (create or overwrite).
     Always,

@@ -181,7 +181,7 @@ proptest! {
     /// mixed `put_if`/`absorb`/`remove`, and the `&str` view of the store
     /// agrees with the `Key` view after every operation.
     #[test]
-    fn interned_key_store_matches_sequential_model(
+    fn interned_store_matches_sequential_model(
         ops in prop::collection::vec(key_op_strategy(), 1..200),
     ) {
         let store = ShardedStore::new(8);

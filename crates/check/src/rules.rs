@@ -50,9 +50,9 @@ pub struct RuleSet {
     /// `hot-alloc`: no allocating construct (`Vec::new`, `.to_vec()`,
     /// `format!`, `BytesMut::with_capacity`, `.collect()`, …) inside a
     /// function marked `// geometa-hot` — the steady-state wire path is
-    /// allocation-free by contract (enforced empirically by the
-    /// `count-alloc` gate in `crates/bench`); justified allocations
-    /// carry a waiver.
+    /// allocation-free by contract (enforced empirically by
+    /// `crates/net/tests/alloc_gate.rs`); justified allocations carry a
+    /// waiver.
     pub hot_alloc: bool,
 }
 
@@ -405,7 +405,7 @@ fn hot_alloc(tokens: &[Tok], markers: &[u32], out: &mut Vec<Finding>) {
                     message: format!(
                         "{what} allocates inside a `// geometa-hot` function — the \
                          steady-state wire path is allocation-free by contract (the \
-                         count-alloc gate measures it); reuse scratch, hoist to \
+                         alloc_gate test measures it); reuse scratch, hoist to \
                          setup, or waive with the justification"
                     ),
                 });

@@ -277,6 +277,20 @@ mod tests {
         let (enqueued, batches) = b.stats();
         assert_eq!(enqueued, 25);
         assert_eq!(batches, 3, "2 full batches + 1 flush_all remainder");
+
+        // The WAN saving §III-D argues for: 1 000 updates fanned out to 3
+        // sites cost one message per update per site when eager, and
+        // ceil(1000 / batch) per site when batched.
+        for (batch, per_site) in [(1usize, 1_000u64), (16, 63), (64, 16), (256, 4)] {
+            let mut b = LazyBatcher::new(batch, SimDuration::from_secs(10));
+            for i in 0..1_000 {
+                for target in 1..4 {
+                    b.enqueue(SiteId(target), entry(i), SimTime(i as u64));
+                }
+            }
+            let _ = b.flush_all();
+            assert_eq!(b.stats(), (3_000, 3 * per_site), "batch size {batch}");
+        }
     }
 
     #[test]

@@ -40,9 +40,9 @@ use crate::runtime::{ConnectionLayer, RuntimeConfig, ServiceCore, ServiceRuntime
 use crate::strategy::StrategyKind;
 use crate::transport::RegistryTransport;
 use crate::MetaError;
-use crossbeam::channel::{bounded, unbounded, Sender};
 use geometa_sim::topology::{SiteId, Topology};
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,7 +79,7 @@ impl Default for LiveConfig {
 enum ServiceMsg {
     Request {
         req: RegistryRequest,
-        reply: Sender<RegistryResponse>,
+        reply: SyncSender<RegistryResponse>,
     },
     Cast {
         req: RegistryRequest,
@@ -109,7 +109,7 @@ impl ConnectionLayer for ChannelLayer {
 
     fn start(&mut self, core: &Arc<ServiceCore>, spawner: &mut Spawner) {
         for site in core.topology().site_ids() {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             self.senders.insert(site, tx);
             let core = Arc::clone(core);
             spawner.spawn(format!("registry-{site}"), move || {
@@ -173,7 +173,7 @@ impl RegistryTransport for LiveTransport {
         };
         let lat = self.one_way(target);
         std::thread::sleep(lat); // request flight
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         if sender
             .send(ServiceMsg::Request {
                 req,

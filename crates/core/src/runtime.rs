@@ -1157,7 +1157,7 @@ pub fn drive_sync_agent<T: RegistryTransport>(
 mod tests {
     use super::*;
     use crate::entry::FileLocation;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     fn put_all(core: &Arc<ServiceCore>, ring: &ConsistentRing, n: usize) {
         for i in 0..n {
@@ -1408,7 +1408,7 @@ mod tests {
         let delay = DelayLine::new();
         std::thread::scope(|s| {
             s.spawn(|| delay.run_worker());
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let t1 = tx.clone();
             let t2 = tx.clone();
             delay.schedule(

@@ -9,8 +9,8 @@
 //! determinism**: the only ordering that ever reaches the output is the
 //! cell *index*, never the completion order.
 //!
-//! [`Runner::run`] fans a `Vec` of cells out to a worker pool over the
-//! vendored crossbeam channels (one shared injector channel — workers pull
+//! [`Runner::run`] fans a `Vec` of cells out to a pool of scoped workers
+//! (one shared injector, a mutex around the cells' iterator — workers pull
 //! the next cell when free, so uneven cell costs balance automatically)
 //! and collects `(index, result)` pairs into an index-addressed buffer.
 //! The returned `Vec` is therefore byte-identical to what a sequential
@@ -22,7 +22,7 @@
 //!   streams split per engine); no thread-local or global RNG exists.
 //! * **No shared mutable state** — each cell constructs its own
 //!   `Engine`/`RegistryInstance`s; the only cross-thread traffic is the
-//!   channel hand-off of inputs and results.
+//!   hand-off of inputs and results.
 //! * **Index-keyed collection** — results are stored at their input index;
 //!   completion order cannot leak into aggregation.
 //!
@@ -35,9 +35,9 @@
 //! ([`set_global_jobs`]), the `GEOMETA_JOBS` environment variable, or the
 //! host's available parallelism, in that order of precedence.
 
-use crossbeam::channel;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
 
 /// Process-wide override installed by `repro --jobs N` (0 = unset).
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -124,25 +124,26 @@ impl Runner {
         }
         let n = cells.len();
         let workers = self.jobs.min(n);
-        let (cell_tx, cell_rx) = channel::unbounded::<(usize, T)>();
-        let (out_tx, out_rx) = channel::unbounded::<(usize, std::thread::Result<R>)>();
-        for pair in cells.into_iter().enumerate() {
-            if cell_tx.send(pair).is_err() {
-                unreachable!("injector receiver alive until workers spawn");
-            }
-        }
-        // Close the injector: workers exit when the queue drains.
-        drop(cell_tx);
+        // The injector: workers exit when the iterator runs dry. A closure,
+        // so the guard drops before `f` runs; `f` is under `catch_unwind`
+        // outside the lock, so the lock cannot be poisoned.
+        let injector = Mutex::new(cells.into_iter().enumerate());
+        let next_cell = || {
+            injector
+                .lock()
+                .expect("no panic under the injector lock")
+                .next()
+        };
+        let (out_tx, out_rx) = mpsc::channel::<(usize, std::thread::Result<R>)>();
 
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
         let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let cell_rx = cell_rx.clone();
                 let out_tx = out_tx.clone();
-                let f = &f;
+                let (f, next_cell) = (&f, &next_cell);
                 scope.spawn(move || {
-                    while let Ok((idx, cell)) = cell_rx.recv() {
+                    while let Some((idx, cell)) = next_cell() {
                         let result = catch_unwind(AssertUnwindSafe(|| f(idx, cell)));
                         if out_tx.send((idx, result)).is_err() {
                             break; // collector gone; nothing left to report to
@@ -151,7 +152,6 @@ impl Runner {
                 });
             }
             drop(out_tx);
-            drop(cell_rx);
             for (idx, result) in out_rx {
                 match result {
                     Ok(value) => slots[idx] = Some(value),

@@ -10,8 +10,7 @@
 //!
 //! Cells fan out over the [`Runner`](crate::runner::Runner) worker pool;
 //! every *table* column is virtual-time (deterministic, byte-identical for
-//! any `--jobs`), while wall-clock events/sec per cell goes to stderr and
-//! into `BENCH_4.json` via `bench_snapshot`.
+//! any `--jobs`), while wall-clock events/sec per cell goes to stderr.
 
 use crate::simbind::{run_synthetic_instrumented, SimConfig};
 use crate::table::{secs, Table};
@@ -34,7 +33,7 @@ pub struct ScaleRow {
     pub throughput: f64,
     /// DES events dispatched for the cell.
     pub events: u64,
-    /// Host wall-clock events/sec for the cell (stderr + BENCH only —
+    /// Host wall-clock events/sec for the cell (stderr only —
     /// never rendered into the deterministic table).
     pub wall_events_per_sec: f64,
 }

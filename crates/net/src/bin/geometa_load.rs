@@ -1,21 +1,17 @@
 //! `geometa-load` — seeded load generator for a TCP registry cluster,
-//! closed-loop and open-loop, swept across reactor-pool sizes.
+//! closed-loop and open-loop.
 //!
 //! ```text
 //! geometa-load [--quick] [--connect ip:port,ip:port,...] [--sites 4]
 //!              [--strategy dht-local-replica] [--workload all|synthetic|montage|buzzflow]
 //!              [--mode both|closed|open] [--rate OPS_PER_SEC]
 //!              [--threads 32] [--ops 200] [--seed 61444] [--reactors N]
-//!              [--out BENCH_8.json] [--baseline BENCH_7.json]
 //! ```
 //!
-//! Without `--connect`, spawns its own 4-site cluster on ephemeral
-//! loopback ports (still real sockets) — **twice**: once with a single
-//! reactor thread per site and once with the full reactor pool
-//! (`--reactors`, default `TcpConfig` auto but at least 2), so the
-//! snapshot records a per-core scaling curve. The CI `net-smoke` path
-//! uses an external `geometa-server` instead, which serves with its own
-//! pool (one `"external"` block). Workers replay the synthetic and
+//! Without `--connect`, spawns its own cluster on ephemeral loopback
+//! ports (still real sockets), with `--reactors` reactor threads per site
+//! (default: `TcpConfig`'s). The CI `net-smoke` path uses an external
+//! `geometa-server` instead. Workers replay the synthetic and
 //! Montage/BuzzFlow op streams (`geometa_workflow::apps::ops`) in the
 //! requested mode(s): closed loop (next op only after the previous
 //! completed — sustained-capacity throughput) and open loop (fixed
@@ -25,16 +21,15 @@
 //! closed-loop throughput, i.e. the service observed near but below
 //! saturation. Each stream warms its connections with untimed resolves
 //! before the clock starts, so `max_us` reports a service latency, not
-//! a TCP connect. Results land in `BENCH_8.json`, embedding
-//! `--baseline` (the committed BENCH_7 snapshot) for review-time
-//! comparison.
+//! a TCP connect. One line per workload and mode goes to stderr; nothing
+//! is written to disk (the gated numbers come from `benchmark/`).
 
 use geometa_core::controller::ArchitectureController;
 use geometa_core::runtime::{RuntimeConfig, ServiceRuntime};
 use geometa_core::strategy::StrategyKind;
 use geometa_core::{ClientConfig, StrategyClient};
-use geometa_net::cli::{die, flag_value, parse_or_die, strategy_flag};
-use geometa_net::loadgen::{run_stream, LoadMode, LoadOptions, LoadReport};
+use geometa_net::cli::{die, flag_value, has_flag, parse_or_die, reject_unknown, strategy_flag};
+use geometa_net::loadgen::{run_stream, LoadMode, LoadOptions};
 use geometa_net::{loopback_topology, transport_for, TcpClientTransport, TcpConfig, TcpLayer};
 use geometa_sim::time::SimDuration;
 use geometa_sim::topology::SiteId;
@@ -46,18 +41,20 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-struct WorkloadResult {
-    name: &'static str,
-    /// One report per mode that ran (closed first when both).
-    reports: Vec<LoadReport>,
-}
-
-/// One cluster configuration's sweep: its JSON label ("reactors_1",
-/// "reactors_4", or "external") and every workload's reports under it.
-struct SweepBlock {
-    label: String,
-    results: Vec<WorkloadResult>,
-}
+/// Every flag `main` reads; anything else is refused.
+const KNOWN: &[&str] = &[
+    "--quick",
+    "--connect",
+    "--sites",
+    "--strategy",
+    "--workload",
+    "--mode",
+    "--rate",
+    "--threads",
+    "--ops",
+    "--seed",
+    "--reactors",
+];
 
 /// Fraction of measured closed-loop throughput used as the default
 /// open-loop arrival rate under `--mode both`: near saturation, but with
@@ -71,17 +68,20 @@ const WARMUP_OPS: usize = 64;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    reject_unknown(&args, KNOWN);
+    let quick = has_flag(&args, "--quick");
     let strategy = strategy_flag(&args, StrategyKind::DhtLocalReplica);
     let workload = flag_value(&args, "--workload").unwrap_or_else(|| "all".into());
+    if !matches!(
+        workload.as_str(),
+        "all" | "synthetic" | "montage" | "buzzflow"
+    ) {
+        die(&format!(
+            "--workload takes all|synthetic|montage|buzzflow, got '{workload}'"
+        ));
+    }
     let nodes: usize = flag_value(&args, "--threads")
         .map(|v| parse_or_die(&v, "--threads takes a positive integer"))
-        .or_else(|| {
-            // Back-compat alias: a node stream is exactly one worker
-            // thread, so the old spelling still works.
-            flag_value(&args, "--nodes")
-                .map(|v| parse_or_die(&v, "--nodes takes a positive integer"))
-        })
         .unwrap_or(32);
     let ops_per_node: usize = flag_value(&args, "--ops")
         .map(|v| parse_or_die(&v, "--ops takes a positive integer"))
@@ -89,8 +89,6 @@ fn main() {
     let seed: u64 = flag_value(&args, "--seed")
         .map(|v| parse_or_die(&v, "--seed takes an integer"))
         .unwrap_or(0xF004);
-    let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_8.json".into());
-    let baseline_path = flag_value(&args, "--baseline").unwrap_or_else(|| "BENCH_7.json".into());
     let mode = flag_value(&args, "--mode").unwrap_or_else(|| "both".into());
     if !matches!(mode.as_str(), "both" | "closed" | "open") {
         die("--mode takes both|closed|open");
@@ -104,244 +102,147 @@ fn main() {
     let n_sites: usize = flag_value(&args, "--sites")
         .map(|v| parse_or_die(&v, "--sites takes a positive integer"))
         .unwrap_or(4);
-    let reactors_flag: Option<usize> = flag_value(&args, "--reactors")
+    let reactors: Option<usize> = flag_value(&args, "--reactors")
         .map(|v| parse_or_die(&v, "--reactors takes a positive integer"));
 
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-
-    // The sweep: 1 reactor and the full pool for spawned clusters (the
-    // scaling curve the snapshot exists to record — run even on a 1-core
-    // host, where "more reactors" honestly buys nothing); one opaque
-    // block for an external cluster whose pool we don't control.
-    let sweep: Vec<(String, Option<usize>)> = match &connect {
-        Some(_) => vec![("external".into(), None)],
-        None => {
-            let n =
-                reactors_flag.unwrap_or_else(|| TcpConfig::default().resolved_reactors().max(2));
-            if n <= 1 {
-                vec![("reactors_1".into(), Some(1))]
-            } else {
-                vec![
-                    ("reactors_1".into(), Some(1)),
-                    (format!("reactors_{n}"), Some(n)),
-                ]
-            }
-        }
-    };
-
     eprintln!(
         "geometa-load: strategy {}, workload {workload}, quick={quick}, {host_cores} host cores, {} threads",
         strategy.label(),
         nodes,
     );
 
-    let mut blocks: Vec<SweepBlock> = Vec::new();
-    for (label, pool) in &sweep {
-        // The cluster: external (--connect) or self-spawned on ephemeral
-        // ports with this block's reactor pool.
-        let mut spawned: Option<ServiceRuntime<TcpLayer>> = None;
-        let addrs: Vec<SocketAddr> = match &connect {
-            Some(list) => list
-                .split(',')
-                .map(|a| {
-                    a.parse()
-                        .unwrap_or_else(|e| die(&format!("--connect: bad address '{a}': {e}")))
-                })
-                .collect(),
-            None => {
-                let rt = ServiceRuntime::start(
-                    RuntimeConfig {
-                        topology: loopback_topology(n_sites),
-                        kind: strategy,
-                        shards: 16,
-                        sync_interval: Duration::from_millis(5),
-                        ..RuntimeConfig::default()
-                    },
-                    TcpLayer::new(TcpConfig {
-                        reactors: pool.unwrap_or(0),
-                        ..TcpConfig::default()
-                    }),
-                );
-                let mut pairs: Vec<_> = rt.layer().addrs().iter().map(|(s, a)| (*s, *a)).collect();
-                pairs.sort_by_key(|(s, _)| *s);
-                let addrs = pairs.into_iter().map(|(_, a)| a).collect();
-                spawned = Some(rt);
-                addrs
+    // The cluster: external (--connect) or self-spawned on ephemeral ports.
+    let mut spawned: Option<ServiceRuntime<TcpLayer>> = None;
+    let addrs: Vec<SocketAddr> = match &connect {
+        Some(list) => list
+            .split(',')
+            .map(|a| {
+                a.parse()
+                    .unwrap_or_else(|e| die(&format!("--connect: bad address '{a}': {e}")))
+            })
+            .collect(),
+        None => {
+            let mut tcp = TcpConfig::default();
+            if let Some(n) = reactors {
+                tcp.reactors = n;
             }
+            let rt = ServiceRuntime::start(
+                RuntimeConfig {
+                    topology: loopback_topology(n_sites),
+                    kind: strategy,
+                    shards: 16,
+                    sync_interval: Duration::from_millis(5),
+                    ..RuntimeConfig::default()
+                },
+                TcpLayer::new(tcp),
+            );
+            let mut pairs: Vec<_> = rt.layer().addrs().iter().map(|(s, a)| (*s, *a)).collect();
+            pairs.sort_by_key(|(s, _)| *s);
+            let addrs = pairs.into_iter().map(|(_, a)| a).collect();
+            spawned = Some(rt);
+            addrs
+        }
+    };
+    let sites: Vec<SiteId> = (0..addrs.len() as u16).map(SiteId).collect();
+    eprintln!(
+        "{} sites ({})",
+        sites.len(),
+        if connect.is_some() {
+            "external"
+        } else {
+            "spawned"
+        },
+    );
+
+    // One shared pipelining transport + client-side controller; every
+    // worker thread gets its own StrategyClient view.
+    let transport = transport_for(&addrs, Duration::from_secs(10));
+    let controller = Arc::new(ArchitectureController::with_kind(strategy, sites.clone()));
+    let make_client = |site: SiteId, node: u32| -> StrategyClient<TcpClientTransport> {
+        StrategyClient::new(
+            Arc::clone(&transport),
+            Arc::clone(&controller),
+            ClientConfig { site, node },
+        )
+    };
+
+    // Runs one mode, prints its line, returns the measured throughput.
+    let run_mode = |name: &'static str, stream: &OpStream, load_mode: LoadMode| -> f64 {
+        let opts = LoadOptions {
+            mode: load_mode,
+            // Per-(workload, mode) namespace: without it, the open-loop
+            // pass of `--mode both` replays names the closed-loop pass
+            // already published, every resolve hits the pre-propagated
+            // entry, and `resolve_retries` is identically 0.
+            key_namespace: format!("{name}/{}#", load_mode.label()),
+            warmup_ops: WARMUP_OPS,
+            ..LoadOptions::default()
         };
-        let sites: Vec<SiteId> = (0..addrs.len() as u16).map(SiteId).collect();
+        let report = run_stream(make_client, stream, &opts)
+            .unwrap_or_else(|e| panic!("workload {name} ({}) failed: {e}", load_mode.label()));
         eprintln!(
-            "[{label}] {} sites ({})",
-            sites.len(),
-            if connect.is_some() {
-                "external"
-            } else {
-                "spawned"
-            },
+            "  {name:<10} {:<6} {:>8} ops  {:>10.0} ops/s  p50 {:>7.1}us  p90 {:>7.1}us  p99 {:>7.1}us  max {:>8.1}us  ({} retries)",
+            report.mode.label(), report.total_ops, report.throughput, report.p50_us, report.p90_us, report.p99_us, report.max_us, report.retries
         );
+        report.throughput
+    };
+    let run = |name: &'static str, stream: &OpStream| {
+        let mut closed = None;
+        if mode != "open" {
+            closed = Some(run_mode(name, stream, LoadMode::Closed));
+        }
+        if mode != "closed" {
+            let open_rate = rate.unwrap_or_else(|| {
+                // `both` without --rate: pace the open loop just under
+                // the saturation point the closed loop measured.
+                (closed.unwrap_or(0.0) * DEFAULT_OPEN_RATE_FRACTION).max(1.0)
+            });
+            run_mode(name, stream, LoadMode::Open { rate: open_rate });
+        }
+    };
 
-        // One shared pipelining transport + client-side controller per
-        // block; every worker thread gets its own StrategyClient view.
-        let transport = transport_for(&addrs, Duration::from_secs(10));
-        let controller = Arc::new(ArchitectureController::with_kind(strategy, sites.clone()));
-        let make_client = |site: SiteId, node: u32| -> StrategyClient<TcpClientTransport> {
-            StrategyClient::new(
-                Arc::clone(&transport),
-                Arc::clone(&controller),
-                ClientConfig { site, node },
-            )
+    if workload == "all" || workload == "synthetic" {
+        let spec = SyntheticSpec {
+            nodes,
+            ops_per_node,
+            compute_per_op: SimDuration::ZERO,
+            seed,
         };
-
-        let run_mode = |name: &'static str, stream: &OpStream, load_mode: LoadMode| -> LoadReport {
-            let opts = LoadOptions {
-                mode: load_mode,
-                // Per-(workload, mode, block) namespace: without it, the
-                // open-loop pass of `--mode both` replays names the
-                // closed-loop pass already published, every resolve hits
-                // the pre-propagated entry, and `resolve_retries` is
-                // identically 0 (and external-cluster sweep blocks would
-                // collide with each other the same way).
-                key_namespace: format!("{name}/{}/{label}#", load_mode.label()),
-                warmup_ops: WARMUP_OPS,
-                ..LoadOptions::default()
-            };
-            let report = run_stream(make_client, stream, &opts)
-                .unwrap_or_else(|e| panic!("workload {name} ({}) failed: {e}", load_mode.label()));
-            eprintln!(
-                "  {name:<10} {:<6} {:>8} ops  {:>10.0} ops/s  p50 {:>7.1}us  p90 {:>7.1}us  p99 {:>7.1}us  max {:>8.1}us  ({} retries)",
-                report.mode.label(), report.total_ops, report.throughput, report.p50_us, report.p90_us, report.p99_us, report.max_us, report.retries
-            );
-            report
-        };
-        let run = |name: &'static str, stream: &OpStream| -> WorkloadResult {
-            let mut reports = Vec::new();
-            if mode != "open" {
-                reports.push(run_mode(name, stream, LoadMode::Closed));
-            }
-            if mode != "closed" {
-                let open_rate = rate.unwrap_or_else(|| {
-                    // `both` without --rate: pace the open loop just under
-                    // the saturation point the closed loop measured.
-                    let closed = reports.first().map(|r| r.throughput).unwrap_or(0.0);
-                    (closed * DEFAULT_OPEN_RATE_FRACTION).max(1.0)
-                });
-                reports.push(run_mode(name, stream, LoadMode::Open { rate: open_rate }));
-            }
-            WorkloadResult { name, reports }
-        };
-
-        let mut results: Vec<WorkloadResult> = Vec::new();
-        if workload == "all" || workload == "synthetic" {
-            let spec = SyntheticSpec {
-                nodes,
-                ops_per_node,
-                compute_per_op: SimDuration::ZERO,
-                seed,
-            };
-            let stream = synthetic_streams(&spec, &sites);
-            results.push(run("synthetic", &stream));
-        }
-        if workload == "all" || workload == "montage" {
-            let target = if quick { 2_000 } else { 16_000 };
-            let w = montage_with_total_ops(target, 32, SimDuration::ZERO);
-            let grid = node_grid_for(&sites, nodes);
-            let placement = geometa_workflow::scheduler::schedule(
-                &w,
-                &grid,
-                geometa_workflow::scheduler::SchedulerPolicy::LocalityAware,
-            );
-            let stream = workflow_streams(&w, &placement);
-            results.push(run("montage", &stream));
-        }
-        if workload == "all" || workload == "buzzflow" {
-            let target = if quick { 1_500 } else { 7_200 };
-            let w = buzzflow_with_total_ops(target, 6, 8, SimDuration::ZERO);
-            let grid = node_grid_for(&sites, nodes);
-            let placement = geometa_workflow::scheduler::schedule(
-                &w,
-                &grid,
-                geometa_workflow::scheduler::SchedulerPolicy::LocalityAware,
-            );
-            let stream = workflow_streams(&w, &placement);
-            results.push(run("buzzflow", &stream));
-        }
-        assert!(!results.is_empty(), "unknown --workload '{workload}'");
-
-        drop(transport);
-        if let Some(rt) = spawned {
-            let joined = rt.shutdown();
-            eprintln!("[{label}] cluster shut down ({joined} threads joined)");
-        }
-        blocks.push(SweepBlock {
-            label: label.clone(),
-            results,
-        });
+        let stream = synthetic_streams(&spec, &sites);
+        run("synthetic", &stream);
+    }
+    if workload == "all" || workload == "montage" {
+        let target = if quick { 2_000 } else { 16_000 };
+        let w = montage_with_total_ops(target, 32, SimDuration::ZERO);
+        let grid = node_grid_for(&sites, nodes);
+        let placement = geometa_workflow::scheduler::schedule(
+            &w,
+            &grid,
+            geometa_workflow::scheduler::SchedulerPolicy::LocalityAware,
+        );
+        let stream = workflow_streams(&w, &placement);
+        run("montage", &stream);
+    }
+    if workload == "all" || workload == "buzzflow" {
+        let target = if quick { 1_500 } else { 7_200 };
+        let w = buzzflow_with_total_ops(target, 6, 8, SimDuration::ZERO);
+        let grid = node_grid_for(&sites, nodes);
+        let placement = geometa_workflow::scheduler::schedule(
+            &w,
+            &grid,
+            geometa_workflow::scheduler::SchedulerPolicy::LocalityAware,
+        );
+        let stream = workflow_streams(&w, &placement);
+        run("buzzflow", &stream);
     }
 
-    if out != "none" {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .ok()
-            .filter(|b| !b.trim().is_empty());
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"schema\": \"geometa-net-load/3\",\n  \"quick\": {quick},\n  \
-             \"strategy\": \"{}\",\n  \"sites\": {},\n  \"transport\": \"tcp-loopback\",\n  \
-             \"conn_model\": \"reactor-pool\",\n  \"host_cores\": {host_cores},\n  \
-             \"threads\": {nodes},\n  \"warmup_ops\": {WARMUP_OPS},\n  \"runs\": {{\n",
-            strategy.label(),
-            n_sites,
-        ));
-        for (bi, block) in blocks.iter().enumerate() {
-            let block_comma = if bi + 1 == blocks.len() { "" } else { "," };
-            json.push_str(&format!("    \"{}\": {{\n", block.label));
-            for (i, r) in block.results.iter().enumerate() {
-                let comma = if i + 1 == block.results.len() {
-                    ""
-                } else {
-                    ","
-                };
-                json.push_str(&format!("      \"{}\": {{\n", r.name));
-                for (j, rep) in r.reports.iter().enumerate() {
-                    let inner_comma = if j + 1 == r.reports.len() { "" } else { "," };
-                    let rate_field = rep
-                        .mode
-                        .target_rate()
-                        .map(|r| format!("\"target_rate_ops_per_sec\": {r:.0}, "))
-                        .unwrap_or_default();
-                    json.push_str(&format!(
-                        "        \"{}\": {{{}\"total_ops\": {}, \"wall_secs\": {:.3}, \
-                         \"throughput_ops_per_sec\": {:.0}, \"p50_us\": {:.1}, \"p90_us\": {:.1}, \
-                         \"p99_us\": {:.1}, \"max_us\": {:.1}, \"resolve_retries\": {}}}{}\n",
-                        rep.mode.label(),
-                        rate_field,
-                        rep.total_ops,
-                        rep.wall.as_secs_f64(),
-                        rep.throughput,
-                        rep.p50_us,
-                        rep.p90_us,
-                        rep.p99_us,
-                        rep.max_us,
-                        rep.retries,
-                        inner_comma
-                    ));
-                }
-                json.push_str(&format!("      }}{comma}\n"));
-            }
-            json.push_str(&format!("    }}{block_comma}\n"));
-        }
-        json.push_str("  }");
-        if let Some(base) = baseline {
-            json.push_str(",\n  \"baseline\": ");
-            json.push_str(base.trim_end());
-            json.push('\n');
-        } else {
-            json.push('\n');
-        }
-        json.push_str("}\n");
-        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-        eprintln!("wrote {out}");
+    drop(transport);
+    if let Some(rt) = spawned {
+        let joined = rt.shutdown();
+        eprintln!("cluster shut down ({joined} threads joined)");
     }
 }
 

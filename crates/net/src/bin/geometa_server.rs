@@ -24,7 +24,7 @@
 use geometa_core::runtime::{RuntimeConfig, ServiceRuntime, WalConfig};
 use geometa_core::strategy::StrategyKind;
 use geometa_core::wal::{FsyncPolicy, WalError};
-use geometa_net::cli::{die, flag_value, has_flag, parse_or_die, strategy_flag};
+use geometa_net::cli::{die, flag_value, has_flag, parse_or_die, reject_unknown, strategy_flag};
 use geometa_net::{loopback_topology, TcpConfig, TcpLayer};
 use std::io::Read;
 use std::path::PathBuf;
@@ -33,8 +33,21 @@ use std::time::Duration;
 /// Default group-commit flush interval for `--fsync group`.
 const GROUP_COMMIT_INTERVAL: Duration = Duration::from_millis(2);
 
+/// Every flag `main` reads; anything else is refused.
+const KNOWN: &[&str] = &[
+    "--sites",
+    "--base-port",
+    "--strategy",
+    "--shards",
+    "--duration",
+    "--data-dir",
+    "--fsync",
+    "--recover",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown(&args, KNOWN);
     let sites: usize = flag_value(&args, "--sites")
         .map(|v| parse_or_die(&v, "--sites takes a positive integer"))
         .unwrap_or(4);

@@ -45,6 +45,36 @@ pub fn strategy_flag(args: &[String], default: StrategyKind) -> StrategyKind {
     }
 }
 
+/// Exit 2 naming the first argument that is neither a flag in `known`
+/// (`--flag` or `--flag=value`) nor the value following one. A mistyped
+/// or removed flag must not be silently ignored.
+pub fn reject_unknown(args: &[String], known: &[&str]) {
+    if let Some(bad) = first_unknown(args, known) {
+        die(&format!("unknown argument '{bad}'"));
+    }
+}
+
+fn first_unknown<'a>(args: &'a [String], known: &[&str]) -> Option<&'a str> {
+    let mut value_ok = false;
+    for arg in args {
+        if arg.starts_with("--") {
+            let (name, inline_value) = match arg.split_once('=') {
+                Some((name, _)) => (name, true),
+                None => (arg.as_str(), false),
+            };
+            if !known.contains(&name) {
+                return Some(name);
+            }
+            value_ok = !inline_value;
+        } else if value_ok {
+            value_ok = false;
+        } else {
+            return Some(arg);
+        }
+    }
+    None
+}
+
 /// True when the bare switch `--name` is present.
 pub fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
@@ -85,6 +115,29 @@ mod tests {
             .collect();
         assert!(has_flag(&args, "--recover"));
         assert!(!has_flag(&args, "--data-dir"));
+    }
+
+    #[test]
+    fn unknown_flags_and_stray_values_are_found() {
+        let known = ["--sites", "--quick"];
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            first_unknown(&args(&["--quick", "--sites", "4"]), &known),
+            None
+        );
+        assert_eq!(first_unknown(&args(&["--sites=4"]), &known), None);
+        assert_eq!(
+            first_unknown(&args(&["--site", "4"]), &known),
+            Some("--site")
+        );
+        assert_eq!(
+            first_unknown(&args(&["--out=x.json"]), &known),
+            Some("--out")
+        );
+        assert_eq!(
+            first_unknown(&args(&["--sites", "4", "5"]), &known),
+            Some("5")
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!
 //! Binaries: `geometa-server` boots an N-site cluster on loopback ports;
 //! `geometa-load` drives it (or a self-spawned cluster) in both load
-//! modes and writes `BENCH_8.json`.
+//! modes and prints throughput and latency percentiles.
 //!
 //! ```
 //! use geometa_core::runtime::{RuntimeConfig, ServiceRuntime};

@@ -1,12 +1,7 @@
 //! Allocation gate: proves the hot paths are **zero allocations per op**
 //! in steady state, with a counting global allocator standing in for the
-//! system one.
-//!
-//! Run with:
-//!
-//! ```text
-//! cargo test -p geometa-bench --features count-alloc --test alloc_gate
-//! ```
+//! system one (an integration test is its own crate, so it can own
+//! `#[global_allocator]`).
 //!
 //! The allocation counter is process-wide, so the three gated paths run
 //! sequentially inside ONE `#[test]` — the default parallel test runner
@@ -15,9 +10,6 @@
 //! connection) and only then measures: steady state is the claim, not
 //! cold start.
 
-#![cfg(feature = "count-alloc")]
-
-use geometa_bench::count_alloc::{allocs_during, CountingAlloc};
 use geometa_cache::{Key, ShardedStore};
 use geometa_core::protocol::{self, RegistryRequest, RegistryResponse};
 use geometa_core::runtime::{RuntimeConfig, ServiceRuntime};
@@ -25,10 +17,46 @@ use geometa_core::transport::RegistryTransport;
 use geometa_core::MetaError;
 use geometa_net::{transport_for, TcpLayer};
 use geometa_sim::topology::SiteId;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting every allocation (alloc, realloc,
+/// alloc_zeroed — frees are not interesting to the gate).
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's `GlobalAlloc` contract is exactly `System`'s.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations `f` performed. Only meaningful while nothing else in the
+/// process allocates: the phases keep background threads quiescent.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    f();
+    ALLOCS.load(Ordering::Relaxed) - before
+}
 
 /// Phase 1: sharded-store gets — hit and miss — by interned key.
 fn gate_cache_get() {
@@ -51,7 +79,7 @@ fn gate_cache_get() {
         assert!(store.get_key(&absent).is_err());
     }
 
-    let (n, _) = allocs_during(|| {
+    let n = allocs_during(|| {
         for _ in 0..4096 {
             let hit = store.get_key(&hot);
             std::hint::black_box(&hit);
@@ -91,7 +119,7 @@ fn gate_codec_round_trip() {
         assert!(protocol::decode_fixed_response(&buf).is_some());
     }
 
-    let (n, _) = allocs_during(|| {
+    let n = allocs_during(|| {
         for _ in 0..4096 {
             buf.clear();
             req.encode_into(&mut buf);
@@ -136,7 +164,7 @@ fn gate_loopback_echo() {
     }
 
     let ops = 5000u64;
-    let (n, _) = allocs_during(|| {
+    let n = allocs_during(|| {
         for _ in 0..ops {
             let resp = transport.call(SiteId(0), RegistryRequest::Get { key: key.clone() });
             std::hint::black_box(&resp);

@@ -133,64 +133,65 @@ fn timed_out_call_is_never_resent() {
     let addr = listener.local_addr().expect("addr");
     let call_timeout = Duration::from_millis(250);
 
-    // geometa-lint: allow(untracked-thread) test fake server, joined at the end of the test
-    let server = std::thread::spawn(move || -> usize {
-        let mut applied = 0usize;
-        // Serve connections until the whole test window closes; a
-        // retrying client would show up either on this connection or on
-        // a fresh one, and both paths land in `applied`.
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        let deadline = Instant::now() + Duration::from_secs(3);
-        let mut conns: Vec<(TcpStream, FrameReader)> = Vec::new();
-        while Instant::now() < deadline {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream
-                        .set_read_timeout(Some(Duration::from_millis(10)))
-                        .expect("read timeout");
-                    conns.push((stream, FrameReader::new()));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-            for (stream, reader) in &mut conns {
-                while let Ok(Some(body)) = reader.next_frame() {
-                    let (seq, _req) = parse_call(&body);
-                    applied += 1;
-                    if applied == 1 {
-                        // Apply, stall past the client's deadline, then
-                        // answer — the classic slow-server shape.
-                        std::thread::sleep(call_timeout * 3);
-                        let mut wire = Vec::new();
-                        push_response(&mut wire, seq, &RegistryResponse::Ack);
-                        let _ = stream.write_all(&wire);
-                        let _ = stream.flush();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(move || -> usize {
+            let mut applied = 0usize;
+            // Serve connections until the whole test window closes; a
+            // retrying client would show up either on this connection or on
+            // a fresh one, and both paths land in `applied`.
+            listener
+                .set_nonblocking(true)
+                .expect("nonblocking listener");
+            let deadline = Instant::now() + Duration::from_secs(3);
+            let mut conns: Vec<(TcpStream, FrameReader)> = Vec::new();
+            while Instant::now() < deadline {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        stream
+                            .set_read_timeout(Some(Duration::from_millis(10)))
+                            .expect("read timeout");
+                        conns.push((stream, FrameReader::new()));
                     }
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
-                let _ = reader.fill(stream);
+                for (stream, reader) in &mut conns {
+                    while let Ok(Some(body)) = reader.next_frame() {
+                        let (seq, _req) = parse_call(&body);
+                        applied += 1;
+                        if applied == 1 {
+                            // Apply, stall past the client's deadline, then
+                            // answer — the classic slow-server shape.
+                            std::thread::sleep(call_timeout * 3);
+                            let mut wire = Vec::new();
+                            push_response(&mut wire, seq, &RegistryResponse::Ack);
+                            let _ = stream.write_all(&wire);
+                            let _ = stream.flush();
+                        }
+                    }
+                    let _ = reader.fill(stream);
+                }
             }
-        }
-        applied
-    });
+            applied
+        });
 
-    let transport = transport_to(addr, call_timeout);
-    let resp = transport.call(SiteId(0), put_request("exactly/once"));
-    assert!(
-        matches!(
-            resp,
-            RegistryResponse::Error {
-                error: MetaError::Unavailable
-            }
-        ),
-        "a timed-out call must surface Unavailable, got {resp:?}"
-    );
-    drop(transport);
-    let applied = server.join().expect("server thread");
-    assert_eq!(
-        applied, 1,
-        "the request must reach the server exactly once — a second frame means the client re-sent after TimedOut"
-    );
+        let transport = transport_to(addr, call_timeout);
+        let resp = transport.call(SiteId(0), put_request("exactly/once"));
+        assert!(
+            matches!(
+                resp,
+                RegistryResponse::Error {
+                    error: MetaError::Unavailable
+                }
+            ),
+            "a timed-out call must surface Unavailable, got {resp:?}"
+        );
+        drop(transport);
+        let applied = server.join().expect("server thread");
+        assert_eq!(
+            applied, 1,
+            "the request must reach the server exactly once — a second frame means the client re-sent after TimedOut"
+        );
+    });
 }
 
 /// N interleaved in-flight calls on ONE connection resolve to the
@@ -204,28 +205,26 @@ fn pipelined_responses_correlate_under_fragmented_out_of_order_delivery() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
 
-    // geometa-lint: allow(untracked-thread) test fake server, joined at the end of the test
-    let server = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().expect("accept");
-        let mut reader = FrameReader::new();
-        // Hold every request until all callers are in flight — that is
-        // what makes this *pipelining* and not sequential round trips.
-        let mut calls: Vec<(u32, RegistryRequest)> = Vec::new();
-        while calls.len() < CALLERS {
-            let body = read_frame(&mut stream, &mut reader).expect("request frame");
-            calls.push(parse_call(&body));
-        }
-        let wire = answer_reversed(&calls);
-        // Dribble the response bytes in tiny slices.
-        for chunk in wire.chunks(5) {
-            stream.write_all(chunk).expect("dribble");
-            stream.flush().expect("flush");
-            std::thread::sleep(Duration::from_micros(300));
-        }
-    });
-
     let transport = std::sync::Arc::new(transport_to(addr, Duration::from_secs(10)));
     std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut reader = FrameReader::new();
+            // Hold every request until all callers are in flight — that is
+            // what makes this *pipelining* and not sequential round trips.
+            let mut calls: Vec<(u32, RegistryRequest)> = Vec::new();
+            while calls.len() < CALLERS {
+                let body = read_frame(&mut stream, &mut reader).expect("request frame");
+                calls.push(parse_call(&body));
+            }
+            let wire = answer_reversed(&calls);
+            // Dribble the response bytes in tiny slices.
+            for chunk in wire.chunks(5) {
+                stream.write_all(chunk).expect("dribble");
+                stream.flush().expect("flush");
+                std::thread::sleep(Duration::from_micros(300));
+            }
+        });
         for i in 0..CALLERS {
             let transport = std::sync::Arc::clone(&transport);
             scope.spawn(move || {
@@ -243,7 +242,6 @@ fn pipelined_responses_correlate_under_fragmented_out_of_order_delivery() {
             });
         }
     });
-    server.join().expect("server thread");
 }
 
 /// A server that closes the connection after each response: nobody reads

@@ -16,11 +16,10 @@
 //! US the least (paper §VI-B, "impact of the geographical location").
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a datacenter (site). Dense indices starting at 0.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub u16);
 
 impl SiteId {
@@ -45,11 +44,11 @@ impl fmt::Display for SiteId {
 
 /// A geographic region (e.g. Europe, US). Sites in the same region are
 /// "same-region"; across regions they are "geo-distant".
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Region(pub u16);
 
 /// Distance class between two sites, per the paper's terminology (§IV).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Distance {
     /// Same datacenter.
     Local,
@@ -60,7 +59,7 @@ pub enum Distance {
 }
 
 /// Static description of one datacenter.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SiteSpec {
     /// Human-readable name, e.g. `"West Europe"`.
     pub name: String,
@@ -89,7 +88,7 @@ pub const DEFAULT_LAN_BANDWIDTH: u64 = 500 * 1024 * 1024;
 
 /// A multi-site cloud topology: sites plus pairwise one-way latency and
 /// bandwidth. Symmetric by construction through the builder API.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Topology {
     sites: Vec<SiteSpec>,
     /// One-way latency, indexed `[from][to]`. Diagonal = local latency.

@@ -1,13 +1,11 @@
 //! Workflow files: the data passed between tasks.
 
-use serde::{Deserialize, Serialize};
-
 /// A logical file produced by one task and consumed by others.
 ///
 /// Workflow files are typically small — the paper's motivating datasets
 /// average well under a megabyte (Sloan Sky Survey ≈ 1 MB images, genome
 /// traces ≈ 190 KB) — and are written once, read many times.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct WorkflowFile {
     /// Globally unique logical name (the metadata registry key).
     pub name: String,

@@ -2,11 +2,10 @@
 
 use crate::file::WorkflowFile;
 use geometa_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense task identifier within one workflow.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 impl TaskId {
@@ -31,7 +30,7 @@ impl fmt::Display for TaskId {
 
 /// One workflow task ("usually a standalone binary", paper §I): consumes
 /// input files, computes for a while, produces output files.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Task {
     /// Identifier within the workflow (assigned by the builder).
     pub id: TaskId,
