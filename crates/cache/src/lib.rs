@@ -45,7 +45,6 @@
 pub mod entry;
 pub mod hash;
 pub mod key;
-pub mod occ;
 pub mod replica;
 pub mod stats;
 pub mod store;
@@ -53,7 +52,6 @@ pub mod store;
 pub use entry::{CacheEntry, CacheError, PutCondition};
 pub use hash::{fx_hash_bytes, fx_hash_str, FxBuildHasher, FxHasher64, PrehashedBuildHasher};
 pub use key::Key;
-pub use occ::OccCell;
 pub use replica::HaCache;
 pub use stats::CacheStats;
 pub use store::{BatchError, ShardedStore};

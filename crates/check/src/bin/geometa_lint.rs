@@ -64,7 +64,10 @@ fn main() -> ExitCode {
                 println!("usage: geometa-lint [--root PATH] [--waivers] [--json PATH]");
                 return ExitCode::SUCCESS;
             }
-            _ => usage(),
+            other => {
+                eprintln!("geometa-lint: unknown argument '{other}'");
+                usage()
+            }
         }
     }
 

@@ -121,3 +121,16 @@ fn live_repo_lints_clean() {
         );
     }
 }
+
+/// The binary refuses an argument it does not know and says which one.
+#[test]
+fn unknown_argument_exits_2_naming_it() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_geometa-lint"))
+        .arg("--frobnicate")
+        .output()
+        .expect("run geometa-lint");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("'--frobnicate'"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

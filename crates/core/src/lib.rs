@@ -35,17 +35,16 @@
 //! * [`client`] + [`transport`] — strategy-driven client logic over an
 //!   abstract transport;
 //! * [`protocol`] — the RPC types and their length-prefixed binary wire
-//!   codec (the same messages flow over channels, the DES network model,
-//!   and framed TCP);
+//!   codec (the same messages flow through inline calls, the DES network
+//!   model, and framed TCP);
 //! * [`wal`] — per-site write-ahead logging (CRC'd length-prefixed
 //!   records over the wire codec, group commit, snapshot + truncation)
 //!   and torn-tail-tolerant crash recovery;
 //! * [`runtime`] — the transport-generic service runtime: registry
-//!   ownership, dispatch, delay line, sync-agent driving, failure
-//!   injection and graceful shutdown, parameterized over a
-//!   [`runtime::ConnectionLayer`];
-//! * [`live`] — the channel connection layer: per-site registry service
-//!   threads, WAN-delay injection via sleeps, usable from any thread. The
+//!   ownership, dispatch, sync-agent driving, failure injection and
+//!   graceful shutdown, parameterized over a
+//!   [`runtime::ConnectionLayer`]. [`runtime::InlineLayer`] is the
+//!   socket-less layer (requests served on the caller's thread); the
 //!   framed-TCP layer lives in the `geometa-net` crate.
 
 pub mod advisor;
@@ -55,7 +54,6 @@ pub mod controller;
 pub mod entry;
 pub mod hash;
 pub mod lazy;
-pub mod live;
 pub mod metrics;
 pub mod plan;
 pub mod protocol;

@@ -8,6 +8,7 @@
 
 use crate::consistency::merge_entries;
 use crate::entry::RegistryEntry;
+use crate::protocol::{RegistryRequest, RegistryResponse};
 use crate::MetaError;
 use geometa_cache::{CacheError, HaCache, Key};
 use geometa_sim::topology::SiteId;
@@ -46,6 +47,42 @@ impl RegistryInstance {
     /// The site this instance serves.
     pub fn site(&self) -> SiteId {
         self.site
+    }
+
+    /// Apply one request to this instance, stamping writes with `now`:
+    /// the registry's request semantics, in exactly one place. Every
+    /// transport, the runtime's dispatch, WAL replay and the DES actor
+    /// end here.
+    pub fn serve(&self, req: RegistryRequest, now: u64) -> RegistryResponse {
+        match req {
+            RegistryRequest::Get { key } => match self.get_key(&key) {
+                Ok(entry) => RegistryResponse::Found { entry },
+                Err(error) => RegistryResponse::Error { error },
+            },
+            RegistryRequest::Put { entry } => match self.put(&entry, now) {
+                Ok(_) => RegistryResponse::Ack,
+                Err(error) => RegistryResponse::Error { error },
+            },
+            RegistryRequest::Absorb { entries } => match self.absorb_batch(&entries) {
+                Ok(_) => RegistryResponse::Ack,
+                Err(error) => RegistryResponse::Error { error },
+            },
+            RegistryRequest::Remove { key } => match self.remove_key(&key) {
+                Ok(()) => RegistryResponse::Ack,
+                Err(error) => RegistryResponse::Error { error },
+            },
+            RegistryRequest::DeltaPull { since } => RegistryResponse::Delta {
+                entries: self.delta_since(since),
+            },
+            // Ops requests are answered by the runtime (`ServiceCore`),
+            // which owns membership and WALs; a bare registry instance
+            // has neither.
+            RegistryRequest::Status | RegistryRequest::Reconfigure { .. } => {
+                RegistryResponse::Error {
+                    error: MetaError::Unavailable,
+                }
+            }
+        }
     }
 
     /// Read an entry.

@@ -1,14 +1,14 @@
 //! The transport-generic service runtime.
 //!
-//! Every real deployment of the registry — threads + channels
-//! ([`crate::live`]), TCP sockets (`geometa-net`), or any future backend
-//! (UDS, real WAN) — needs the same machinery: registry instances per
-//! site, a serving dispatch, tracked service threads, a delay line for
-//! asynchronous propagation, sync-agent driving for the replicated
-//! strategy, failure injection, and graceful shutdown. This module owns
-//! all of it once; a deployment only supplies a [`ConnectionLayer`] — the
-//! piece that moves `RegistryRequest`/`RegistryResponse` bytes between a
-//! client and a site's server.
+//! Every real deployment of the registry — TCP sockets (`geometa-net`),
+//! no sockets at all ([`InlineLayer`]), or any future backend (UDS, real
+//! WAN) — needs the same machinery: registry instances per site, a
+//! serving dispatch, tracked service threads, sync-agent driving for the
+//! replicated strategy, failure injection, and graceful shutdown. This
+//! module owns all of it once; a deployment only supplies a
+//! [`ConnectionLayer`] — the piece that moves
+//! `RegistryRequest`/`RegistryResponse` bytes between a client and a
+//! site's server.
 //!
 //! Layering:
 //!
@@ -16,18 +16,18 @@
 //! StrategyClient<L::Transport>            (plans → RPCs)
 //!         │ call / cast
 //! L::Transport: RegistryTransport         (connection layer, client side)
-//!         │ channel send / framed TCP / …
+//!         │ framed TCP / nothing (inline) / …
 //! ConnectionLayer serving loops           (connection layer, server side)
 //!         │ ServiceCore::serve
-//! RegistryInstance                        (one per site; shared by sim,
-//!                                          live and net deployments)
+//! RegistryInstance::serve                 (one instance per site; shared by
+//!                                          sim, inline and net deployments)
 //! ```
 //!
 //! The DES binding (`geometa_experiments::simbind`) intentionally stays
 //! outside: virtual time cannot run on real threads. Everything below the
 //! transport — `RegistryInstance`, the strategies, `SyncAgentState` — is
-//! the exact code the simulator drives, which is what makes live/net runs
-//! comparable to simulated ones.
+//! the exact code the simulator drives, which is what makes inline/net
+//! runs comparable to simulated ones.
 
 use crate::client::{ClientConfig, StrategyClient};
 use crate::controller::{ArchitectureController, RING_VNODES};
@@ -38,13 +38,13 @@ use crate::rebalance::plan_rebalance;
 use crate::registry::RegistryInstance;
 use crate::strategy::StrategyKind;
 use crate::sync_agent::SyncAgentState;
-use crate::transport::{InProcessTransport, RegistryTransport};
+use crate::transport::RegistryTransport;
 use crate::wal::{log_acked_writes, FileWal, FsyncPolicy, MemWal, TornTail, WalError, WalSink};
 use crate::MetaError;
 use geometa_sim::rng::SplitMix64;
 use geometa_sim::topology::{SiteId, Topology};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -57,7 +57,7 @@ pub enum WalConfig {
     /// No logging: writes live only in memory (pre-WAL behaviour).
     Disabled,
     /// In-memory log: identical append/replay semantics without I/O —
-    /// the deterministic default for in-process and channel deployments.
+    /// the deterministic default.
     Memory,
     /// File-backed log under `data_dir/site-<n>/` with the given fsync
     /// policy. Existing state is recovered (snapshot + clean log tail
@@ -157,97 +157,10 @@ impl SyncAgentStats {
     }
 }
 
-/// A deferred job executed by the delay line.
-struct DelayedJob {
-    due: Instant,
-    seq: u64,
-    job: Box<dyn FnOnce() + Send>,
-}
-
-impl PartialEq for DelayedJob {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for DelayedJob {}
-impl PartialOrd for DelayedJob {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DelayedJob {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed for a min-heap on (due, seq).
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
-
-/// Executes closures at deadlines; the asynchronous-propagation spine.
-pub struct DelayLine {
-    heap: Mutex<BinaryHeap<DelayedJob>>,
-    cond: Condvar,
-    seq: AtomicU64,
-    shutdown: AtomicBool,
-}
-
-impl DelayLine {
-    /// A fresh delay line (the runtime spawns its worker).
-    pub fn new() -> Arc<DelayLine> {
-        Arc::new(DelayLine {
-            heap: Mutex::new(BinaryHeap::new()),
-            cond: Condvar::new(),
-            seq: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        })
-    }
-
-    /// Schedule `job` to run after `delay`.
-    pub fn schedule(&self, delay: Duration, job: Box<dyn FnOnce() + Send>) {
-        let due = Instant::now() + delay;
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.heap.lock().push(DelayedJob { due, seq, job });
-        self.cond.notify_one();
-    }
-
-    /// The worker loop: pops jobs in deadline order until [`Self::stop`].
-    pub fn run_worker(self: &Arc<Self>) {
-        loop {
-            let job = {
-                let mut heap = self.heap.lock();
-                loop {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    match heap.peek() {
-                        None => {
-                            self.cond.wait(&mut heap);
-                        }
-                        Some(top) => {
-                            let now = Instant::now();
-                            if top.due <= now {
-                                break heap.pop().expect("peeked job exists");
-                            }
-                            let due = top.due;
-                            self.cond.wait_until(&mut heap, due);
-                        }
-                    }
-                }
-            };
-            (job.job)();
-        }
-    }
-
-    /// Stop the worker; pending jobs are dropped.
-    pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.cond.notify_all();
-    }
-}
-
 /// Everything a connection layer serves from: the registry instances, the
-/// strategy controller, the logical clock, the delay line and the
-/// shutdown flag. Shared (via `Arc`) between the runtime, the layer's
-/// serving threads, and client transports.
+/// strategy controller, the logical clock and the shutdown flag. Shared
+/// (via `Arc`) between the runtime, the layer's serving threads, and
+/// client transports.
 pub struct ServiceCore {
     topology: Arc<Topology>,
     registries: HashMap<SiteId, Arc<RegistryInstance>>,
@@ -256,7 +169,6 @@ pub struct ServiceCore {
     recovery: Vec<RecoveryReport>,
     controller: Arc<ArchitectureController>,
     sync_stats: Arc<SyncAgentStats>,
-    delay: Arc<DelayLine>,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
     membership: Mutex<MembershipState>,
@@ -364,7 +276,6 @@ impl ServiceCore {
             recovery,
             controller,
             sync_stats: Arc::new(SyncAgentStats::default()),
-            delay: DelayLine::new(),
             epoch: Instant::now(),
             shutdown: Arc::new(AtomicBool::new(false)),
             membership: Mutex::new(MembershipState {
@@ -388,11 +299,6 @@ impl ServiceCore {
     /// The strategy controller (runtime switching).
     pub fn controller(&self) -> &Arc<ArchitectureController> {
         &self.controller
-    }
-
-    /// The shared delay line (asynchronous propagation).
-    pub fn delay_line(&self) -> &Arc<DelayLine> {
-        &self.delay
     }
 
     /// Monotonic logical clock in microseconds since runtime start.
@@ -421,7 +327,7 @@ impl ServiceCore {
     /// dispatch behind [`Self::serve`] and [`Self::serve_batch_into`].
     /// Ops requests are answered by the runtime itself (membership and
     /// WALs live here, not in the registry); registry semantics live in
-    /// [`InProcessTransport::serve`]. Inlined so neither caller pays a
+    /// [`RegistryInstance::serve`]. Inlined so neither caller pays a
     /// second call and request move on the way there.
     #[inline]
     fn apply(
@@ -434,7 +340,7 @@ impl ServiceCore {
         match req {
             RegistryRequest::Status => self.status_response(site),
             RegistryRequest::Reconfigure { op, site: target } => self.start_reconfigure(op, target),
-            req => InProcessTransport::serve(r, req, now),
+            req => r.serve(req, now),
         }
     }
 
@@ -850,9 +756,8 @@ impl Spawner {
 }
 
 /// The piece a deployment supplies: how request/response bytes move
-/// between a client and a site's server. Implementations: channels +
-/// injected WAN sleep (`crate::live::ChannelLayer`), framed TCP
-/// (`geometa_net::TcpLayer`).
+/// between a client and a site's server. Implementations: framed TCP
+/// (`geometa_net::TcpLayer`), nothing at all ([`InlineLayer`]).
 pub trait ConnectionLayer: Send {
     /// The client-side transport this layer hands to [`StrategyClient`]s.
     type Transport: RegistryTransport + 'static;
@@ -868,13 +773,56 @@ pub trait ConnectionLayer: Send {
     fn transport(&self, core: &Arc<ServiceCore>, site: SiteId) -> Arc<Self::Transport>;
 
     /// Called once at shutdown, after the core's shutdown flag is set:
-    /// unblock any serving threads parked in a blocking wait (channel
-    /// `recv`, socket `accept`) so they can observe the flag and exit.
+    /// unblock any serving threads parked in a blocking wait (socket
+    /// `accept`, a poll) so they can observe the flag and exit.
     fn unblock(&self);
 }
 
+/// A [`ConnectionLayer`] without a connection: its transport runs
+/// [`ServiceCore::serve`] on the caller's thread for `call` and `cast`
+/// alike. No sockets, no codec, no service threads — the one socket-less
+/// deployment, with the full core (WAL, membership, sync agent) behind it.
+pub struct InlineLayer;
+
+/// The client side of [`InlineLayer`].
+pub struct InlineTransport {
+    core: Arc<ServiceCore>,
+}
+
+impl RegistryTransport for InlineTransport {
+    fn call(&self, target: SiteId, req: RegistryRequest) -> RegistryResponse {
+        self.core.serve(target, req)
+    }
+
+    fn cast(&self, target: SiteId, req: RegistryRequest) {
+        let _ = self.core.serve(target, req);
+    }
+
+    fn now_micros(&self) -> u64 {
+        self.core.now_micros()
+    }
+
+    fn sites(&self) -> Vec<SiteId> {
+        self.core.topology().site_ids().collect()
+    }
+}
+
+impl ConnectionLayer for InlineLayer {
+    type Transport = InlineTransport;
+
+    fn start(&mut self, _core: &Arc<ServiceCore>, _spawner: &mut Spawner) {}
+
+    fn transport(&self, core: &Arc<ServiceCore>, _site: SiteId) -> Arc<InlineTransport> {
+        Arc::new(InlineTransport {
+            core: Arc::clone(core),
+        })
+    }
+
+    fn unblock(&self) {}
+}
+
 /// A running deployment: the [`ServiceCore`], the connection layer, and
-/// every service thread (serving loops, delay line, sync agent).
+/// every service thread (serving loops, sync agent).
 pub struct ServiceRuntime<L: ConnectionLayer> {
     core: Arc<ServiceCore>,
     layer: L,
@@ -883,10 +831,10 @@ pub struct ServiceRuntime<L: ConnectionLayer> {
 }
 
 impl<L: ConnectionLayer> ServiceRuntime<L> {
-    /// Boot registries for every site, start the layer's serving side, the
-    /// delay-line worker and — for the replicated strategy — the sync
-    /// agent (driven over the layer's own transport, so propagation pays
-    /// the same latency clients do).
+    /// Boot registries for every site, start the layer's serving side
+    /// and — for the replicated strategy — the sync agent (driven over the
+    /// layer's own transport, so propagation pays the same latency
+    /// clients do).
     ///
     /// Panics when a file-backed WAL cannot be opened or recovered; the
     /// operator binaries use [`ServiceRuntime::try_start`] for a clean
@@ -904,10 +852,6 @@ impl<L: ConnectionLayer> ServiceRuntime<L> {
         let mut spawner = Spawner {
             threads: Vec::new(),
         };
-        {
-            let delay = Arc::clone(core.delay_line());
-            spawner.spawn("delay-line", move || delay.run_worker());
-        }
         layer.start(&core, &mut spawner);
         let mut runtime = ServiceRuntime {
             core,
@@ -990,7 +934,6 @@ impl<L: ConnectionLayer> ServiceRuntime<L> {
         if self.core.shutdown.swap(true, Ordering::AcqRel) {
             return 0;
         }
-        self.core.delay.stop();
         self.layer.unblock();
         let joined = self.threads.len();
         for t in self.threads.drain(..) {
@@ -1072,7 +1015,7 @@ impl PullBackoff {
 }
 
 /// The generic sync-agent loop: poll every site for its delta through
-/// `transport`, integrate, and push to the others — the live and net
+/// `transport`, integrate, and push to the others — the inline and net
 /// deployments run the exact same driver over their own transports.
 ///
 /// Delivery is *acked*: pushes go through blocking `call` (the agent is
@@ -1157,7 +1100,6 @@ pub fn drive_sync_agent<T: RegistryTransport>(
 mod tests {
     use super::*;
     use crate::entry::FileLocation;
-    use std::sync::mpsc::channel;
 
     fn put_all(core: &Arc<ServiceCore>, ring: &ConsistentRing, n: usize) {
         for i in 0..n {
@@ -1199,6 +1141,24 @@ mod tests {
             rebalance_throttle: Duration::ZERO,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn a_socket_less_runtime_owns_no_thread() {
+        let rt = ServiceRuntime::start(
+            RuntimeConfig {
+                kind: StrategyKind::DhtLocalReplica,
+                ..RuntimeConfig::default()
+            },
+            InlineLayer,
+        );
+        let client = rt.client(SiteId(1), 0);
+        client.publish("inline.dat", 7).unwrap();
+        assert_eq!(
+            rt.client(SiteId(3), 0).resolve("inline.dat").unwrap().size,
+            7
+        );
+        assert_eq!(rt.shutdown(), 0, "no layer threads, no agent, no worker");
     }
 
     #[test]
@@ -1401,32 +1361,6 @@ mod tests {
         for t in core.background.lock().drain(..) {
             t.join().unwrap();
         }
-    }
-
-    #[test]
-    fn delay_line_executes_in_deadline_order() {
-        let delay = DelayLine::new();
-        std::thread::scope(|s| {
-            s.spawn(|| delay.run_worker());
-            let (tx, rx) = channel();
-            let t1 = tx.clone();
-            let t2 = tx.clone();
-            delay.schedule(
-                Duration::from_millis(20),
-                Box::new(move || {
-                    let _ = t1.send(2u32);
-                }),
-            );
-            delay.schedule(
-                Duration::from_millis(5),
-                Box::new(move || {
-                    let _ = t2.send(1u32);
-                }),
-            );
-            assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), 1);
-            assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), 2);
-            delay.stop();
-        });
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! Transport abstraction between metadata clients and registry instances.
 //!
 //! The strategy layer produces *plans*; a transport executes individual
-//! RPCs. Four transports exist in the project:
+//! RPCs. Four transports exist in the project, one per way of running the
+//! registry plus a unit-test fake:
 //!
-//! * [`InProcessTransport`] (here) — direct function calls into registry
-//!   instances, zero latency. Used by unit tests, examples and as the
-//!   building block of the others.
-//! * `geometa_core::live` — real threads and channels with injected WAN
-//!   delay.
-//! * `geometa_net` — framed TCP sockets (one pipelined, reconnecting
-//!   connection per target).
+//! * `geometa_net::TcpClientTransport` — framed TCP sockets (one
+//!   pipelined, reconnecting connection per target): the shipped
+//!   deployment.
+//! * [`InlineTransport`](crate::runtime::InlineTransport) — a full
+//!   [`ServiceCore`](crate::runtime::ServiceCore) (WAL, membership, batch
+//!   path) served on the caller's thread: the socket-less deployment.
 //! * `geometa_experiments::simbind` — the discrete-event simulation
 //!   binding.
+//! * [`InProcessTransport`] (here) — the unit-test fake: bare registry
+//!   instances behind direct function calls.
+//!
+//! All four apply a request through
+//! [`RegistryInstance::serve`](crate::registry::RegistryInstance::serve).
 
 use crate::protocol::{RegistryRequest, RegistryResponse};
 use crate::registry::RegistryInstance;
@@ -34,9 +39,9 @@ pub trait RegistryTransport: Send + Sync {
     /// implementation: an earlier default ("blocking `call`, drop the
     /// response") silently violated this for any transport with real
     /// latency, so every transport now states its delivery mechanism
-    /// explicitly (in-process: serve inline — zero latency; live: delay
-    /// line; net: framed onto the target's call connection, leaving with
-    /// that connection's next nonblocking write).
+    /// explicitly (in-process and inline: serve on the caller's thread —
+    /// zero latency; net: framed onto the target's call connection,
+    /// leaving with that connection's next nonblocking write).
     fn cast(&self, target: SiteId, req: RegistryRequest);
 
     /// Monotonic logical clock in microseconds (stamped onto writes).
@@ -48,14 +53,27 @@ pub trait RegistryTransport: Send + Sync {
     /// Fetch the cluster's current membership `(epoch, members)`, for
     /// clients retiring a stale placement plan after a
     /// [`MetaError::WrongEpoch`] rejection. Transports that have no
-    /// membership epochs (in-process, channels — their controller is
+    /// membership epochs (in-process, inline — their controller is
     /// shared with the server, so plans are never stale) return `None`.
     fn refresh_membership(&self) -> Option<(u64, Vec<SiteId>)> {
         None
     }
 }
 
-/// Zero-latency transport: registry instances in the same process.
+/// The unit-test fake: bare registry instances in the same process, called
+/// directly.
+///
+/// It gives tests exactly what a
+/// [`ServiceRuntime`](crate::runtime::ServiceRuntime) cannot: registries with **no sync agent** (a test can assert a
+/// replicated read misses before anything synced it), a controller the
+/// caller supplies, and a strictly increasing counter clock, so every
+/// write gets a distinct, reproducible timestamp. It has no WAL, no
+/// membership and no batch path; `Status`/`Reconfigure` answer
+/// `Unavailable`. `tests/net_cluster.rs` uses it as the reference the TCP
+/// cluster's final contents are compared against. Anything that wants the
+/// real service without sockets starts a
+/// [`ServiceRuntime`](crate::runtime::ServiceRuntime) over
+/// [`InlineLayer`](crate::runtime::InlineLayer) instead.
 pub struct InProcessTransport {
     registries: HashMap<SiteId, Arc<RegistryInstance>>,
     clock: AtomicU64,
@@ -77,48 +95,13 @@ impl InProcessTransport {
     pub fn registry(&self, site: SiteId) -> Option<&Arc<RegistryInstance>> {
         self.registries.get(&site)
     }
-
-    /// Serve one request against one instance — shared by every transport
-    /// implementation, the runtime's dispatch and WAL replay, so registry
-    /// semantics live in exactly one place.
-    pub fn serve(registry: &RegistryInstance, req: RegistryRequest, now: u64) -> RegistryResponse {
-        match req {
-            RegistryRequest::Get { key } => match registry.get_key(&key) {
-                Ok(entry) => RegistryResponse::Found { entry },
-                Err(error) => RegistryResponse::Error { error },
-            },
-            RegistryRequest::Put { entry } => match registry.put(&entry, now) {
-                Ok(_) => RegistryResponse::Ack,
-                Err(error) => RegistryResponse::Error { error },
-            },
-            RegistryRequest::Absorb { entries } => match registry.absorb_batch(&entries) {
-                Ok(_) => RegistryResponse::Ack,
-                Err(error) => RegistryResponse::Error { error },
-            },
-            RegistryRequest::Remove { key } => match registry.remove_key(&key) {
-                Ok(()) => RegistryResponse::Ack,
-                Err(error) => RegistryResponse::Error { error },
-            },
-            RegistryRequest::DeltaPull { since } => RegistryResponse::Delta {
-                entries: registry.delta_since(since),
-            },
-            // Ops requests are answered by the runtime (`ServiceCore`),
-            // which owns membership and WALs; a bare registry instance
-            // has neither.
-            RegistryRequest::Status | RegistryRequest::Reconfigure { .. } => {
-                RegistryResponse::Error {
-                    error: MetaError::Unavailable,
-                }
-            }
-        }
-    }
 }
 
 impl RegistryTransport for InProcessTransport {
     fn call(&self, target: SiteId, req: RegistryRequest) -> RegistryResponse {
         let now = self.now_micros();
         match self.registries.get(&target) {
-            Some(r) => Self::serve(r, req, now),
+            Some(r) => r.serve(req, now),
             None => RegistryResponse::Error {
                 error: MetaError::Unavailable,
             },
@@ -131,7 +114,7 @@ impl RegistryTransport for InProcessTransport {
     /// latency.
     fn cast(&self, target: SiteId, req: RegistryRequest) {
         if let Some(r) = self.registries.get(&target) {
-            let _ = Self::serve(r, req, self.now_micros());
+            let _ = r.serve(req, self.now_micros());
         }
     }
 
@@ -221,6 +204,21 @@ mod tests {
             .into_entry()
             .unwrap();
         assert_eq!(found.name, "f");
+    }
+
+    #[test]
+    fn ops_requests_against_a_bare_instance_are_unavailable() {
+        use crate::protocol::ReconfigureOp;
+        let t = transport();
+        let unavailable = RegistryResponse::Error {
+            error: MetaError::Unavailable,
+        };
+        assert_eq!(t.call(SiteId(0), RegistryRequest::Status), unavailable);
+        let join = RegistryRequest::Reconfigure {
+            op: ReconfigureOp::Join,
+            site: SiteId(1),
+        };
+        assert_eq!(t.call(SiteId(0), join), unavailable);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!
 //! Two sinks implement the [`WalSink`] contract:
 //!
-//! * [`MemWal`] — an in-memory log for the in-process and channel
-//!   deployments and for the deterministic simulation: identical
-//!   append/replay semantics, no I/O, no wall-clock.
+//! * [`MemWal`] — an in-memory log, the runtime's default and the
+//!   deterministic simulation's: identical append/replay semantics, no
+//!   I/O, no wall-clock.
 //! * [`FileWal`] — the real thing: an append-only `wal.log` plus a
 //!   `snapshot.bin` per site directory, with a configurable
 //!   [`FsyncPolicy`] (sync every append, group commit on a flush
@@ -33,8 +33,7 @@
 //! panicked over ("never resurrects unacked writes" is enforced by the
 //! torn-tail proptest in `crates/core/tests/wal_properties.rs`).
 //! Replay applies records through the same
-//! [`InProcessTransport::serve`](crate::transport::InProcessTransport)
-//! dispatch as live traffic, stamped with the recorded timestamps;
+//! [`RegistryInstance::serve`] dispatch as live traffic, stamped with the recorded timestamps;
 //! because `Put`/`Absorb`/`Remove` are last-writer-wins on those
 //! timestamps, re-applying a record that is also baked into the snapshot
 //! is harmless, which is what lets the snapshotter tolerate concurrent
@@ -43,7 +42,6 @@
 use crate::entry::RegistryEntry;
 use crate::protocol::RegistryRequest;
 use crate::registry::RegistryInstance;
-use crate::transport::InProcessTransport;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex};
 use std::fmt;
@@ -520,7 +518,7 @@ impl WalRecovery {
             let _ = registry.absorb(entry);
         }
         for record in &self.tail {
-            let _ = InProcessTransport::serve(registry, record.req.clone(), record.now_micros);
+            let _ = registry.serve(record.req.clone(), record.now_micros);
         }
     }
 }

@@ -7,9 +7,8 @@
 //! and it never resurrects a record that was not appended.
 
 use geometa_core::entry::{FileLocation, RegistryEntry};
-use geometa_core::live::ChannelLayer;
 use geometa_core::protocol::{ReconfigureOp, RegistryRequest};
-use geometa_core::runtime::{RuntimeConfig, ServiceRuntime, WalConfig};
+use geometa_core::runtime::{InlineLayer, RuntimeConfig, ServiceRuntime, WalConfig};
 use geometa_core::wal::{
     decode_log, decode_snapshot, encode_record, encode_snapshot, read_log_file, read_snapshot_file,
     FileWal, FsyncPolicy, WalError, WalSink, LOG_FILE, SNAPSHOT_FILE,
@@ -252,7 +251,7 @@ proptest! {
                 snapshot_every: 3,
                 ..RuntimeConfig::default()
             };
-            (ServiceRuntime::start(config, ChannelLayer::new(0.0)), dir.join("site-0"))
+            (ServiceRuntime::start(config, InlineLayer), dir.join("site-0"))
         };
         let (single, single_dir) = start();
         let (batched, batched_dir) = start();

@@ -25,7 +25,6 @@ use geometa_core::protocol::{RegistryRequest, RegistryResponse};
 use geometa_core::registry::RegistryInstance;
 use geometa_core::strategy::{MetadataStrategy, StrategyKind};
 use geometa_core::sync_agent::{SyncAgentState, SyncPush};
-use geometa_core::transport::InProcessTransport;
 use geometa_core::wal::{log_acked_writes, MemWal};
 use geometa_core::MetaError;
 use geometa_sim::oracle::SharedOpLog;
@@ -240,7 +239,7 @@ impl Actor<Msg> for RegistryActor {
             Some(_) if req.is_write() => Some(req.clone()),
             _ => None,
         };
-        let resp = InProcessTransport::serve(&self.instance, req, done.as_micros());
+        let resp = self.instance.serve(req, done.as_micros());
         // WAL the write before its ack can leave the site, mirroring the
         // live runtime's durable-ack ordering: anything a client may
         // observe as acknowledged is on the (simulated) log.

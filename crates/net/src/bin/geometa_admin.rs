@@ -21,7 +21,7 @@
 
 use geometa_core::protocol::{ReconfigureOp, RegistryRequest, RegistryResponse, SiteStatus};
 use geometa_core::transport::RegistryTransport;
-use geometa_net::cli::{die, flag_value, parse_or_die};
+use geometa_net::cli::{die, flag_value, parse_or_die, reject_unknown};
 use geometa_net::transport_for;
 use geometa_sim::topology::SiteId;
 use std::net::SocketAddr;
@@ -37,6 +37,20 @@ fn main() {
     let Some(cmd) = args.first().map(String::as_str) else {
         die("usage: geometa-admin <status|join|leave|drain> --connect ip:port,... [--site N] [--wait-secs 30]");
     };
+    let op = match cmd {
+        "status" => None,
+        "join" => Some(ReconfigureOp::Join),
+        "leave" => Some(ReconfigureOp::Leave),
+        "drain" => Some(ReconfigureOp::Drain),
+        other => die(&format!(
+            "unknown command '{other}' (expected status, join, leave or drain)"
+        )),
+    };
+    let known: &[&str] = match op {
+        None => &["--connect"],
+        Some(_) => &["--connect", "--site", "--wait-secs"],
+    };
+    reject_unknown(&args[1..], known);
     let addrs: Vec<SocketAddr> = flag_value(&args, "--connect")
         .unwrap_or_else(|| die("--connect ip:port,ip:port,... is required"))
         .split(',')
@@ -47,8 +61,8 @@ fn main() {
         .collect();
     let transport = transport_for(&addrs, CALL_TIMEOUT);
 
-    match cmd {
-        "status" => {
+    match op {
+        None => {
             let mut up = 0usize;
             for site in transport.sites() {
                 match transport.call(site, RegistryRequest::Status) {
@@ -61,12 +75,7 @@ fn main() {
             }
             std::process::exit(if up > 0 { 0 } else { 1 });
         }
-        "join" | "leave" | "drain" => {
-            let op = match cmd {
-                "join" => ReconfigureOp::Join,
-                "leave" => ReconfigureOp::Leave,
-                _ => ReconfigureOp::Drain,
-            };
+        Some(op) => {
             let target: u16 = flag_value(&args, "--site")
                 .map(|v| parse_or_die(&v, "--site takes a site id"))
                 .unwrap_or_else(|| die(&format!("{cmd} needs --site N")));
@@ -127,9 +136,6 @@ fn main() {
             );
             std::process::exit(1);
         }
-        other => die(&format!(
-            "unknown command '{other}' (expected status, join, leave or drain)"
-        )),
     }
 }
 

@@ -1,8 +1,9 @@
 //! # geometa-net — the registry over real TCP sockets
 //!
-//! The first real network binding of the metadata registry: the same
-//! [`ServiceRuntime`](geometa_core::runtime::ServiceRuntime) that powers
-//! the threaded channel deployment (`geometa_core::live`), plugged into a
+//! The network binding of the metadata registry: the same
+//! [`ServiceRuntime`](geometa_core::runtime::ServiceRuntime) that serves
+//! the socket-less inline deployment
+//! ([`InlineLayer`](geometa_core::runtime::InlineLayer)), plugged into a
 //! framed-TCP [`ConnectionLayer`](geometa_core::runtime::ConnectionLayer).
 //! `std::net` only — no external networking crates.
 //!

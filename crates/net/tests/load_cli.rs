@@ -1,25 +1,40 @@
-//! `geometa-load` must refuse arguments it does not know instead of
-//! skipping them (a mistyped `--reactor 4` used to run the default pool;
+//! `geometa-load` and `geometa-admin` must refuse arguments they do not
+//! know instead of skipping them (a mistyped `--reactor 4` used to run the
+//! default pool; a mistyped `--wait-sec 0` used to wait the default 30 s;
 //! the removed `--out`/`--baseline`/`--nodes` must not come back as silent
-//! no-ops), and a run must leave nothing behind: it used to overwrite
+//! no-ops), and a load run must leave nothing behind: it used to overwrite
 //! a committed snapshot in the working directory.
 
 use std::process::Command;
 
-fn load() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_geometa-load"))
-}
+const LOAD: &str = env!("CARGO_BIN_EXE_geometa-load");
+const ADMIN: &str = env!("CARGO_BIN_EXE_geometa-admin");
 
 #[test]
 fn unknown_flags_and_workloads_exit_2_naming_the_offender() {
-    for (args, offender) in [
-        (&["--quick", "--reactor", "4"][..], "--reactor"),
-        (&["--out", "x.json"][..], "--out"),
-        (&["--baseline=y.json"][..], "--baseline"),
-        (&["--nodes", "8"][..], "--nodes"),
-        (&["--quick", "--workload", "bogus"][..], "bogus"),
+    for (bin, args, offender) in [
+        (LOAD, "--quick --reactor 4", "--reactor"),
+        (LOAD, "--out x.json", "--out"),
+        (LOAD, "--baseline=y.json", "--baseline"),
+        (LOAD, "--nodes 8", "--nodes"),
+        (LOAD, "--quick --workload bogus", "bogus"),
+        (
+            ADMIN,
+            "status --connect 127.0.0.1:1 --bogus 3 extra",
+            "--bogus",
+        ),
+        (ADMIN, "status --connect 127.0.0.1:1 --site 1", "--site"),
+        (
+            ADMIN,
+            "join --connect 127.0.0.1:1 --site 1 --wait-sec 0",
+            "--wait-sec",
+        ),
+        (ADMIN, "leave --connect 127.0.0.1:1 --site 1 extra", "extra"),
     ] {
-        let out = load().args(args).output().expect("run geometa-load");
+        let out = Command::new(bin)
+            .args(args.split(' '))
+            .output()
+            .expect("run the binary");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
@@ -34,7 +49,7 @@ fn unknown_flags_and_workloads_exit_2_naming_the_offender() {
 fn a_run_writes_no_file() {
     let cwd = std::env::temp_dir().join(format!("geometa-load-cli-{}", std::process::id()));
     std::fs::create_dir_all(&cwd).expect("create scratch working directory");
-    let out = load()
+    let out = Command::new(LOAD)
         .args("--quick --workload synthetic --mode closed --reactors 1 --ops 5".split(' '))
         .current_dir(&cwd)
         .output()

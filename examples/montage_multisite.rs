@@ -1,5 +1,6 @@
-//! Run a Montage-shaped astronomy workflow on the live multi-site cluster
-//! under two metadata strategies and compare makespans.
+//! Run a Montage-shaped astronomy workflow on a loopback TCP cluster with
+//! injected WAN latency, under two metadata strategies, and compare
+//! makespans.
 //!
 //! Montage is the paper's "parallel, geo-distributed application": a split,
 //! a wide band of parallel re-projection jobs, and a merge. Tasks discover
@@ -11,8 +12,12 @@
 //! cargo run --release --example montage_multisite
 //! ```
 
-use geometa::core::live::{LiveCluster, LiveConfig};
+use geometa::core::client::{ClientConfig, StrategyClient};
+use geometa::core::protocol::{RegistryRequest, RegistryResponse};
+use geometa::core::runtime::{ConnectionLayer, RuntimeConfig, ServiceRuntime};
 use geometa::core::strategy::StrategyKind;
+use geometa::core::transport::RegistryTransport;
+use geometa::net::TcpLayer;
 use geometa::sim::time::SimDuration;
 use geometa::sim::topology::{SiteId, Topology};
 use geometa::workflow::apps::montage::{montage, MontageConfig};
@@ -23,13 +28,47 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// WAN latencies are slept at 1/200 of the topology's: a 100 ms
+/// round trip costs 500 us, well above a loopback call.
+const LATENCY_SCALE: f64 = 0.005;
+
+/// A site's view of the cluster through the WAN: sleeps the scaled
+/// one-way flight time before and after every call. Casts are
+/// fire-and-forget and pass straight through.
+struct Wan<T> {
+    inner: Arc<T>,
+    from: SiteId,
+    topology: Arc<Topology>,
+}
+
+impl<T: RegistryTransport> RegistryTransport for Wan<T> {
+    fn call(&self, target: SiteId, req: RegistryRequest) -> RegistryResponse {
+        let flight = self.topology.one_way_latency(self.from, target);
+        let flight = Duration::from_secs_f64(flight.as_secs_f64() * LATENCY_SCALE);
+        std::thread::sleep(flight);
+        let resp = self.inner.call(target, req);
+        std::thread::sleep(flight);
+        resp
+    }
+    fn cast(&self, target: SiteId, req: RegistryRequest) {
+        self.inner.cast(target, req)
+    }
+    fn now_micros(&self) -> u64 {
+        self.inner.now_micros()
+    }
+    fn sites(&self) -> Vec<SiteId> {
+        self.inner.sites()
+    }
+}
+
 fn run_once(kind: StrategyKind) -> Duration {
-    let cluster = LiveCluster::start(LiveConfig {
-        topology: Topology::azure_4dc(),
-        kind,
-        latency_scale: 0.0005, // 2000x compression
-        ..LiveConfig::default()
-    });
+    let cluster = ServiceRuntime::start(
+        RuntimeConfig {
+            kind,
+            ..RuntimeConfig::default()
+        },
+        TcpLayer::ephemeral(),
+    );
 
     let workflow = montage(MontageConfig {
         tiles: 16,
@@ -45,13 +84,25 @@ fn run_once(kind: StrategyKind) -> Duration {
     let clients: HashMap<NodeId, Arc<dyn MetadataOps>> = nodes
         .iter()
         .map(|&n| {
-            let c: Arc<dyn MetadataOps> = Arc::new(cluster.client(n.site, n.index));
+            let wan = Wan {
+                inner: cluster.layer().transport(cluster.core(), n.site),
+                from: n.site,
+                topology: Arc::clone(cluster.core().topology()),
+            };
+            let c: Arc<dyn MetadataOps> = Arc::new(StrategyClient::new(
+                Arc::new(wan),
+                Arc::clone(cluster.controller()),
+                ClientConfig {
+                    site: n.site,
+                    node: n.index,
+                },
+            ));
             (n, c)
         })
         .collect();
 
     let report = WorkflowEngine::new(EngineConfig {
-        compute_scale: 0.001, // compress task compute like the latencies
+        compute_scale: LATENCY_SCALE, // compress task compute like the latencies
         max_resolve_attempts: 100_000,
         resolve_backoff: Duration::from_micros(300),
     })
@@ -102,7 +153,7 @@ fn main() {
         println!("hottest shared file: {hot} ({readers} readers)\n");
     }
 
-    println!("Executing on the live cluster (latencies compressed 2000x):");
+    println!("Executing on a loopback TCP cluster (WAN latencies compressed 200x):");
     let centralized = run_once(StrategyKind::Centralized);
     let dht = run_once(StrategyKind::DhtLocalReplica);
     let gain = 1.0 - dht.as_secs_f64() / centralized.as_secs_f64();

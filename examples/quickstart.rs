@@ -1,22 +1,24 @@
-//! Quickstart: run a live multi-site metadata cluster and use it.
+//! Quickstart: run a multi-site metadata cluster and use it.
 //!
-//! Starts the four-datacenter deployment (one registry service thread per
-//! site, WAN latencies injected, compressed 1000x so the demo is instant),
-//! publishes file metadata from one site and resolves it from the others.
+//! Starts the shipped deployment for the four-datacenter topology on this
+//! machine (one framed-TCP registry server per site, on ephemeral loopback
+//! ports), publishes file metadata from one site and resolves it from the
+//! others.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use geometa::core::live::{LiveCluster, LiveConfig};
+use geometa::core::runtime::{RuntimeConfig, ServiceRuntime};
 use geometa::core::strategy::StrategyKind;
+use geometa::net::TcpLayer;
 use geometa::sim::topology::{SiteId, Topology};
 use std::time::Duration;
 
 fn main() {
     let topology = Topology::azure_4dc();
     println!(
-        "Starting a live cluster over {} datacenters:",
+        "Starting a loopback TCP cluster over {} datacenters:",
         topology.num_sites()
     );
     for site in topology.site_ids() {
@@ -27,12 +29,14 @@ fn main() {
         );
     }
 
-    let cluster = LiveCluster::start(LiveConfig {
-        topology,
-        kind: StrategyKind::DhtLocalReplica,
-        latency_scale: 0.001, // 1000x compressed WAN latencies
-        ..LiveConfig::default()
-    });
+    let cluster = ServiceRuntime::start(
+        RuntimeConfig {
+            topology,
+            kind: StrategyKind::DhtLocalReplica,
+            ..RuntimeConfig::default()
+        },
+        TcpLayer::ephemeral(),
+    );
 
     // A workflow node in West Europe publishes its outputs.
     let writer = cluster.client(SiteId(0), 0);

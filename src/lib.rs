@@ -7,7 +7,7 @@
 //! * [`cache`] — in-memory versioned cache tier (the Azure Managed Cache
 //!   stand-in).
 //! * [`core`] — the metadata registry middleware: the four strategies from
-//!   the paper, hashing, lazy propagation, the live threaded deployment.
+//!   the paper, hashing, lazy propagation, the transport-generic runtime.
 //! * [`workflow`] — workflow DAGs, patterns, schedulers and the engine.
 //! * [`net`] — the registry served over real TCP sockets (framed wire
 //!   codec, pooling client, `geometa-server`/`geometa-load` binaries).

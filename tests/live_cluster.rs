@@ -1,27 +1,31 @@
-//! Integration tests for the live (real threads, real time) deployment:
-//! every strategy end-to-end, concurrent multi-site clients, runtime
-//! strategy switching, and failure injection under load.
+//! Integration tests for a running cluster (real threads, real time, a
+//! loopback TCP cluster on ephemeral ports): every strategy end-to-end,
+//! concurrent multi-site clients, runtime strategy switching, failure
+//! injection under load, and clean shutdown.
 
-use geometa::core::live::{LiveCluster, LiveConfig};
+use geometa::core::runtime::{RuntimeConfig, ServiceRuntime};
 use geometa::core::strategy::StrategyKind;
 use geometa::core::MetaError;
-use geometa::sim::topology::{SiteId, Topology};
+use geometa::net::TcpLayer;
+use geometa::sim::topology::SiteId;
 use std::time::Duration;
 
-fn config(kind: StrategyKind) -> LiveConfig {
-    LiveConfig {
-        topology: Topology::azure_4dc(),
-        kind,
-        latency_scale: 0.0005,
-        shards: 8,
-        sync_interval: Duration::from_millis(2),
-    }
+fn start(kind: StrategyKind) -> ServiceRuntime<TcpLayer> {
+    ServiceRuntime::start(
+        RuntimeConfig {
+            kind,
+            shards: 8,
+            sync_interval: Duration::from_millis(2),
+            ..RuntimeConfig::default()
+        },
+        TcpLayer::ephemeral(),
+    )
 }
 
 #[test]
 fn every_strategy_serves_cross_site_reads() {
     for kind in StrategyKind::all() {
-        let cluster = LiveCluster::start(config(kind));
+        let cluster = start(kind);
         let writer = cluster.client(SiteId(1), 0);
         for i in 0..30 {
             writer.publish(&format!("x/{i}"), 64).unwrap();
@@ -39,7 +43,7 @@ fn every_strategy_serves_cross_site_reads() {
 
 #[test]
 fn concurrent_writers_merge_locations() {
-    let cluster = LiveCluster::start(config(StrategyKind::Centralized));
+    let cluster = start(StrategyKind::Centralized);
     std::thread::scope(|s| {
         for site in 0..4u16 {
             let c = cluster.client(SiteId(site), site as u32);
@@ -65,7 +69,7 @@ fn concurrent_writers_merge_locations() {
 
 #[test]
 fn strategy_switch_under_load() {
-    let cluster = LiveCluster::start(config(StrategyKind::Centralized));
+    let cluster = start(StrategyKind::Centralized);
     let sites: Vec<SiteId> = cluster.topology().site_ids().collect();
     std::thread::scope(|s| {
         for (i, &site) in sites.iter().enumerate() {
@@ -104,7 +108,7 @@ fn strategy_switch_under_load() {
 
 #[test]
 fn registry_failover_under_live_load() {
-    let cluster = LiveCluster::start(config(StrategyKind::DhtNonReplicated));
+    let cluster = start(StrategyKind::DhtNonReplicated);
     let writer = cluster.client(SiteId(0), 0);
     for i in 0..60 {
         writer.publish(&format!("ha/{i}"), 8).unwrap();
@@ -126,7 +130,7 @@ fn registry_failover_under_live_load() {
 
 #[test]
 fn unpublish_is_visible_across_sites() {
-    let cluster = LiveCluster::start(config(StrategyKind::Centralized));
+    let cluster = start(StrategyKind::Centralized);
     let w = cluster.client(SiteId(0), 0);
     w.publish("temp/scratch", 1).unwrap();
     let r = cluster.client(SiteId(2), 0);
@@ -138,7 +142,7 @@ fn unpublish_is_visible_across_sites() {
 
 #[test]
 fn stats_reflect_strategy_semantics() {
-    let cluster = LiveCluster::start(config(StrategyKind::DhtLocalReplica));
+    let cluster = start(StrategyKind::DhtLocalReplica);
     let c = cluster.client(SiteId(1), 0);
     for i in 0..40 {
         c.publish(&format!("st/{i}"), 4).unwrap();
@@ -156,4 +160,63 @@ fn stats_reflect_strategy_semantics() {
     // Roughly 3/4 of keys hash to a remote owner -> async pushes.
     assert!(snap.async_pushes > 10, "async pushes {}", snap.async_pushes);
     cluster.shutdown();
+}
+
+#[test]
+fn concurrent_clients_many_sites() {
+    let cluster = start(StrategyKind::DhtNonReplicated);
+    std::thread::scope(|s| {
+        for site in 0..4u16 {
+            let cluster = &cluster;
+            s.spawn(move || {
+                let c = cluster.client(SiteId(site), 0);
+                for i in 0..25 {
+                    c.publish(&format!("s{site}-f{i}"), 1).unwrap();
+                }
+                for i in 0..25 {
+                    c.resolve(&format!("s{site}-f{i}")).unwrap();
+                }
+            });
+        }
+    });
+    let total: usize = (0..4)
+        .map(|s| cluster.registry(SiteId(s)).unwrap().len())
+        .sum();
+    assert_eq!(total, 100, "DHT partitioning stores each entry once");
+    cluster.shutdown();
+}
+
+#[test]
+fn injected_registry_failure_promotes_without_losing_acked_writes() {
+    let cluster = start(StrategyKind::DhtNonReplicated);
+    let w = cluster.client(SiteId(0), 0);
+    for i in 0..40 {
+        w.publish(&format!("pre{i}"), 1).unwrap();
+    }
+    // Kill every registry's primary mid-run (worst case).
+    for s in 0..4u16 {
+        assert!(cluster.inject_registry_failure(SiteId(s)));
+    }
+    assert!(!cluster.inject_registry_failure(SiteId(9)), "unknown site");
+    // Every acked write still resolves (promotion served it), and new
+    // writes keep flowing through the promoted stores.
+    for i in 0..40 {
+        assert!(
+            w.resolve(&format!("pre{i}")).is_ok(),
+            "pre{i} lost to the injected failure"
+        );
+    }
+    for i in 0..40 {
+        w.publish(&format!("post{i}"), 1).unwrap();
+        assert!(w.resolve(&format!("post{i}")).is_ok());
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn shutdown_is_clean_and_idempotent_via_drop() {
+    let cluster = start(StrategyKind::Replicated);
+    let c = cluster.client(SiteId(0), 0);
+    c.publish("x", 1).unwrap();
+    drop(cluster); // Drop path must join all threads without hanging.
 }

@@ -133,17 +133,13 @@ fn tcp_cluster_matches_in_process_run_and_shuts_down_cleanly() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    // Clean shutdown: every runtime thread joins (delay line + the
-    // reactor pool of each of the 4 sites, each reactor owning its share
-    // of the connections)…
+    // Clean shutdown: every runtime thread joins (the reactor pool of
+    // each of the 4 sites, each reactor owning its share of the
+    // connections)…
     let pool = geometa::net::TcpConfig::default().resolved_reactors();
     drop(transport);
     let joined = runtime.shutdown();
-    assert_eq!(
-        joined,
-        1 + 4 * pool,
-        "delay line + {pool} reactors per site"
-    );
+    assert_eq!(joined, 4 * pool, "{pool} reactors per site");
 
     // …and the ports are actually released.
     for addr in addrs {
