@@ -64,6 +64,21 @@ impl Hasher for FxHasher64 {
 /// `BuildHasher` for [`FxHasher64`], for use with `HashMap`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher64>;
 
+/// The map every ordered crate uses: unseeded, so iteration order is a
+/// function of insertion history and reproducible across processes.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the ordered crates name the std map only through this alias"
+)]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
+
+/// The set counterpart of [`FxHashMap`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "the ordered crates name the std set only through this alias"
+)]
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
+
 /// A pass-through hasher for keys that carry a precomputed 64-bit hash
 /// (see [`crate::Key`]): `write_u64` stores the value verbatim and
 /// `finish` returns it, so map probes do no hashing work at all.
@@ -171,8 +186,7 @@ mod tests {
 
     #[test]
     fn usable_in_std_hashmap() {
-        let mut m: std::collections::HashMap<String, u32, FxBuildHasher> =
-            std::collections::HashMap::default();
+        let mut m: FxHashMap<String, u32> = FxHashMap::default();
         for i in 0..1000 {
             m.insert(format!("k{i}"), i);
         }

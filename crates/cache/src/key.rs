@@ -279,8 +279,7 @@ mod tests {
 
     #[test]
     fn usable_in_hash_maps_and_formatting() {
-        use std::collections::HashMap;
-        let mut m: HashMap<Key, u32> = HashMap::new();
+        let mut m: crate::FxHashMap<Key, u32> = crate::FxHashMap::default();
         m.insert(Key::new("k1"), 1);
         assert_eq!(m.get(&Key::new("k1")), Some(&1));
         assert_eq!(format!("{}", Key::new("k")), "k");

@@ -50,7 +50,10 @@ pub mod stats;
 pub mod store;
 
 pub use entry::{CacheEntry, CacheError, PutCondition};
-pub use hash::{fx_hash_bytes, fx_hash_str, FxBuildHasher, FxHasher64, PrehashedBuildHasher};
+pub use hash::{
+    fx_hash_bytes, fx_hash_str, FxBuildHasher, FxHashMap, FxHashSet, FxHasher64,
+    PrehashedBuildHasher,
+};
 pub use key::Key;
 pub use replica::HaCache;
 pub use stats::CacheStats;

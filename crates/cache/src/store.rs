@@ -31,10 +31,13 @@ use crate::key::{Key, KeyQuery, StrQuery};
 use crate::stats::{CacheStats, StatsCounters};
 use bytes::Bytes;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-type Map = HashMap<Key, CacheEntry, PrehashedBuildHasher>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "keys carry their own hash, so the pass-through hasher is as unseeded as FxHashMap"
+)]
+type Map = std::collections::HashMap<Key, CacheEntry, PrehashedBuildHasher>;
 type Shard = RwLock<Map>;
 
 /// A batch write failed partway through.
@@ -77,7 +80,7 @@ impl ShardedStore {
     pub fn new(shards: usize) -> ShardedStore {
         let n = shards.max(1).next_power_of_two();
         ShardedStore {
-            shards: (0..n).map(|_| RwLock::new(HashMap::default())).collect(),
+            shards: (0..n).map(|_| RwLock::new(Map::default())).collect(),
             mask: (n - 1) as u64,
             stats: StatsCounters::default(),
             failed: AtomicBool::new(false),

@@ -4,9 +4,8 @@
 //! replication must converge regardless of delivery order.
 
 use bytes::Bytes;
-use geometa_cache::{CacheEntry, CacheError, Key, PutCondition, ShardedStore};
+use geometa_cache::{CacheEntry, CacheError, FxHashMap, Key, PutCondition, ShardedStore};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -66,7 +65,7 @@ fn key_op_strategy() -> impl Strategy<Value = KeyOp> {
 /// A trivially correct sequential model of the store.
 #[derive(Default)]
 struct Model {
-    map: HashMap<String, (Vec<u8>, u64)>, // key -> (value, version)
+    map: FxHashMap<String, (Vec<u8>, u64)>, // key -> (value, version)
 }
 
 proptest! {
@@ -187,7 +186,7 @@ proptest! {
         let store = ShardedStore::new(8);
         let keys: Vec<Key> = (0..12).map(|k| Key::new(&format!("k{k}"))).collect();
         // key -> (value, version, modified_at)
-        let mut model: HashMap<u8, (Vec<u8>, u64, u64)> = HashMap::new();
+        let mut model: FxHashMap<u8, (Vec<u8>, u64, u64)> = FxHashMap::default();
         for (i, op) in ops.iter().enumerate() {
             let now = i as u64 + 1;
             match op {
@@ -305,7 +304,7 @@ proptest! {
     #[test]
     fn versions_are_monotone(ops in prop::collection::vec(op_strategy(), 1..100)) {
         let store = ShardedStore::new(4);
-        let mut last_seen: HashMap<String, u64> = HashMap::new();
+        let mut last_seen: FxHashMap<String, u64> = FxHashMap::default();
         for (i, op) in ops.iter().enumerate() {
             let key = match op {
                 Op::Put(k, v) => { let key = format!("k{k}"); let _ = store.put(&key, Bytes::from(vec![*v]), i as u64); key }

@@ -13,8 +13,8 @@
 //! every other site.
 
 use crate::entry::RegistryEntry;
+use geometa_cache::FxHashMap;
 use geometa_sim::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Merge two versions of the same entry into their least upper bound.
 ///
@@ -51,7 +51,7 @@ pub fn merge_entries(existing: &RegistryEntry, incoming: &RegistryEntry) -> Regi
 #[derive(Debug, Default)]
 pub struct InconsistencyTracker {
     /// key -> (write completion time at origin, sites still missing it).
-    pending: HashMap<String, (SimTime, usize)>,
+    pending: FxHashMap<String, (SimTime, usize)>,
     windows: Vec<SimDuration>,
 }
 

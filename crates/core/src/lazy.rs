@@ -8,9 +8,9 @@
 //! exceeds `max_age`.
 
 use crate::entry::RegistryEntry;
+use geometa_cache::FxHashMap;
 use geometa_sim::time::{SimDuration, SimTime};
 use geometa_sim::topology::SiteId;
-use std::collections::HashMap;
 
 /// A batch ready to be shipped to a destination registry instance.
 #[derive(Clone, Debug)]
@@ -49,7 +49,7 @@ impl BatcherStats {
 pub struct LazyBatcher {
     max_batch: usize,
     max_age: SimDuration,
-    queues: HashMap<SiteId, (SimTime, Vec<RegistryEntry>)>,
+    queues: FxHashMap<SiteId, (SimTime, Vec<RegistryEntry>)>,
     enqueued: u64,
     flushed_batches: u64,
     flushed_entries: u64,
@@ -63,7 +63,7 @@ impl LazyBatcher {
         LazyBatcher {
             max_batch,
             max_age,
-            queues: HashMap::new(),
+            queues: FxHashMap::default(),
             enqueued: 0,
             flushed_batches: 0,
             flushed_entries: 0,
@@ -120,7 +120,6 @@ impl LazyBatcher {
     /// Call periodically (timer-driven).
     pub fn poll_expired(&mut self, now: SimTime) -> Vec<ReadyBatch> {
         let mut out = Vec::new();
-        // geometa-lint: allow(unordered-iter) the sort_by_key below re-orders the batches before they leave this function
         for (&target, (first_at, queue)) in self.queues.iter_mut() {
             if !queue.is_empty() && now.since(*first_at) >= self.max_age {
                 let entries = std::mem::take(queue);
@@ -129,7 +128,7 @@ impl LazyBatcher {
                 out.push(ReadyBatch { target, entries });
             }
         }
-        // Deterministic order regardless of HashMap iteration.
+        // Site order, not hash order.
         out.sort_by_key(|b| b.target);
         out
     }

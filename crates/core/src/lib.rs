@@ -71,6 +71,9 @@ pub use entry::{FileLocation, RegistryEntry};
 // Re-exported because the RPC protocol (`protocol::RegistryRequest`) and
 // the key-threaded strategy APIs take it.
 pub use geometa_cache::Key;
+// Re-exported so crates above core get the unseeded maps without a
+// dependency edge to the cache crate.
+pub use geometa_cache::{FxHashMap, FxHashSet};
 pub use plan::{ReadPlan, WritePlan};
 pub use registry::RegistryInstance;
 pub use strategy::{

@@ -306,7 +306,6 @@ fn get_sites(buf: &mut Bytes) -> Result<Vec<SiteId>, MetaError> {
 /// view into `wire` — no interning, no allocation. Anything else
 /// (other tags, truncation, bad UTF-8) returns `None` and the caller
 /// falls back to the total decoder, which produces the proper error.
-// geometa-hot
 pub fn decode_get_key(wire: &[u8]) -> Option<&str> {
     if wire.len() < 5 || wire[0] != tag::REQ_GET {
         return None;
@@ -323,7 +322,6 @@ pub fn decode_get_key(wire: &[u8]) -> Option<&str> {
 /// Returns `None` for anything carrying heap data (`Found`, `Delta`,
 /// `Status`, codec errors); the caller falls back to
 /// [`RegistryResponse::decode`] after materializing the frame.
-// geometa-hot
 pub fn decode_fixed_response(wire: &[u8]) -> Option<RegistryResponse> {
     let error = match *wire {
         [tag::RESP_ACK] => return Some(RegistryResponse::Ack),
@@ -362,7 +360,6 @@ impl RegistryRequest {
     /// exactly [`RegistryRequest::encoded_len`] bytes; with the buffer
     /// pre-reserved this performs no allocation (the writer owns the
     /// buffer lifecycle, so steady-state encode is alloc-free).
-    // geometa-hot
     pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
         match self {
             RegistryRequest::Get { key } => {
@@ -372,7 +369,7 @@ impl RegistryRequest {
             RegistryRequest::Put { entry } => {
                 buf.put_u8(tag::REQ_PUT);
                 buf.put_u32_le(entry.encoded_len() as u32);
-                // geometa-lint: allow(hot-alloc) entry bodies own heap strings; Put is not on the alloc-gated echo path
+                // Entry bodies own heap strings; Put is not on the alloc-gated echo path.
                 buf.put_slice(&entry.to_bytes());
             }
             RegistryRequest::Absorb { entries } => {
@@ -476,13 +473,12 @@ impl RegistryResponse {
     /// reactor uses this to encode responses directly into a connection's
     /// out-buffer behind the frame header, skipping the intermediate
     /// `Bytes` and its copy.
-    // geometa-hot
     pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
         match self {
             RegistryResponse::Found { entry } => {
                 buf.put_u8(tag::RESP_FOUND);
                 buf.put_u32_le(entry.encoded_len() as u32);
-                // geometa-lint: allow(hot-alloc) entry bodies own heap strings; Found is the documented get-hit cost
+                // Entry bodies own heap strings; Found is the documented get-hit cost.
                 buf.put_slice(&entry.to_bytes());
             }
             RegistryResponse::Ack => buf.put_u8(tag::RESP_ACK),

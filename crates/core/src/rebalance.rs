@@ -16,8 +16,8 @@ use crate::entry::RegistryEntry;
 use crate::hash::SitePlacer;
 use crate::registry::RegistryInstance;
 use crate::MetaError;
+use geometa_cache::FxHashMap;
 use geometa_sim::topology::SiteId;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One required metadata movement.
@@ -40,7 +40,7 @@ pub struct Move {
 pub fn plan_rebalance(
     before: &dyn SitePlacer,
     after: &dyn SitePlacer,
-    registries: &HashMap<SiteId, Arc<RegistryInstance>>,
+    registries: &FxHashMap<SiteId, Arc<RegistryInstance>>,
 ) -> Vec<Move> {
     let mut moves = Vec::new();
     // Iterate sites in id order: the move plan's order is observable (it
@@ -63,7 +63,7 @@ pub fn plan_rebalance(
             }
         }
     }
-    // Deterministic order (HashMap iteration is not).
+    // Name order, not hash order.
     moves.sort_by(|a, b| a.entry.name.cmp(&b.entry.name));
     moves
 }
@@ -77,7 +77,7 @@ pub fn plan_rebalance(
 /// can remove them once the new placement is live.
 pub fn apply_rebalance(
     moves: &[Move],
-    registries: &HashMap<SiteId, Arc<RegistryInstance>>,
+    registries: &FxHashMap<SiteId, Arc<RegistryInstance>>,
 ) -> Result<usize, MetaError> {
     for m in moves {
         let target = registries.get(&m.to).ok_or(MetaError::Unavailable)?;
@@ -95,10 +95,10 @@ mod tests {
     fn setup(
         n_sites: u16,
         entries: usize,
-    ) -> (ConsistentRing, HashMap<SiteId, Arc<RegistryInstance>>) {
+    ) -> (ConsistentRing, FxHashMap<SiteId, Arc<RegistryInstance>>) {
         let sites: Vec<SiteId> = (0..n_sites).map(SiteId).collect();
         let ring = ConsistentRing::new(sites.clone(), 64);
-        let registries: HashMap<SiteId, Arc<RegistryInstance>> = sites
+        let registries: FxHashMap<SiteId, Arc<RegistryInstance>> = sites
             .iter()
             .map(|&s| (s, Arc::new(RegistryInstance::new(s, 8))))
             .collect();

@@ -41,10 +41,11 @@ use crate::sync_agent::SyncAgentState;
 use crate::transport::RegistryTransport;
 use crate::wal::{log_acked_writes, FileWal, FsyncPolicy, MemWal, TornTail, WalError, WalSink};
 use crate::MetaError;
+use geometa_cache::FxHashMap;
 use geometa_sim::rng::SplitMix64;
 use geometa_sim::topology::{SiteId, Topology};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -163,8 +164,8 @@ impl SyncAgentStats {
 /// client transports.
 pub struct ServiceCore {
     topology: Arc<Topology>,
-    registries: HashMap<SiteId, Arc<RegistryInstance>>,
-    wals: HashMap<SiteId, Arc<dyn WalSink>>,
+    registries: FxHashMap<SiteId, Arc<RegistryInstance>>,
+    wals: FxHashMap<SiteId, Arc<dyn WalSink>>,
     snapshot_every: u64,
     recovery: Vec<RecoveryReport>,
     controller: Arc<ArchitectureController>,
@@ -172,7 +173,7 @@ pub struct ServiceCore {
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
     membership: Mutex<MembershipState>,
-    conn_counts: HashMap<SiteId, AtomicU32>,
+    conn_counts: FxHashMap<SiteId, AtomicU32>,
     rebalance_throttle: Duration,
     background: Mutex<Vec<JoinHandle<()>>>,
     me: Weak<ServiceCore>,
@@ -222,11 +223,11 @@ impl ServiceCore {
     fn new(config: &RuntimeConfig) -> Result<Arc<ServiceCore>, WalError> {
         let topology = Arc::new(config.topology.clone());
         let sites: Vec<SiteId> = topology.site_ids().collect();
-        let registries: HashMap<SiteId, Arc<RegistryInstance>> = sites
+        let registries: FxHashMap<SiteId, Arc<RegistryInstance>> = sites
             .iter()
             .map(|&s| (s, Arc::new(RegistryInstance::new(s, config.shards))))
             .collect();
-        let mut wals: HashMap<SiteId, Arc<dyn WalSink>> = HashMap::new();
+        let mut wals: FxHashMap<SiteId, Arc<dyn WalSink>> = FxHashMap::default();
         let mut recovery = Vec::new();
         for &site in &sites {
             match &config.wal {
@@ -394,7 +395,6 @@ impl ServiceCore {
     /// fails, every acked write in the batch is converted to
     /// `Unavailable` — conservative for records that did reach the log,
     /// but never the reverse.
-    // geometa-hot
     pub fn serve_batch_into(
         &self,
         site: SiteId,
@@ -468,7 +468,6 @@ impl ServiceCore {
     /// ever interned. Appends one response per key, in order. A single
     /// key probes the store directly (no allocation on a miss); two or
     /// more share shard locks through the grouped batch read.
-    // geometa-hot
     pub fn serve_gets(&self, site: SiteId, keys: &[&str], out: &mut Vec<RegistryResponse>) {
         let Some(r) = self.registries.get(&site) else {
             for _ in keys {
@@ -614,12 +613,14 @@ impl ServiceCore {
             self.membership.lock().rebalancing = false;
             return refuse(MetaError::Unavailable);
         };
-        let handle =
-            // geometa-lint: allow(untracked-thread) tracked through ServiceCore::background; ServiceRuntime::shutdown joins these after the serving threads
-            std::thread::Builder::new()
-                .name(format!("reconfigure-{}", target.0))
-                .spawn(move || core.run_reconfigure(op, new_members))
-                .expect("spawn reconfigure thread");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "tracked through ServiceCore::background; ServiceRuntime::shutdown joins these after the serving threads"
+        )]
+        let handle = std::thread::Builder::new()
+            .name(format!("reconfigure-{}", target.0))
+            .spawn(move || core.run_reconfigure(op, new_members))
+            .expect("spawn reconfigure thread");
         self.background.lock().push(handle);
         RegistryResponse::Ack
     }
@@ -744,9 +745,12 @@ pub struct Spawner {
 
 impl Spawner {
     /// Spawn a named service thread owned by the runtime.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "Spawner is the tracking mechanism: every handle lands in self.threads and ServiceRuntime::shutdown joins them all"
+    )]
     pub fn spawn(&mut self, name: impl Into<String>, f: impl FnOnce() + Send + 'static) {
         self.threads.push(
-            // geometa-lint: allow(untracked-thread) Spawner IS the tracking mechanism: every handle lands in self.threads and ServiceRuntime::shutdown joins them all
             std::thread::Builder::new()
                 .name(name.into())
                 .spawn(f)

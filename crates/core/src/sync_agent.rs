@@ -13,8 +13,8 @@
 //! the live cluster both drive it.
 
 use crate::entry::RegistryEntry;
+use geometa_cache::FxHashMap;
 use geometa_sim::topology::SiteId;
-use std::collections::HashMap;
 
 /// One propagation instruction: push `entries` to `target`.
 #[derive(Clone, Debug)]
@@ -30,7 +30,7 @@ pub struct SyncPush {
 pub struct SyncAgentState {
     sites: Vec<SiteId>,
     /// Timestamp up to which each instance's updates have been pulled.
-    watermark: HashMap<SiteId, u64>,
+    watermark: FxHashMap<SiteId, u64>,
     cycles: u64,
     entries_propagated: u64,
 }

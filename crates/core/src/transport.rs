@@ -21,8 +21,8 @@
 use crate::protocol::{RegistryRequest, RegistryResponse};
 use crate::registry::RegistryInstance;
 use crate::MetaError;
+use geometa_cache::FxHashMap;
 use geometa_sim::topology::SiteId;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -75,7 +75,7 @@ pub trait RegistryTransport: Send + Sync {
 /// [`ServiceRuntime`](crate::runtime::ServiceRuntime) over
 /// [`InlineLayer`](crate::runtime::InlineLayer) instead.
 pub struct InProcessTransport {
-    registries: HashMap<SiteId, Arc<RegistryInstance>>,
+    registries: FxHashMap<SiteId, Arc<RegistryInstance>>,
     clock: AtomicU64,
 }
 

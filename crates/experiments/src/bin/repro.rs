@@ -85,8 +85,10 @@ fn main() {
         figures,
         sections,
     };
-    #[allow(clippy::disallowed_methods)]
-    // geometa-lint: allow(wall-clock) operator progress display on stderr; the figure bytes on stdout are sim-time only
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "operator progress display on stderr; the figure bytes on stdout are sim-time only"
+    )]
     let t0 = Instant::now();
     print!("{}", generate(&opts));
     eprintln!(

@@ -94,8 +94,10 @@ pub fn run_cell(cfg: &ScaleConfig, files_per_site: usize, kind: StrategyKind) ->
         compute_per_op: SimDuration::ZERO,
         seed: cfg.seed,
     };
-    #[allow(clippy::disallowed_methods)]
-    // geometa-lint: allow(wall-clock) host-throughput metric (events/sec of the simulator itself); kept out of the deterministic result table
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-throughput metric (events/sec of the simulator itself); kept out of the deterministic result table"
+    )]
     let started = std::time::Instant::now();
     let (out, artifacts) = run_synthetic_instrumented(&spec, &SimConfig::new(kind, cfg.seed));
     let wall = started.elapsed().as_secs_f64();

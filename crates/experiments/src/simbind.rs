@@ -26,14 +26,13 @@ use geometa_core::registry::RegistryInstance;
 use geometa_core::strategy::{MetadataStrategy, StrategyKind};
 use geometa_core::sync_agent::{SyncAgentState, SyncPush};
 use geometa_core::wal::{log_acked_writes, MemWal};
-use geometa_core::MetaError;
+use geometa_core::{FxHashMap, MetaError};
 use geometa_sim::oracle::SharedOpLog;
 use geometa_sim::prelude::*;
 use geometa_sim::server::ServiceTime;
 use geometa_workflow::apps::synthetic::{Role, SyntheticSpec};
 use geometa_workflow::dag::Workflow;
 use geometa_workflow::scheduler::Placement;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Marker op-id for fire-and-forget requests (no response expected).
@@ -332,7 +331,7 @@ pub struct SyntheticClientActor {
     site: SiteId,
     role: Role,
     strategy: Arc<dyn MetadataStrategy>,
-    registries: Arc<HashMap<SiteId, ActorId>>,
+    registries: Arc<FxHashMap<SiteId, ActorId>>,
     cal: Calibration,
     ops_done: usize,
     op_seq: u64,
@@ -715,7 +714,7 @@ impl Actor<Msg> for SyntheticClientActor {
 /// (paper Fig. 7, >32 nodes).
 pub struct SyncAgentActor {
     state: SyncAgentState,
-    registries: Arc<HashMap<SiteId, ActorId>>,
+    registries: Arc<FxHashMap<SiteId, ActorId>>,
     order: Vec<SiteId>,
     idx: usize,
     cal: Calibration,
@@ -937,7 +936,7 @@ pub struct WorkflowNodeActor {
     site: SiteId,
     node_idx: u32,
     strategy: Arc<dyn MetadataStrategy>,
-    registries: Arc<HashMap<SiteId, ActorId>>,
+    registries: Arc<FxHashMap<SiteId, ActorId>>,
     cal: Calibration,
     cursor: usize,
     phase: WfPhase,
@@ -1339,9 +1338,9 @@ impl Actor<Msg> for WorkflowNodeActor {
 
 struct Deployment {
     engine: Engine<Msg>,
-    registries: Arc<HashMap<SiteId, ActorId>>,
-    instances: HashMap<SiteId, Arc<RegistryInstance>>,
-    wals: HashMap<SiteId, Arc<MemWal>>,
+    registries: Arc<FxHashMap<SiteId, ActorId>>,
+    instances: FxHashMap<SiteId, Arc<RegistryInstance>>,
+    wals: FxHashMap<SiteId, Arc<MemWal>>,
     strategy: Arc<dyn MetadataStrategy>,
     sites: Vec<SiteId>,
 }
@@ -1356,9 +1355,9 @@ fn deploy(cfg: &SimConfig) -> Deployment {
     };
     let mut engine: Engine<Msg> = Engine::new(cfg.topology.clone(), cfg.seed);
     engine.set_faults(cfg.faults.clone());
-    let mut registries = HashMap::new();
-    let mut instances = HashMap::new();
-    let mut wals = HashMap::new();
+    let mut registries = FxHashMap::default();
+    let mut instances = FxHashMap::default();
+    let mut wals = FxHashMap::default();
     for &site in &strategy.registry_sites() {
         let instance = Arc::new(RegistryInstance::new(site, cfg.cal.shards));
         let wal = cfg.wal.then(|| Arc::new(MemWal::new()));
@@ -1444,10 +1443,10 @@ pub struct SyntheticOutcome {
 /// fault layer's accounting.
 pub struct SimArtifacts {
     /// Per-site registry instances (surviving state to audit).
-    pub instances: HashMap<SiteId, Arc<RegistryInstance>>,
+    pub instances: FxHashMap<SiteId, Arc<RegistryInstance>>,
     /// Per-site simulated WALs (kill-and-recover mode only, empty
     /// otherwise): the oracle audits durability against these logs.
-    pub wals: HashMap<SiteId, Arc<MemWal>>,
+    pub wals: FxHashMap<SiteId, Arc<MemWal>>,
     /// The placement strategy the run used.
     pub strategy: Arc<dyn MetadataStrategy>,
     /// What the fault layer did (drops, duplications, crashes).

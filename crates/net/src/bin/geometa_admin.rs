@@ -19,6 +19,9 @@
 //! Exit codes: 0 done, 1 the cluster refused or the wait timed out,
 //! 2 usage error.
 
+// Peer input and connection failures surface as errors, never as panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use geometa_core::protocol::{ReconfigureOp, RegistryRequest, RegistryResponse, SiteStatus};
 use geometa_core::transport::RegistryTransport;
 use geometa_net::cli::{die, flag_value, parse_or_die, reject_unknown};

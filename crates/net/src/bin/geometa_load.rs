@@ -24,6 +24,9 @@
 //! a TCP connect. One line per workload and mode goes to stderr; nothing
 //! is written to disk (the gated numbers come from `benchmark/`).
 
+// Peer input and connection failures surface as errors, never as panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use geometa_core::controller::ArchitectureController;
 use geometa_core::runtime::{RuntimeConfig, ServiceRuntime};
 use geometa_core::strategy::StrategyKind;

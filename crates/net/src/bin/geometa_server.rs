@@ -21,6 +21,9 @@
 //! (default `group`: one fsync amortizes every append inside a short
 //! flush window; acked ⇒ durable still holds).
 
+// Peer input and connection failures surface as errors, never as panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use geometa_core::runtime::{RuntimeConfig, ServiceRuntime, WalConfig};
 use geometa_core::strategy::StrategyKind;
 use geometa_core::wal::{FsyncPolicy, WalError};

@@ -43,10 +43,10 @@ use crate::client::TcpClientTransport;
 use crate::frame::{Fill, FrameReader, MAX_FRAME};
 use crate::server::{TcpConfig, TcpLayer};
 use geometa_core::runtime::{ConnectionLayer, ServiceCore, Spawner};
+use geometa_core::FxHashMap;
 use geometa_sim::rng::SplitMix64;
 use geometa_sim::topology::SiteId;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -173,7 +173,7 @@ pub struct ChaosLayer {
     inner: TcpLayer,
     config: ChaosConfig,
     /// What clients dial: proxy address per site.
-    proxy_addrs: HashMap<SiteId, SocketAddr>,
+    proxy_addrs: FxHashMap<SiteId, SocketAddr>,
     /// The shared client transport, dialing the proxies.
     shared: Mutex<Option<Arc<TcpClientTransport>>>,
     stats: Arc<ChaosStats>,
@@ -192,7 +192,7 @@ impl ChaosLayer {
         ChaosLayer {
             inner,
             config,
-            proxy_addrs: HashMap::new(),
+            proxy_addrs: FxHashMap::default(),
             shared: Mutex::new(None),
             stats: Arc::new(ChaosStats::default()),
             t0: Instant::now(),
@@ -207,14 +207,14 @@ impl ChaosLayer {
     /// The proxied address of every site (valid after the runtime
     /// started). This is what external clients must dial — traffic to
     /// the inner layer's own addresses bypasses chaos entirely.
-    pub fn proxy_addrs(&self) -> &HashMap<SiteId, SocketAddr> {
+    pub fn proxy_addrs(&self) -> &FxHashMap<SiteId, SocketAddr> {
         &self.proxy_addrs
     }
 
     /// The inner layer's *unproxied* addresses — a chaos-free side door
     /// for test verification phases ("does every acked key still
     /// resolve?"), which must not themselves be subject to drops.
-    pub fn direct_addrs(&self) -> &HashMap<SiteId, SocketAddr> {
+    pub fn direct_addrs(&self) -> &FxHashMap<SiteId, SocketAddr> {
         self.inner.addrs()
     }
 }
@@ -231,7 +231,10 @@ impl ConnectionLayer for ChaosLayer {
         for (site, upstream) in upstreams {
             let listener = TcpListener::bind(("127.0.0.1", 0))
                 .unwrap_or_else(|e| panic!("bind chaos proxy for {site}: {e}"));
-            // geometa-lint: allow(net-unwrap) infallible: local_addr on a freshly bound loopback listener cannot fail
+            #[expect(
+                clippy::expect_used,
+                reason = "infallible: local_addr on a freshly bound loopback listener cannot fail"
+            )]
             let addr = listener.local_addr().expect("bound proxy has an addr");
             self.proxy_addrs.insert(site, addr);
             let core = Arc::clone(core);
@@ -256,7 +259,6 @@ impl ConnectionLayer for ChaosLayer {
     fn unblock(&self) {
         self.inner.unblock();
         // Pop every proxy's blocking accept too.
-        // geometa-lint: allow(unordered-iter) shutdown poke: every proxy gets one connection, order is irrelevant
         for addr in self.proxy_addrs.values() {
             let _ = TcpStream::connect_timeout(addr, Duration::from_millis(250));
         }
@@ -320,11 +322,14 @@ fn proxy_loop(
             let core = Arc::clone(core);
             let stats = Arc::clone(stats);
             let config = config.clone();
-            // geometa-lint: allow(untracked-thread) handle lands in `pumps`, joined below before proxy_loop returns (which the Spawner tracks)
-            if let Ok(h) = std::thread::Builder::new()
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "handle lands in `pumps`, joined below before proxy_loop returns (which the Spawner tracks)"
+            )]
+            let spawned = std::thread::Builder::new()
                 .name(format!("chaos-pump-{site}-{conn_idx}"))
-                .spawn(move || pump(src, dst, direction, site, rng, &core, &config, &stats, t0))
-            {
+                .spawn(move || pump(src, dst, direction, site, rng, &core, &config, &stats, t0));
+            if let Ok(h) = spawned {
                 pumps.push(h);
             }
             conn_idx += 1;
@@ -346,7 +351,10 @@ fn partitioned(config: &ChaosConfig, site: SiteId, direction: Direction, t0: Ins
 /// Pump one direction of one proxied connection, frame by frame,
 /// rolling each frame's fate. Returns when either side closes, a reset
 /// fault fires, or the runtime shuts down.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a pump thread owns both sockets and its fault stream; the rest is shared proxy state it borrows"
+)]
 fn pump(
     mut src: TcpStream,
     mut dst: TcpStream,

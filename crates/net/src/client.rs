@@ -79,12 +79,12 @@ use crate::frame::{CallHeader, Fill, FrameReader, MAX_FILLS_PER_PASS, MAX_FRAME,
 use crate::server::epoch_checked;
 use geometa_core::protocol::{self, RegistryRequest, RegistryResponse};
 use geometa_core::transport::RegistryTransport;
-use geometa_core::MetaError;
+use geometa_core::{FxHashMap, MetaError};
 use geometa_sim::rng::SplitMix64;
 use geometa_sim::topology::SiteId;
 use parking_lot::{Condvar, Mutex};
 use polling::{wait_one, Event};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -140,14 +140,14 @@ struct SiteBreaker {
 /// interval, capped and jittered).
 struct CircuitBreaker {
     rng: SplitMix64,
-    sites: HashMap<SiteId, SiteBreaker>,
+    sites: FxHashMap<SiteId, SiteBreaker>,
 }
 
 impl CircuitBreaker {
     fn new(seed: u64) -> CircuitBreaker {
         CircuitBreaker {
             rng: SplitMix64::new(seed),
-            sites: HashMap::new(),
+            sites: FxHashMap::default(),
         }
     }
 
@@ -268,7 +268,6 @@ struct WriteHalf {
 impl WriteHalf {
     /// Append one frame of `body` bytes — length prefix, then whatever
     /// `encode` writes — and return the offset one past it.
-    // geometa-hot
     fn frame(&mut self, body: usize, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
         let at = self.out.len();
         self.out.extend_from_slice(&(body as u32).to_le_bytes());
@@ -280,7 +279,6 @@ impl WriteHalf {
 
     /// Frame one call (`[len][CallHeader][req]`) onto the output buffer.
     /// Returns its sequence id and the offset one past its frame.
-    // geometa-hot
     fn enqueue(&mut self, req: &RegistryRequest, epoch: Option<u64>) -> (u32, u64) {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
@@ -333,7 +331,6 @@ impl Conn {
     /// for `slot`, take the lead if it is free, and write. On `Err` the
     /// connection must be [killed](Conn::kill), which also settles this
     /// call if it got as far as being registered.
-    // geometa-hot
     fn send(
         &self,
         req: &RegistryRequest,
@@ -366,7 +363,6 @@ impl Conn {
     /// answers it) behind whatever is still unflushed, and write unless
     /// someone holds the read half. `Ok(false)` = shed at the byte bound;
     /// on `Err` the connection must be [killed](Conn::kill).
-    // geometa-hot
     fn cast(&self, req: &RegistryRequest) -> std::io::Result<bool> {
         let mut w = self.w.lock();
         if w.dead {
@@ -393,7 +389,6 @@ impl Conn {
 
     /// Push the write half's pending output to the kernel and publish
     /// whether a tail remains ([`Conn::backlog`]).
-    // geometa-hot
     fn flush(&self, w: &mut WriteHalf) -> std::io::Result<()> {
         if w.dead {
             return Err(std::io::ErrorKind::NotConnected.into());
@@ -442,7 +437,6 @@ impl Conn {
     /// slots. Returns false when the connection must be dropped —
     /// responses that made it through before the stream died still
     /// resolve; those callers get real answers, not Unavailable.
-    // geometa-hot
     fn pump_read(
         &self,
         reader: &mut FrameReader,
@@ -601,7 +595,7 @@ impl TcpClientTransport {
     /// A transport dialing `addrs` (lazily, per target). Routing is fully
     /// determined by the target argument of each call, so one instance is
     /// shared by clients at every site. It spawns no thread.
-    pub fn new(addrs: HashMap<SiteId, SocketAddr>, call_timeout: Duration) -> TcpClientTransport {
+    pub fn new(addrs: FxHashMap<SiteId, SocketAddr>, call_timeout: Duration) -> TcpClientTransport {
         let site = |(id, addr)| {
             let site = Site {
                 addr,
@@ -626,7 +620,6 @@ impl TcpClientTransport {
     /// thread that finds a dial in progress waits for it and shares the
     /// connection it made; if it made none, a call dials again in its turn
     /// (`redial`), and a cast — which waits for one dial at most — does not.
-    // geometa-hot
     fn connect(&self, site: &Site, redial: bool) -> Result<Arc<Conn>, NoConn> {
         if let Some(conn) = &*site.conn.lock() {
             return Ok(Arc::clone(conn));
@@ -663,7 +656,6 @@ impl TcpClientTransport {
     /// Lead `conn` until the response to the caller's own call (slot `me`)
     /// arrives. `None` = the connection died (the verdict is in the slot)
     /// or `deadline` passed.
-    // geometa-hot
     fn lead(
         &self,
         site: &Site,
@@ -699,7 +691,6 @@ impl TcpClientTransport {
 
     /// One attempt at one call: connect, probe, send, then lead the
     /// connection or park behind its leader. `None` = timed out.
-    // geometa-hot
     fn attempt(
         &self,
         site: &Site,
@@ -766,7 +757,6 @@ impl TcpClientTransport {
     /// Frame one lazy push onto `site`'s connection; false = dropped. Two
     /// attempts, as for a `NotSent` call: a write error kills the
     /// connection and the push goes once more, on a fresh dial.
-    // geometa-hot
     fn push(&self, target: SiteId, site: &Site, req: &RegistryRequest) -> bool {
         for _attempt in 0..2 {
             let conn = match self.connect(site, false) {
@@ -814,7 +804,6 @@ impl TcpClientTransport {
 }
 
 impl RegistryTransport for TcpClientTransport {
-    // geometa-hot
     fn call(&self, target: SiteId, req: RegistryRequest) -> RegistryResponse {
         // Epoch-checked requests carry the cached membership epoch and
         // respect the breaker. Exempt requests (Status, Reconfigure,
@@ -874,7 +863,6 @@ impl RegistryTransport for TcpClientTransport {
     /// Frame the push onto the target's connection (see the module docs).
     /// A cast that cannot is dropped and counted ([`Self::casts_shed`]) —
     /// best-effort semantics; absorb idempotence re-converges.
-    // geometa-hot
     fn cast(&self, target: SiteId, req: RegistryRequest) {
         let open = self.breaker.lock().is_open(target, Instant::now());
         let site = self.targets.get(&target);
@@ -911,7 +899,6 @@ impl RegistryTransport for TcpClientTransport {
 /// Convenience: a transport for a cluster listening on `addrs[i]` for
 /// site *i* (the `geometa-load --connect` path).
 pub fn transport_for(addrs: &[SocketAddr], call_timeout: Duration) -> Arc<TcpClientTransport> {
-    // geometa-lint: allow(unordered-iter) `addrs` here is the slice parameter (caller-ordered), not a HashMap
     let map = addrs
         .iter()
         .enumerate()
@@ -925,6 +912,10 @@ mod tests {
     use super::*;
 
     /// A connection to a throwaway loopback listener that never reads.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the listener is local and already bound, so the dial cannot hang"
+    )]
     fn idle_conn() -> (Conn, std::net::TcpListener) {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = std::net::TcpStream::connect(l.local_addr().unwrap()).unwrap();

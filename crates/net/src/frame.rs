@@ -45,7 +45,6 @@ impl CallHeader {
     }
 
     /// Append the header to `out`.
-    // geometa-hot
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(MODE_CALL | u8::from(self.epoch.is_some()));
         out.extend_from_slice(&self.seq.to_le_bytes());
@@ -58,7 +57,6 @@ impl CallHeader {
     /// request behind it. `None` — a mode byte that is not a call, or a
     /// body shorter than its header — is a protocol violation: there is
     /// no sequence id to answer under, so the connection is dropped.
-    // geometa-hot
     pub fn parse(body: &[u8]) -> Option<(CallHeader, usize)> {
         let mode = *body.first()?;
         if mode & !1 != MODE_CALL {
@@ -145,7 +143,6 @@ impl FrameReader {
     /// Pull more bytes off `r`, offering it at least [`READ_CHUNK`] bytes
     /// of room. Timeouts surface as [`Fill::Idle`] rather than errors so
     /// callers can poll a shutdown flag and carry on.
-    // geometa-hot
     pub fn fill(&mut self, r: &mut impl Read) -> std::io::Result<Fill> {
         self.make_room();
         let room = self.buf.len() - self.end;
@@ -174,7 +171,6 @@ impl FrameReader {
     /// short read or `WouldBlock`), the peer closes (`Ok(true)`), or
     /// [`MAX_FILLS_PER_PASS`] reads. A level-triggered poller re-fires for
     /// whatever the pass leaves behind, a FIN after a short read included.
-    // geometa-hot
     pub fn drain(&mut self, r: &mut impl Read) -> std::io::Result<bool> {
         for _ in 0..MAX_FILLS_PER_PASS {
             match self.fill(r)? {
@@ -221,7 +217,6 @@ impl FrameReader {
     /// loop pops every buffered range, resolves them through
     /// [`FrameReader::view`], and only then fills again. No owned `Bytes`
     /// is built, so popping a frame does not touch the heap.
-    // geometa-hot
     pub fn next_frame_range(&mut self) -> std::io::Result<Option<std::ops::Range<usize>>> {
         let avail = &self.buf[self.start..self.end];
         if avail.len() < 4 {
@@ -231,7 +226,7 @@ impl FrameReader {
         if len > MAX_FRAME {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                // geometa-lint: allow(hot-alloc) error path — an implausible length kills the connection, never steady state
+                // Error path: an implausible length kills the connection, never steady state.
                 format!("frame length {len} exceeds cap {MAX_FRAME}"),
             ));
         }
@@ -244,7 +239,6 @@ impl FrameReader {
     }
 
     /// Resolve a range from [`FrameReader::next_frame_range`] to its bytes.
-    // geometa-hot
     pub fn view(&self, range: std::ops::Range<usize>) -> &[u8] {
         &self.buf[range]
     }
@@ -252,9 +246,7 @@ impl FrameReader {
     /// Copy a popped range into an owned `Bytes` — for the frames whose
     /// decoded form must outlive the read buffer (`MetaStr` views into
     /// the message body escape into the registry).
-    // geometa-hot
     pub fn materialize(&self, range: std::ops::Range<usize>) -> Bytes {
-        // geometa-lint: allow(hot-alloc) escape hatch for messages whose decoded strings outlive the buffer
         Bytes::copy_from_slice(&self.buf[range])
     }
 

@@ -48,6 +48,9 @@
 //! cluster.shutdown();
 //! ```
 
+// Peer input and connection failures surface as errors, never as panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod chaos;
 pub mod cli;
 pub mod client;
@@ -232,6 +235,10 @@ mod tests {
     /// unknown mode byte leaves nothing to answer under, so that one
     /// connection is dropped. The server survives both.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "dials this test's own loopback server, which is already listening"
+    )]
     fn malformed_frames_do_not_kill_the_server() {
         use crate::frame::{CallHeader, FrameReader};
         // Length-prefix `body` onto the socket as one frame.

@@ -32,11 +32,10 @@ use crate::client::TcpClientTransport;
 use crate::frame::{CallHeader, FrameReader, MAX_FRAME, MODE_CAST};
 use geometa_core::protocol::{self, RegistryRequest, RegistryResponse};
 use geometa_core::runtime::{BatchScratch, ConnectionLayer, ServiceCore, Spawner};
-use geometa_core::MetaError;
+use geometa_core::{FxHashMap, MetaError};
 use geometa_sim::topology::SiteId;
 use parking_lot::Mutex;
 use polling::{Event, Poller};
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
@@ -110,7 +109,7 @@ impl TcpConfig {
 /// every client the one shared pipelining [`TcpClientTransport`].
 pub struct TcpLayer {
     config: TcpConfig,
-    addrs: HashMap<SiteId, SocketAddr>,
+    addrs: FxHashMap<SiteId, SocketAddr>,
     /// One transport shared by every client of this runtime: routing is
     /// per call target, and calls and casts from every client pipeline on
     /// its one connection per site.
@@ -122,7 +121,7 @@ impl TcpLayer {
     pub fn new(config: TcpConfig) -> TcpLayer {
         TcpLayer {
             config,
-            addrs: HashMap::new(),
+            addrs: FxHashMap::default(),
             shared: Mutex::new(None),
         }
     }
@@ -133,7 +132,7 @@ impl TcpLayer {
     }
 
     /// The bound address of every site (valid after the runtime started).
-    pub fn addrs(&self) -> &HashMap<SiteId, SocketAddr> {
+    pub fn addrs(&self) -> &FxHashMap<SiteId, SocketAddr> {
         &self.addrs
     }
 
@@ -155,7 +154,10 @@ impl ConnectionLayer for TcpLayer {
             };
             let listener = TcpListener::bind(("127.0.0.1", port))
                 .unwrap_or_else(|e| panic!("bind 127.0.0.1:{port} for {site}: {e}"));
-            // geometa-lint: allow(net-unwrap) infallible: local_addr on a freshly bound loopback listener cannot fail, and no peer input is involved
+            #[expect(
+                clippy::expect_used,
+                reason = "infallible: local_addr on a freshly bound loopback listener cannot fail, and no peer input is involved"
+            )]
             let addr = listener.local_addr().expect("bound listener has an addr");
             self.addrs.insert(site, addr);
             let core = Arc::clone(core);
@@ -205,7 +207,6 @@ impl ConnectionLayer for TcpLayer {
     fn unblock(&self) {
         // One dummy connection per listener wakes its reactor's poll
         // wait; the loop then observes the shutdown flag and drains.
-        // geometa-lint: allow(unordered-iter) shutdown poke: every listener gets one connection, order is irrelevant
         for addr in self.addrs.values() {
             let _ = TcpStream::connect_timeout(addr, Duration::from_millis(250));
         }
@@ -322,7 +323,6 @@ impl RConn {
     /// non-get requests are materialized and decoded into owned form,
     /// then served as one ordered [`ServiceCore::serve_batch_into`]
     /// call (whole-batch shard-grouped reads, one WAL append).
-    // geometa-hot
     fn dispatch(&mut self, core: &Arc<ServiceCore>, site: SiteId) -> bool {
         self.reqs.clear();
         self.req_seqs.clear();
@@ -401,7 +401,6 @@ impl RConn {
             [] => {}
             [one] => core.serve_gets(site, &[key(one)], &mut self.get_resps),
             many => {
-                // geometa-lint: allow(hot-alloc) amortized over >=2 gets per pass; the single-get path above is the strictly allocation-free one
                 let keys: Vec<&str> = many.iter().map(key).collect();
                 core.serve_gets(site, &keys, &mut self.get_resps);
             }
@@ -470,7 +469,6 @@ impl RConn {
 /// encoding the response *in place* behind its frame header — no intermediate body buffer. The length
 /// prefix is exact up front because [`RegistryResponse::encoded_len`]
 /// is, which the debug assert pins.
-// geometa-hot
 fn append_reply(out: &mut Vec<u8>, seq: u32, resp: &RegistryResponse) {
     let body_len = 4 + resp.encoded_len();
     if body_len > MAX_FRAME {
@@ -478,7 +476,6 @@ fn append_reply(out: &mut Vec<u8>, seq: u32, resp: &RegistryResponse) {
         // encoded error instead so the caller fails fast rather than
         // timing out on a missing response.
         let err = RegistryResponse::Error {
-            // geometa-lint: allow(hot-alloc) pathological oversize-response path, never steady state
             error: MetaError::Codec("response exceeds frame cap".to_string()),
         };
         append_reply(out, seq, &err);
@@ -620,7 +617,10 @@ fn reactor_loop(
 /// itself). At `max_conns` *site-wide* the listener's read interest is
 /// paused (further clients queue in the kernel backlog) and re-armed
 /// when a connection closes.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the reactor loop's state, borrowed field by field so the borrow checker sees disjoint fields"
+)]
 fn accept_ready(
     listener: &TcpListener,
     core: &Arc<ServiceCore>,

@@ -8,17 +8,16 @@
 
 use geometa_core::protocol::{RegistryRequest, RegistryResponse};
 use geometa_core::transport::RegistryTransport;
-use geometa_core::{FileLocation, MetaError, RegistryEntry};
+use geometa_core::{FileLocation, FxHashMap, MetaError, RegistryEntry};
 use geometa_net::frame::{CallHeader, Fill, FrameReader, MODE_CAST};
 use geometa_net::TcpClientTransport;
 use geometa_sim::topology::SiteId;
-use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 fn transport_to(addr: SocketAddr, call_timeout: Duration) -> TcpClientTransport {
-    let addrs: HashMap<SiteId, SocketAddr> = std::iter::once((SiteId(0), addr)).collect();
+    let addrs: FxHashMap<SiteId, SocketAddr> = std::iter::once((SiteId(0), addr)).collect();
     TcpClientTransport::new(addrs, call_timeout)
 }
 

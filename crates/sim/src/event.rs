@@ -153,7 +153,10 @@ impl<M> EventQueue<M> {
         }
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "only the queue's tests call it")
+    )]
     pub fn pop(&mut self) -> Option<ScheduledEvent<M>> {
         self.pop_at_or_before(SimTime::MAX)
     }
@@ -222,7 +225,6 @@ impl<M> EventQueue<M> {
         }
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn peek_time(&self) -> Option<SimTime> {
         let d = self.delivers.first().map(|e| (e.time, e.seq));
         let t = self.timers.first().map(|e| (e.time, e.seq));
@@ -237,7 +239,10 @@ impl<M> EventQueue<M> {
         self.delivers.len() + self.timers.len()
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "only the queue's tests call it")
+    )]
     pub fn is_empty(&self) -> bool {
         self.delivers.is_empty() && self.timers.is_empty()
     }

@@ -218,7 +218,6 @@ impl FaultSchedule {
 
     /// Make the ordered link `from_site → to_site` lossy during
     /// `[from, until)`.
-    #[allow(clippy::too_many_arguments)]
     pub fn link_chaos_window(
         &mut self,
         from_site: SiteId,

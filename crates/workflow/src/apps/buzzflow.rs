@@ -142,6 +142,7 @@ pub fn buzzflow_with_total_ops(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geometa_core::FxHashMap;
 
     #[test]
     fn widths_narrow_geometrically() {
@@ -200,7 +201,7 @@ mod tests {
         });
         // Count reads of each produced file: all but final-stage outputs
         // must be read exactly once.
-        let mut reads: std::collections::HashMap<&str, usize> = Default::default();
+        let mut reads: FxHashMap<&str, usize> = Default::default();
         for t in w.tasks() {
             for i in &t.inputs {
                 *reads.entry(i.as_str()).or_insert(0) += 1;

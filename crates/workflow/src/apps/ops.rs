@@ -162,6 +162,7 @@ mod tests {
     use super::*;
     use crate::apps::montage::{montage, MontageConfig};
     use crate::scheduler::{node_grid, schedule, SchedulerPolicy};
+    use geometa_core::FxHashSet;
     use geometa_sim::time::SimDuration;
 
     fn sites() -> Vec<SiteId> {
@@ -194,7 +195,7 @@ mod tests {
     fn synthetic_reader_keys_reference_written_keys() {
         let spec = SyntheticSpec::fig5(10);
         let s = synthetic_streams(&spec, &sites());
-        let written: std::collections::HashSet<&str> = s
+        let written: FxHashSet<&str> = s
             .nodes
             .iter()
             .flat_map(|n| n.ops.iter())
@@ -240,7 +241,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let unique: std::collections::HashSet<&str> = publishes.iter().copied().collect();
+        let unique: FxHashSet<&str> = publishes.iter().copied().collect();
         assert_eq!(publishes.len(), unique.len(), "duplicate publish");
         assert_eq!(unique.len(), w.total_files(), "all outputs published");
         // Within a node, a task's resolves precede its publishes in queue

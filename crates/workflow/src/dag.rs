@@ -8,8 +8,9 @@
 
 use crate::file::WorkflowFile;
 use crate::task::{Task, TaskId};
+use geometa_core::{FxHashMap, FxHashSet};
 use geometa_sim::time::SimDuration;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Validation errors for workflow construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,7 +54,7 @@ pub struct Workflow {
     name: String,
     tasks: Vec<Task>,
     /// file name -> producing task.
-    producer: HashMap<String, TaskId>,
+    producer: FxHashMap<String, TaskId>,
     /// Edges: deps[t] = tasks that must finish before t.
     deps: Vec<Vec<TaskId>>,
     /// Reverse edges: dependents of t.
@@ -127,7 +128,7 @@ impl Workflow {
 
     /// Input files not produced by any task (must pre-exist).
     pub fn external_inputs(&self) -> Vec<String> {
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut out = Vec::new();
         for t in &self.tasks {
             for i in &t.inputs {
@@ -182,7 +183,7 @@ impl Workflow {
     /// widest level).
     pub fn max_width(&self) -> usize {
         let levels = self.levels();
-        let mut counts: HashMap<usize, usize> = HashMap::new();
+        let mut counts: FxHashMap<usize, usize> = FxHashMap::default();
         for &l in &levels {
             *counts.entry(l).or_insert(0) += 1;
         }
@@ -221,7 +222,7 @@ impl WorkflowBuilder {
     pub fn build(self) -> Result<Workflow, WorkflowError> {
         let n = self.tasks.len();
         // Producer index; reject duplicate producers.
-        let mut producer: HashMap<String, TaskId> = HashMap::new();
+        let mut producer: FxHashMap<String, TaskId> = FxHashMap::default();
         for t in &self.tasks {
             for o in &t.outputs {
                 if let Some(&first) = producer.get(&o.name) {
@@ -238,7 +239,7 @@ impl WorkflowBuilder {
         let mut deps: Vec<Vec<TaskId>> = vec![Vec::new(); n];
         let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
         for t in &self.tasks {
-            let mut seen = HashSet::new();
+            let mut seen = FxHashSet::default();
             for i in &t.inputs {
                 if let Some(&p) = producer.get(i) {
                     if p == t.id {
@@ -317,7 +318,7 @@ mod tests {
     #[test]
     fn topo_order_respects_deps() {
         let w = chain();
-        let pos: HashMap<TaskId, usize> = w
+        let pos: FxHashMap<TaskId, usize> = w
             .topological_order()
             .iter()
             .enumerate()

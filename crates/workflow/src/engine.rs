@@ -17,8 +17,7 @@ use crate::scheduler::{NodeId, Placement};
 use crate::task::TaskId;
 use geometa_core::entry::RegistryEntry;
 use geometa_core::transport::RegistryTransport;
-use geometa_core::{MetaError, StrategyClient};
-use std::collections::HashMap;
+use geometa_core::{FxHashMap, MetaError, StrategyClient};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,7 +67,7 @@ pub struct ExecutionReport {
     /// Wall-clock end-to-end duration.
     pub makespan: Duration,
     /// Completion offset of every task from the run start.
-    pub task_completion: HashMap<TaskId, Duration>,
+    pub task_completion: FxHashMap<TaskId, Duration>,
     /// Metadata reads performed (including retries).
     pub resolve_calls: u64,
     /// Metadata writes performed.
@@ -125,7 +124,7 @@ impl WorkflowEngine {
         &self,
         workflow: &Workflow,
         placement: &Placement,
-        clients: &HashMap<NodeId, Arc<dyn MetadataOps>>,
+        clients: &FxHashMap<NodeId, Arc<dyn MetadataOps>>,
     ) -> Result<ExecutionReport, EngineError> {
         let queues = placement.per_node_queues(workflow);
         for node in queues.keys() {
@@ -136,7 +135,6 @@ impl WorkflowEngine {
         }
 
         // Pre-publish external inputs.
-        // geometa-lint: allow(unordered-iter) deliberately arbitrary: every client reaches the same cluster, and publish is idempotent per input
         let some_client = clients.values().next().expect("at least one client");
         for ext in workflow.external_inputs() {
             some_client
@@ -147,8 +145,10 @@ impl WorkflowEngine {
         let resolve_calls = Arc::new(AtomicU64::new(0));
         let publish_calls = Arc::new(AtomicU64::new(0));
         let stall_nanos = Arc::new(AtomicU64::new(0));
-        #[allow(clippy::disallowed_methods)]
-        // geometa-lint: allow(wall-clock) this is the live executor: it measures real latency against a running cluster, not simulated time
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this is the live executor: it measures real latency against a running cluster, not simulated time"
+        )]
         let start = Instant::now();
 
         let results: Vec<Result<Vec<(TaskId, Duration)>, EngineError>> =
@@ -168,8 +168,10 @@ impl WorkflowEngine {
                             // 1. Resolve inputs through the registry.
                             for input in &task.inputs {
                                 let mut attempt = 0;
-                                #[allow(clippy::disallowed_methods)]
-                                // geometa-lint: allow(wall-clock) live-executor stall accounting: real blocking time on a real registry
+                                #[expect(
+                                    clippy::disallowed_methods,
+                                    reason = "live-executor stall accounting: real blocking time"
+                                )]
                                 let wait_start = Instant::now();
                                 loop {
                                     resolve_calls.fetch_add(1, Ordering::Relaxed);
@@ -220,7 +222,7 @@ impl WorkflowEngine {
                     .collect()
             });
 
-        let mut task_completion = HashMap::new();
+        let mut task_completion = FxHashMap::default();
         for r in results {
             for (tid, at) in r? {
                 task_completion.insert(tid, at);
@@ -247,7 +249,10 @@ mod tests {
     use geometa_core::ClientConfig;
     use geometa_sim::topology::SiteId;
 
-    fn clients_for(nodes: &[NodeId], kind: StrategyKind) -> HashMap<NodeId, Arc<dyn MetadataOps>> {
+    fn clients_for(
+        nodes: &[NodeId],
+        kind: StrategyKind,
+    ) -> FxHashMap<NodeId, Arc<dyn MetadataOps>> {
         let sites: Vec<SiteId> = (0..4).map(SiteId).collect();
         let transport = Arc::new(InProcessTransport::new(&sites, 8));
         let controller = Arc::new(ArchitectureController::with_kind(kind, sites));
@@ -362,7 +367,10 @@ mod tests {
         let nodes = nodes();
         let placement = schedule(&w, &nodes, SchedulerPolicy::LocalityAware);
         let clients = clients_for(&nodes, StrategyKind::Centralized);
-        #[allow(clippy::disallowed_methods)] // test measures the live executor's real runtime
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test measures the live executor's real runtime"
+        )]
         let t0 = Instant::now();
         WorkflowEngine::new(EngineConfig {
             compute_scale: 0.1, // 100 ms * 0.1 * 3 tasks = 30 ms minimum

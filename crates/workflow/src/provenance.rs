@@ -13,19 +13,19 @@
 use crate::dag::Workflow;
 use crate::scheduler::Placement;
 use crate::task::TaskId;
+use geometa_core::FxHashMap;
 use geometa_sim::topology::SiteId;
-use std::collections::HashMap;
 
 /// Producer/consumer index over one workflow.
 #[derive(Clone, Debug)]
 pub struct ProvenanceIndex {
-    consumers: HashMap<String, Vec<TaskId>>,
+    consumers: FxHashMap<String, Vec<TaskId>>,
 }
 
 impl ProvenanceIndex {
     /// Build the index.
     pub fn build(workflow: &Workflow) -> ProvenanceIndex {
-        let mut consumers: HashMap<String, Vec<TaskId>> = HashMap::new();
+        let mut consumers: FxHashMap<String, Vec<TaskId>> = FxHashMap::default();
         for t in workflow.tasks() {
             for i in &t.inputs {
                 consumers.entry(i.clone()).or_default().push(t.id);

@@ -10,9 +10,10 @@
 
 use crate::dag::Workflow;
 use crate::task::TaskId;
+use geometa_core::FxHashMap;
 use geometa_sim::rng::SplitMix64;
 use geometa_sim::topology::SiteId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// One execution node: a VM at a site.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -117,27 +118,27 @@ pub fn schedule(workflow: &Workflow, nodes: &[NodeId], policy: SchedulerPolicy) 
             // fair share of a level — beyond that, locality yields to
             // balance. Sequential chains (level width 1) always stay with
             // their data.
-            let mut by_site: HashMap<SiteId, Vec<NodeId>> = HashMap::new();
+            let mut by_site: FxHashMap<SiteId, Vec<NodeId>> = FxHashMap::default();
             for &nd in nodes {
                 by_site.entry(nd.site).or_default().push(nd);
             }
             let mut sites: Vec<SiteId> = by_site.keys().copied().collect();
             sites.sort();
             let levels = workflow.levels();
-            let mut level_width: HashMap<usize, usize> = HashMap::new();
+            let mut level_width: FxHashMap<usize, usize> = FxHashMap::default();
             for &l in &levels {
                 *level_width.entry(l).or_insert(0) += 1;
             }
-            let mut site_load: HashMap<SiteId, usize> = sites.iter().map(|&s| (s, 0)).collect();
-            let mut level_site_load: HashMap<(usize, SiteId), usize> = HashMap::new();
-            let mut node_load: HashMap<NodeId, usize> = nodes.iter().map(|&n| (n, 0)).collect();
+            let mut site_load: FxHashMap<SiteId, usize> = sites.iter().map(|&s| (s, 0)).collect();
+            let mut level_site_load: FxHashMap<(usize, SiteId), usize> = FxHashMap::default();
+            let mut node_load: FxHashMap<NodeId, usize> = nodes.iter().map(|&n| (n, 0)).collect();
 
             for &t in workflow.topological_order() {
                 let task = workflow.task(t);
                 let level = levels[t.index()];
                 let cap = level_width[&level].div_ceil(sites.len());
                 // Input bytes per producing site.
-                let mut bytes_by_site: HashMap<SiteId, u64> = HashMap::new();
+                let mut bytes_by_site: FxHashMap<SiteId, u64> = FxHashMap::default();
                 for input in &task.inputs {
                     if let Some(p) = workflow.producer_of(input) {
                         let psite = assignment[p.index()].site;
@@ -203,6 +204,7 @@ pub fn node_grid(sites: &[SiteId], per_site: u32) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use crate::patterns::{pipeline, scatter, PatternConfig};
+    use geometa_core::FxHashSet;
 
     fn sites4() -> Vec<SiteId> {
         (0..4).map(SiteId).collect()
@@ -271,7 +273,7 @@ mod tests {
         // 32 independent roots: each site should get its fair share.
         let w = scatter("s", 31, PatternConfig::default());
         let p = schedule(&w, &grid(), SchedulerPolicy::LocalityAware);
-        let mut per_site: HashMap<SiteId, usize> = HashMap::new();
+        let mut per_site: FxHashMap<SiteId, usize> = FxHashMap::default();
         for t in w.tasks() {
             if w.dependencies(t.id).is_empty() {
                 *per_site.entry(p.site_of(t.id)).or_insert(0) += 1;
@@ -279,8 +281,7 @@ mod tests {
         }
         // Only the split task is a root here; use a wider check: total
         // tasks should span more than one site.
-        let distinct: std::collections::HashSet<SiteId> =
-            w.tasks().iter().map(|t| p.site_of(t.id)).collect();
+        let distinct: FxHashSet<SiteId> = w.tasks().iter().map(|t| p.site_of(t.id)).collect();
         assert!(!distinct.is_empty());
     }
 

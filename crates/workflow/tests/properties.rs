@@ -2,6 +2,7 @@
 //! valid DAG with the documented shape, schedulers produce complete valid
 //! placements, and the op-count formulas match the generated DAGs.
 
+use geometa_core::FxHashMap;
 use geometa_sim::time::SimDuration;
 use geometa_sim::topology::SiteId;
 use geometa_workflow::apps::buzzflow::{buzzflow, buzzflow_ops, BuzzFlowConfig};
@@ -14,7 +15,7 @@ use proptest::prelude::*;
 fn check_valid(w: &Workflow) -> Result<(), TestCaseError> {
     // Topological order covers every task exactly once and respects deps.
     prop_assert_eq!(w.topological_order().len(), w.len());
-    let pos: std::collections::HashMap<_, _> = w
+    let pos: FxHashMap<_, _> = w
         .topological_order()
         .iter()
         .enumerate()

@@ -17,6 +17,7 @@ use geometa::core::protocol::{RegistryRequest, RegistryResponse};
 use geometa::core::runtime::{ConnectionLayer, RuntimeConfig, ServiceRuntime};
 use geometa::core::strategy::StrategyKind;
 use geometa::core::transport::RegistryTransport;
+use geometa::core::FxHashMap;
 use geometa::net::TcpLayer;
 use geometa::sim::time::SimDuration;
 use geometa::sim::topology::{SiteId, Topology};
@@ -24,7 +25,6 @@ use geometa::workflow::apps::montage::{montage, MontageConfig};
 use geometa::workflow::engine::{EngineConfig, MetadataOps, WorkflowEngine};
 use geometa::workflow::provenance::{provisioning_plan, ProvenanceIndex};
 use geometa::workflow::scheduler::{node_grid, schedule, NodeId, SchedulerPolicy};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -81,7 +81,7 @@ fn run_once(kind: StrategyKind) -> Duration {
     let placement = schedule(&workflow, &nodes, SchedulerPolicy::LocalityAware);
 
     // One metadata client per execution node.
-    let clients: HashMap<NodeId, Arc<dyn MetadataOps>> = nodes
+    let clients: FxHashMap<NodeId, Arc<dyn MetadataOps>> = nodes
         .iter()
         .map(|&n| {
             let wan = Wan {

@@ -8,12 +8,11 @@ use geometa::core::rebalance::{apply_rebalance, plan_rebalance};
 use geometa::core::registry::RegistryInstance;
 use geometa::core::strategy::{DhtNonReplicated, MetadataStrategy};
 use geometa::core::transport::InProcessTransport;
-use geometa::core::{ClientConfig, StrategyClient};
+use geometa::core::{ClientConfig, FxHashMap, StrategyClient};
 use geometa::sim::topology::SiteId;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-fn registries(sites: &[SiteId]) -> HashMap<SiteId, Arc<RegistryInstance>> {
+fn registries(sites: &[SiteId]) -> FxHashMap<SiteId, Arc<RegistryInstance>> {
     sites
         .iter()
         .map(|&s| (s, Arc::new(RegistryInstance::new(s, 8))))
@@ -46,7 +45,7 @@ fn grow_from_4_to_5_sites_without_losing_entries() {
     }
 
     // Rebalance onto the 5-site ring, then switch the strategy.
-    let reg_map: HashMap<SiteId, Arc<RegistryInstance>> = sites5
+    let reg_map: FxHashMap<SiteId, Arc<RegistryInstance>> = sites5
         .iter()
         .map(|&s| (s, Arc::clone(transport.registry(s).unwrap())))
         .collect();

@@ -5,7 +5,7 @@
 use geometa::core::controller::ArchitectureController;
 use geometa::core::strategy::StrategyKind;
 use geometa::core::transport::InProcessTransport;
-use geometa::core::{ClientConfig, StrategyClient};
+use geometa::core::{ClientConfig, FxHashMap, StrategyClient};
 use geometa::experiments::calibration::Calibration;
 use geometa::experiments::simbind::{run_workflow, SimConfig};
 use geometa::sim::time::SimDuration;
@@ -16,14 +16,13 @@ use geometa::workflow::dag::Workflow;
 use geometa::workflow::engine::{EngineConfig, MetadataOps, WorkflowEngine};
 use geometa::workflow::patterns::{broadcast, gather, pipeline, reduce, scatter, PatternConfig};
 use geometa::workflow::scheduler::{node_grid, schedule, NodeId, SchedulerPolicy};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 fn sites4() -> Vec<SiteId> {
     (0..4).map(SiteId).collect()
 }
 
-fn clients(nodes: &[NodeId], kind: StrategyKind) -> HashMap<NodeId, Arc<dyn MetadataOps>> {
+fn clients(nodes: &[NodeId], kind: StrategyKind) -> FxHashMap<NodeId, Arc<dyn MetadataOps>> {
     let transport = Arc::new(InProcessTransport::new(&sites4(), 8));
     let controller = Arc::new(ArchitectureController::with_kind(kind, sites4()));
     nodes
