@@ -48,24 +48,13 @@ impl HaCache {
         self.primary_op(|store| store.get_key(key))
     }
 
-    /// Batched [`Self::get_key`]: one shard lock per shard group instead of
-    /// one per key, results in request order. On primary failure the whole
-    /// batch promotes and retries once — the same protocol as
-    /// [`Self::primary_op`], lifted to the batch (individual `NotFound`s
-    /// are results, not failures, and don't trigger promotion).
-    pub fn multi_get_keys(&self, keys: &[Key]) -> Vec<Result<CacheEntry, CacheError>> {
-        let primary = self.primary.read().clone();
-        let out = primary.multi_get_keys(keys);
-        if out.iter().any(|r| r == &Err(CacheError::Unavailable)) {
-            self.promote();
-            return self.primary.read().multi_get_keys(keys);
-        }
-        out
-    }
-
     /// Batched [`Self::get`] by borrowed key text: the server's zero-copy
     /// request path reads straight from the wire buffer, so no `Key` is
-    /// interned. Same failover protocol as [`Self::multi_get_keys`].
+    /// interned. One shard lock per shard group instead of one per key,
+    /// results in request order. On primary failure the whole batch
+    /// promotes and retries once — the same protocol as
+    /// [`Self::primary_op`], lifted to the batch (individual `NotFound`s
+    /// are results, not failures, and don't trigger promotion).
     pub fn multi_get(&self, keys: &[&str]) -> Vec<Result<CacheEntry, CacheError>> {
         let primary = self.primary.read().clone();
         let out = primary.multi_get(keys);
@@ -343,24 +332,25 @@ mod tests {
     }
 
     #[test]
-    fn multi_get_keys_survives_failover_and_keeps_order() {
+    fn multi_get_survives_failover_and_keeps_order() {
         let ha = HaCache::new(8);
         for i in 0..50 {
             ha.put(&format!("k{i}"), Bytes::from(i.to_string().into_bytes()), 0)
                 .unwrap();
         }
-        let keys: Vec<Key> = (0..50).map(|i| Key::from(format!("k{i}"))).collect();
-        let before = ha.multi_get_keys(&keys);
+        let names: Vec<String> = (0..50).map(|i| format!("k{i}")).collect();
+        let keys: Vec<&str> = names.iter().map(String::as_str).collect();
+        let before = ha.multi_get(&keys);
         for (i, r) in before.iter().enumerate() {
             assert_eq!(r.as_ref().unwrap().value.as_ref(), i.to_string().as_bytes());
         }
         ha.fail_primary();
         // The batch itself triggers promotion and succeeds.
-        let after = ha.multi_get_keys(&keys);
+        let after = ha.multi_get(&keys);
         assert_eq!(after, before);
         assert_eq!(ha.promotions(), 1);
         // Missing keys are results, not failures.
-        let missing = ha.multi_get_keys(&[Key::from("absent")]);
+        let missing = ha.multi_get(&["absent"]);
         assert_eq!(missing, vec![Err(CacheError::NotFound)]);
         assert_eq!(ha.promotions(), 1);
     }

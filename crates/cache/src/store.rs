@@ -355,18 +355,42 @@ impl ShardedStore {
     /// Batch read: one result per key, in order. Keys are grouped by shard
     /// and each shard lock is taken once per batch, not once per key.
     pub fn multi_get(&self, keys: &[&str]) -> Vec<Result<CacheEntry, CacheError>> {
-        self.multi_get_grouped(keys.len(), |i| StrQuery::new(keys[i]))
-    }
-
-    /// Batch read by interned keys (no hashing at all).
-    pub fn multi_get_keys(&self, keys: &[Key]) -> Vec<Result<CacheEntry, CacheError>> {
-        self.multi_get_grouped(keys.len(), |i| {
-            let k = &keys[i];
-            StrQuery {
-                hash: k.hash64(),
-                s: k.as_str(),
-            }
-        })
+        let queries: Vec<StrQuery<'_>> = keys.iter().map(|&k| StrQuery::new(k)).collect();
+        let mut out: Vec<Result<CacheEntry, CacheError>> =
+            keys.iter().map(|_| Err(CacheError::NotFound)).collect();
+        // Checked per shard group (like multi_put) so a failure injected
+        // mid-batch surfaces as Unavailable for the rest of the batch,
+        // matching what per-key gets would have reported.
+        let mut available = true;
+        let _: Result<(), std::convert::Infallible> = self.visit_shard_groups(
+            keys.len(),
+            |i| queries[i].hash,
+            |shard_idx, group| {
+                available = available && self.check_available().is_ok();
+                if !available {
+                    for &i in group {
+                        out[i as usize] = Err(CacheError::Unavailable);
+                    }
+                    return Ok(());
+                }
+                let shard = self.shards[shard_idx].read();
+                for &i in group {
+                    let q = &queries[i as usize];
+                    out[i as usize] = match shard.get(q as &dyn KeyQuery) {
+                        Some(e) => {
+                            self.stats.hit();
+                            Ok(e.clone())
+                        }
+                        None => {
+                            self.stats.miss();
+                            Err(CacheError::NotFound)
+                        }
+                    };
+                }
+                Ok(())
+            },
+        );
+        out
     }
 
     /// Visit a batch of `n` items grouped by shard: `hash_of(i)` is item
@@ -394,53 +418,6 @@ impl ShardedStore {
             pos = end;
         }
         Ok(())
-    }
-
-    fn multi_get_grouped<'a>(
-        &self,
-        n: usize,
-        query: impl Fn(usize) -> StrQuery<'a>,
-    ) -> Vec<Result<CacheEntry, CacheError>> {
-        if self.check_available().is_err() {
-            return (0..n).map(|_| Err(CacheError::Unavailable)).collect();
-        }
-        let queries: Vec<StrQuery<'a>> = (0..n).map(query).collect();
-        let mut out: Vec<Result<CacheEntry, CacheError>> =
-            (0..n).map(|_| Err(CacheError::NotFound)).collect();
-        // Re-checked per shard group (like multi_put) so a failure injected
-        // mid-batch surfaces as Unavailable for the rest of the batch,
-        // matching what per-key gets would have reported.
-        let mut available = true;
-        let infallible: Result<(), std::convert::Infallible> = self.visit_shard_groups(
-            n,
-            |i| queries[i].hash,
-            |shard_idx, group| {
-                available = available && self.check_available().is_ok();
-                if !available {
-                    for &i in group {
-                        out[i as usize] = Err(CacheError::Unavailable);
-                    }
-                    return Ok(());
-                }
-                let shard = self.shards[shard_idx].read();
-                for &i in group {
-                    let q = &queries[i as usize];
-                    out[i as usize] = match shard.get(q as &dyn KeyQuery) {
-                        Some(e) => {
-                            self.stats.hit();
-                            Ok(e.clone())
-                        }
-                        None => {
-                            self.stats.miss();
-                            Err(CacheError::NotFound)
-                        }
-                    };
-                }
-                Ok(())
-            },
-        );
-        let _ = infallible;
-        out
     }
 
     /// Batch unconditional put, grouped by shard (one write-lock
@@ -806,9 +783,6 @@ mod tests {
                 "result {i} out of order"
             );
         }
-        // Interned variant agrees.
-        let interned: Vec<Key> = keys.iter().map(Key::from).collect();
-        assert_eq!(store.multi_get_keys(&interned), res);
     }
 
     #[test]

@@ -295,9 +295,6 @@ proptest! {
         for (i, r) in batched.iter().enumerate() {
             prop_assert_eq!(r, &store.get(refs[i]));
         }
-        // Interned-key batch agrees too.
-        let keys: Vec<Key> = names.iter().map(Key::from).collect();
-        prop_assert_eq!(store.multi_get_keys(&keys), batched);
     }
 
     /// Versions only ever grow, under any single-threaded op sequence.

@@ -10,7 +10,7 @@ use crate::consistency::merge_entries;
 use crate::entry::RegistryEntry;
 use crate::protocol::{RegistryRequest, RegistryResponse};
 use crate::MetaError;
-use geometa_cache::{CacheError, HaCache, Key};
+use geometa_cache::{CacheEntry, CacheError, HaCache, Key};
 use geometa_sim::topology::SiteId;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -88,41 +88,14 @@ impl RegistryInstance {
     /// Read an entry.
     pub fn get(&self, key: &str) -> Result<RegistryEntry, MetaError> {
         self.gets.fetch_add(1, Ordering::Relaxed);
-        match self.cache.get(key) {
-            Ok(e) => RegistryEntry::from_bytes(e.value),
-            Err(CacheError::NotFound) => Err(MetaError::NotFound),
-            Err(CacheError::Unavailable) => Err(MetaError::Unavailable),
-            Err(e) => Err(MetaError::Codec(e.to_string())),
-        }
+        entry_of(self.cache.get(key))
     }
 
     /// Read an entry by interned key (the RPC path: the client interned the
     /// key once and it rides the request, so no hashing happens here).
     pub fn get_key(&self, key: &Key) -> Result<RegistryEntry, MetaError> {
         self.gets.fetch_add(1, Ordering::Relaxed);
-        match self.cache.get_key(key) {
-            Ok(e) => RegistryEntry::from_bytes(e.value),
-            Err(CacheError::NotFound) => Err(MetaError::NotFound),
-            Err(CacheError::Unavailable) => Err(MetaError::Unavailable),
-            Err(e) => Err(MetaError::Codec(e.to_string())),
-        }
-    }
-
-    /// Batched [`Self::get_key`]: one shard lock per shard group via the
-    /// HA pair's batch read, results in request order. Each key still
-    /// counts as one get.
-    pub fn multi_get_keys(&self, keys: &[Key]) -> Vec<Result<RegistryEntry, MetaError>> {
-        self.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        self.cache
-            .multi_get_keys(keys)
-            .into_iter()
-            .map(|r| match r {
-                Ok(e) => RegistryEntry::from_bytes(e.value),
-                Err(CacheError::NotFound) => Err(MetaError::NotFound),
-                Err(CacheError::Unavailable) => Err(MetaError::Unavailable),
-                Err(e) => Err(MetaError::Codec(e.to_string())),
-            })
-            .collect()
+        entry_of(self.cache.get_key(key))
     }
 
     /// Batched [`Self::get`] by borrowed key text — the reactor's
@@ -134,12 +107,7 @@ impl RegistryInstance {
         self.cache
             .multi_get(keys)
             .into_iter()
-            .map(|r| match r {
-                Ok(e) => RegistryEntry::from_bytes(e.value),
-                Err(CacheError::NotFound) => Err(MetaError::NotFound),
-                Err(CacheError::Unavailable) => Err(MetaError::Unavailable),
-                Err(e) => Err(MetaError::Codec(e.to_string())),
-            })
+            .map(entry_of)
             .collect()
     }
 
@@ -329,6 +297,16 @@ impl RegistryInstance {
             self.puts.load(Ordering::Relaxed),
             self.absorbs.load(Ordering::Relaxed),
         )
+    }
+}
+
+/// A cache read as a registry read: decode the value, map the failure.
+fn entry_of(read: Result<CacheEntry, CacheError>) -> Result<RegistryEntry, MetaError> {
+    match read {
+        Ok(e) => RegistryEntry::from_bytes(e.value),
+        Err(CacheError::NotFound) => Err(MetaError::NotFound),
+        Err(CacheError::Unavailable) => Err(MetaError::Unavailable),
+        Err(e) => Err(MetaError::Codec(e.to_string())),
     }
 }
 

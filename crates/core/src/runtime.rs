@@ -180,16 +180,11 @@ pub struct ServiceCore {
 }
 
 /// Caller-owned scratch for [`ServiceCore::serve_batch_into`]: the
-/// batch's hoisted read run and its pending-WAL write run. The server
-/// reactor keeps one per connection — cleared between batches, never
-/// shrunk — so batching itself allocates nothing at steady state.
+/// batch's pending-WAL write run. The server reactor keeps one per
+/// connection — cleared between batches, never shrunk — so batching
+/// itself allocates nothing at steady state.
 #[derive(Default)]
 pub struct BatchScratch {
-    /// Interned keys of every `Get` in the batch, hoisted for one
-    /// grouped read.
-    gets: Vec<geometa_cache::Key>,
-    /// `out` index each hoisted get's response is restored to.
-    get_slots: Vec<usize>,
     /// Acked writes awaiting the batched WAL append.
     writes: Vec<RegistryRequest>,
     /// `out` index of each pending write's ack (demoted to
@@ -199,8 +194,6 @@ pub struct BatchScratch {
 
 impl BatchScratch {
     fn clear(&mut self) {
-        self.gets.clear();
-        self.get_slots.clear();
         self.writes.clear();
         self.write_slots.clear();
     }
@@ -307,9 +300,9 @@ impl ServiceCore {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Reusable scratch for [`ServiceCore::serve_batch_into`]: the hoisted
-    /// read run and the pending-WAL write run live here between batches,
-    /// cleared but never shrunk, so steady-state batching is alloc-free.
+    /// Reusable scratch for [`ServiceCore::serve_batch_into`]: the
+    /// pending-WAL write run lives here between batches, cleared but
+    /// never shrunk, so steady-state batching is alloc-free.
     pub fn new_batch_scratch(&self) -> BatchScratch {
         BatchScratch::default()
     }
@@ -380,13 +373,11 @@ impl ServiceCore {
     /// connection, so a steady-state batch performs no allocation for
     /// the batching itself.
     ///
-    /// *All* of the batch's `Get`s — not just consecutive runs — are
-    /// sort-grouped into one [`RegistryInstance::multi_get_keys`] call
-    /// (one shard-lock acquisition per shard group), with responses
-    /// restored to request order. Hoisting reads past writes is a valid
-    /// linearization because the requests of one batch are concurrent:
-    /// every caller has at most one call in flight, so no two requests
-    /// in a batch are ordered by the same session.
+    /// Requests are applied one by one in arrival order, so a request
+    /// sees every earlier one in the batch — the order a session's casts
+    /// and its next call were sent in. (The server reactor serves a
+    /// pass's called `Get`s through [`Self::serve_gets`] *after* this
+    /// batch, for the same reason.)
     ///
     /// Acked writes are appended to the WAL as **one batch** (one lock,
     /// one contiguous seq range, one group-commit wait) after serving;
@@ -414,41 +405,13 @@ impl ServiceCore {
         let now = self.now_micros();
         scratch.clear();
         for req in reqs.drain(..) {
-            match req {
-                RegistryRequest::Get { key } => {
-                    scratch.get_slots.push(out.len());
-                    scratch.gets.push(key);
-                    // Placeholder; overwritten by the grouped read below.
-                    out.push(RegistryResponse::Ack);
-                }
-                req => {
-                    let logged = wal.filter(|_| req.is_write()).map(|_| req.clone());
-                    let resp = self.apply(site, r, req, now);
-                    if let (Some(req), RegistryResponse::Ack) = (logged, &resp) {
-                        scratch.write_slots.push(out.len());
-                        scratch.writes.push(req);
-                    }
-                    out.push(resp);
-                }
+            let logged = wal.filter(|_| req.is_write()).map(|_| req.clone());
+            let resp = self.apply(site, r, req, now);
+            if let (Some(req), RegistryResponse::Ack) = (logged, &resp) {
+                scratch.write_slots.push(out.len());
+                scratch.writes.push(req);
             }
-        }
-        match scratch.gets.len() {
-            0 => {}
-            1 => {
-                out[scratch.get_slots[0]] = match r.get_key(&scratch.gets[0]) {
-                    Ok(entry) => RegistryResponse::Found { entry },
-                    Err(error) => RegistryResponse::Error { error },
-                };
-            }
-            _ => {
-                let results = r.multi_get_keys(&scratch.gets);
-                for (&slot, res) in scratch.get_slots.iter().zip(results) {
-                    out[slot] = match res {
-                        Ok(entry) => RegistryResponse::Found { entry },
-                        Err(error) => RegistryResponse::Error { error },
-                    };
-                }
-            }
+            out.push(resp);
         }
         if let Some(wal) = wal.filter(|_| !scratch.writes.is_empty()) {
             if log_acked_writes(&**wal, &scratch.writes, now, self.snapshot_every, r).is_err() {
@@ -462,12 +425,13 @@ impl ServiceCore {
         scratch.clear();
     }
 
-    /// Serve a run of reads addressed by *borrowed* key text — the
-    /// reactor's zero-copy fast path, where keys are `&str` views into
-    /// the connection's read buffer and no [`geometa_cache::Key`] is
-    /// ever interned. Appends one response per key, in order. A single
-    /// key probes the store directly (no allocation on a miss); two or
-    /// more share shard locks through the grouped batch read.
+    /// Serve a run of reads addressed by *borrowed* key text — the one
+    /// batched read path, the reactor's zero-copy one: keys are `&str`
+    /// views into the connection's read buffer and no
+    /// [`geometa_cache::Key`] is ever interned. Appends one response per
+    /// key, in order. A single key probes the store directly (no
+    /// allocation on a miss); two or more share shard locks through the
+    /// grouped batch read.
     pub fn serve_gets(&self, site: SiteId, keys: &[&str], out: &mut Vec<RegistryResponse>) {
         let Some(r) = self.registries.get(&site) else {
             for _ in keys {
@@ -477,20 +441,14 @@ impl ServiceCore {
             }
             return;
         };
-        match keys.len() {
-            0 => {}
-            1 => out.push(match r.get(keys[0]) {
-                Ok(entry) => RegistryResponse::Found { entry },
-                Err(error) => RegistryResponse::Error { error },
-            }),
-            _ => {
-                for res in r.multi_get(keys) {
-                    out.push(match res {
-                        Ok(entry) => RegistryResponse::Found { entry },
-                        Err(error) => RegistryResponse::Error { error },
-                    });
-                }
-            }
+        let found = |read| match read {
+            Ok(entry) => RegistryResponse::Found { entry },
+            Err(error) => RegistryResponse::Error { error },
+        };
+        match keys {
+            [] => {}
+            [key] => out.push(found(r.get(key))),
+            _ => out.extend(r.multi_get(keys).into_iter().map(found)),
         }
     }
 

@@ -31,7 +31,9 @@ use geometa_core::controller::ArchitectureController;
 use geometa_core::runtime::{RuntimeConfig, ServiceRuntime};
 use geometa_core::strategy::StrategyKind;
 use geometa_core::{ClientConfig, StrategyClient};
-use geometa_net::cli::{die, flag_value, has_flag, parse_or_die, reject_unknown, strategy_flag};
+use geometa_net::cli::{
+    die, flag_value, has_flag, parse_or_die, positive_or_die, reject_unknown, strategy_flag,
+};
 use geometa_net::loadgen::{run_stream, LoadMode, LoadOptions};
 use geometa_net::{loopback_topology, transport_for, TcpClientTransport, TcpConfig, TcpLayer};
 use geometa_sim::time::SimDuration;
@@ -83,11 +85,11 @@ fn main() {
             "--workload takes all|synthetic|montage|buzzflow, got '{workload}'"
         ));
     }
-    let nodes: usize = flag_value(&args, "--threads")
-        .map(|v| parse_or_die(&v, "--threads takes a positive integer"))
+    let nodes = flag_value(&args, "--threads")
+        .map(|v| positive_or_die(&v, "--threads takes a positive integer"))
         .unwrap_or(32);
-    let ops_per_node: usize = flag_value(&args, "--ops")
-        .map(|v| parse_or_die(&v, "--ops takes a positive integer"))
+    let ops_per_node = flag_value(&args, "--ops")
+        .map(|v| positive_or_die(&v, "--ops takes a positive integer"))
         .unwrap_or(if quick { 40 } else { 200 });
     let seed: u64 = flag_value(&args, "--seed")
         .map(|v| parse_or_die(&v, "--seed takes an integer"))
@@ -102,11 +104,11 @@ fn main() {
         die("--mode open needs an explicit --rate (with --mode both it derives from the closed-loop run)");
     }
     let connect = flag_value(&args, "--connect");
-    let n_sites: usize = flag_value(&args, "--sites")
-        .map(|v| parse_or_die(&v, "--sites takes a positive integer"))
+    let n_sites = flag_value(&args, "--sites")
+        .map(|v| positive_or_die(&v, "--sites takes a positive integer"))
         .unwrap_or(4);
-    let reactors: Option<usize> = flag_value(&args, "--reactors")
-        .map(|v| parse_or_die(&v, "--reactors takes a positive integer"));
+    let reactors = flag_value(&args, "--reactors")
+        .map(|v| positive_or_die(&v, "--reactors takes a positive integer"));
 
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())

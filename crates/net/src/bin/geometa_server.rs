@@ -27,7 +27,9 @@
 use geometa_core::runtime::{RuntimeConfig, ServiceRuntime, WalConfig};
 use geometa_core::strategy::StrategyKind;
 use geometa_core::wal::{FsyncPolicy, WalError};
-use geometa_net::cli::{die, flag_value, has_flag, parse_or_die, reject_unknown, strategy_flag};
+use geometa_net::cli::{
+    die, flag_value, has_flag, parse_or_die, positive_or_die, reject_unknown, strategy_flag,
+};
 use geometa_net::{loopback_topology, TcpConfig, TcpLayer};
 use std::io::Read;
 use std::path::PathBuf;
@@ -51,15 +53,15 @@ const KNOWN: &[&str] = &[
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     reject_unknown(&args, KNOWN);
-    let sites: usize = flag_value(&args, "--sites")
-        .map(|v| parse_or_die(&v, "--sites takes a positive integer"))
+    let sites = flag_value(&args, "--sites")
+        .map(|v| positive_or_die(&v, "--sites takes a positive integer"))
         .unwrap_or(4);
     let base_port: u16 = flag_value(&args, "--base-port")
         .map(|v| parse_or_die(&v, "--base-port takes a port number"))
         .unwrap_or(7420);
     let strategy = strategy_flag(&args, StrategyKind::DhtLocalReplica);
-    let shards: usize = flag_value(&args, "--shards")
-        .map(|v| parse_or_die(&v, "--shards takes a positive integer"))
+    let shards = flag_value(&args, "--shards")
+        .map(|v| positive_or_die(&v, "--shards takes a positive integer"))
         .unwrap_or(16);
     let duration = flag_value(&args, "--duration")
         .map(|v| Duration::from_secs_f64(parse_or_die(&v, "--duration takes seconds")));

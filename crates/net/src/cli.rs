@@ -31,6 +31,15 @@ pub fn parse_or_die<T: std::str::FromStr>(value: &str, what: &str) -> T {
         .unwrap_or_else(|_| die(&format!("{what}, got '{value}'")))
 }
 
+/// [`parse_or_die`] for a count that must be at least 1: zero exits 2
+/// with the same message instead of panicking or running nothing.
+pub fn positive_or_die(value: &str, what: &str) -> usize {
+    match parse_or_die(value, what) {
+        0 => die(&format!("{what}, got '{value}'")),
+        n => n,
+    }
+}
+
 /// Parse `--strategy NAME` from `args`, defaulting when absent and
 /// exiting with the accepted vocabulary on an unknown name.
 pub fn strategy_flag(args: &[String], default: StrategyKind) -> StrategyKind {

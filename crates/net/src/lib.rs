@@ -10,11 +10,13 @@
 //! * [`frame`] — length-prefixed framing with a timeout-safe incremental
 //!   reader and hard frame-size caps on both ends;
 //! * [`server`] — [`TcpLayer`]: a pool of readiness-driven reactor
-//!   threads per site (nonblocking `std::net` sockets multiplexed
-//!   through the vendored `polling` shim), batch-decoding frames and
-//!   serving them through `ServiceCore::serve_gets` /
-//!   `ServiceCore::serve_batch_into` so a pass's reads share shard locks
-//!   and its writes share one WAL append;
+//!   threads per site, each accepting from the site's one listener for
+//!   itself (nonblocking `std::net` sockets multiplexed through the
+//!   vendored `polling` shim). A pass's frames are served owned requests
+//!   first, in arrival order, through `ServiceCore::serve_batch_into`
+//!   (its writes share one WAL append), then its called reads through
+//!   `ServiceCore::serve_gets` (keys borrowed from the read buffer,
+//!   shard locks shared);
 //! * [`client`] — [`TcpClientTransport`]: one pipelined connection per
 //!   target, driven by its callers — each writes its own request, and
 //!   one of them at a time (the connection's leader) polls and reads the
@@ -258,17 +260,8 @@ mod tests {
         body.extend_from_slice(&[0xFF, 0xFF]);
         write_frame(&mut raw, &body).unwrap();
         let mut reader = FrameReader::new();
-        let frame = loop {
-            if let Some(f) = reader.next_frame().unwrap() {
-                break f;
-            }
-            let mut chunk = [0u8; 1024];
-            let n = raw.read(&mut chunk).unwrap();
-            assert!(n > 0, "server closed instead of answering");
-            reader_extend(&mut reader, &chunk[..n]);
-        };
-        assert_eq!(&frame[..4], &7u32.to_le_bytes(), "answered under its seq");
-        let resp = RegistryResponse::decode(frame.slice(4..)).unwrap();
+        let (seq, resp) = read_reply(&mut raw, &mut reader).unwrap();
+        assert_eq!(seq, 7, "answered under its seq");
         assert!(matches!(resp, RegistryResponse::Error { .. }));
 
         // Unknown mode: EOF on this socket, nothing written first.
@@ -290,8 +283,133 @@ mod tests {
         rt.shutdown();
     }
 
-    // Feed raw bytes into a FrameReader via its Read-based fill.
-    fn reader_extend(reader: &mut crate::frame::FrameReader, mut bytes: &[u8]) {
-        let _ = reader.fill(&mut bytes);
+    /// A call is served after the casts its own thread sent before it,
+    /// even when one readiness pass delivers both: the FIFO rule the
+    /// client promises for a call behind its own lazy push. Both frames
+    /// go out in one write, so the server sees them in one pass.
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "dials this test's own loopback server, which is already listening"
+    )]
+    fn a_call_sees_the_casts_sent_before_it_in_the_same_pass() {
+        use crate::frame::{write_frame_with_mode, CallHeader, FrameReader, MODE_CAST};
+        use std::io::Write;
+        let rt = runtime(StrategyKind::Centralized);
+        let mut raw = std::net::TcpStream::connect(rt.layer().addrs()[&SiteId(0)]).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = FrameReader::new();
+        for seq in 0..50u32 {
+            let name = format!("fifo/{seq}");
+            let entry = geometa_core::RegistryEntry::new(
+                name.as_str(),
+                1,
+                geometa_core::FileLocation {
+                    site: SiteId(0),
+                    node: 0,
+                },
+                0,
+            );
+            let mut wire = Vec::new();
+            let mut body = Vec::new();
+            RegistryRequest::Absorb {
+                entries: vec![entry],
+            }
+            .encode_into(&mut body);
+            write_frame_with_mode(&mut wire, MODE_CAST, &body).unwrap();
+            body.clear();
+            CallHeader { seq, epoch: None }.encode_into(&mut body);
+            RegistryRequest::Get {
+                key: name.as_str().into(),
+            }
+            .encode_into(&mut body);
+            write_frame_with_mode(&mut wire, body[0], &body[1..]).unwrap();
+            raw.write_all(&wire).unwrap();
+            let (got, resp) = read_reply(&mut raw, &mut reader).unwrap();
+            assert_eq!(got, seq);
+            assert!(
+                matches!(resp, RegistryResponse::Found { .. }),
+                "{name}: the get was served ahead of its own cast: {resp:?}"
+            );
+        }
+        rt.shutdown();
+    }
+
+    /// `max_conns_per_site` is a site-wide cap over the reactor pool: at
+    /// the cap every reactor stops accepting, so a further client waits
+    /// unanswered in the kernel backlog, and a close re-arms accepting.
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "dials this test's own loopback server, which is already listening"
+    )]
+    fn the_connection_cap_pauses_accepting_until_a_close() {
+        use crate::frame::{write_frame_with_mode, CallHeader, FrameReader};
+        let rt = ServiceRuntime::start(
+            RuntimeConfig {
+                kind: StrategyKind::Centralized,
+                shards: 8,
+                ..RuntimeConfig::default()
+            },
+            TcpLayer::new(TcpConfig {
+                reactors: 2,
+                max_conns_per_site: 2,
+                ..TcpConfig::default()
+            }),
+        );
+        let addr = rt.layer().addrs()[&SiteId(0)];
+        let mut status = Vec::new();
+        CallHeader {
+            seq: 1,
+            epoch: None,
+        }
+        .encode_into(&mut status);
+        RegistryRequest::Status.encode_into(&mut status);
+        // Dial and send one `Status` call.
+        let dial = || {
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            write_frame_with_mode(&mut conn, status[0], &status[1..]).unwrap();
+            conn
+        };
+        let answered = |conn: &mut std::net::TcpStream, within: Duration| {
+            conn.set_read_timeout(Some(within)).unwrap();
+            read_reply(conn, &mut FrameReader::new()).is_ok()
+        };
+        let mut first = dial();
+        let mut second = dial();
+        assert!(answered(&mut first, Duration::from_secs(10)));
+        assert!(answered(&mut second, Duration::from_secs(10)));
+        // The kernel completes the handshake, but no reactor accepts.
+        let mut third = dial();
+        assert!(
+            !answered(&mut third, Duration::from_millis(300)),
+            "a third connection was served past a cap of 2"
+        );
+        drop(first);
+        assert!(
+            answered(&mut third, Duration::from_secs(2)),
+            "closing a connection did not re-arm accepting"
+        );
+        rt.shutdown();
+    }
+
+    /// Read one response frame: its sequence id and decoded response.
+    /// `Err` when the read times out or the server closes first.
+    fn read_reply(
+        raw: &mut std::net::TcpStream,
+        reader: &mut crate::frame::FrameReader,
+    ) -> std::io::Result<(u32, RegistryResponse)> {
+        loop {
+            if let Some(frame) = reader.next_frame()? {
+                let seq = u32::from_le_bytes(frame[..4].try_into().unwrap());
+                return Ok((seq, RegistryResponse::decode(frame.slice(4..)).unwrap()));
+            }
+            let mut chunk = [0u8; 1024];
+            let n = raw.read(&mut chunk)?;
+            if n == 0 {
+                return Err(std::io::ErrorKind::UnexpectedEof.into());
+            }
+            let _ = reader.fill(&mut &chunk[..n]);
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! The framed-TCP connection layer: one listener per site driven by a
 //! pool of readiness reactors ([`TcpConfig::reactors`] threads per site,
 //! nonblocking sockets multiplexed through the vendored `polling` shim).
-//! Reactor 0 owns the listener and hands accepted connections off
-//! round-robin to the pool via per-reactor mailboxes; a connection is
-//! owned by exactly one reactor for its lifetime, so connection state is
-//! never shared.
+//! Every reactor polls the site's one listener and accepts for itself:
+//! the reactor whose `accept` wins owns that connection for its
+//! lifetime, and the losers see `WouldBlock`. Connection state is never
+//! shared; only the site's live-connection count is.
 //!
 //! Wire protocol (on top of [`crate::frame`]):
 //!
@@ -21,12 +21,12 @@
 //! total), casts are dropped. A malformed *header* — unknown mode byte,
 //! body shorter than its header — leaves nothing to answer under, so
 //! that one connection is dropped. The reactor decodes every frame a
-//! readiness pass delivered and serves them as one ordered batch:
-//! borrowed `Get` keys through [`ServiceCore::serve_gets`], everything
-//! else through [`ServiceCore::serve_batch_into`]. Poll waits are
-//! bounded by the configured tick so the loop observes the runtime's
-//! shutdown flag; at shutdown the dummy connection from
-//! [`ConnectionLayer::unblock`] also wakes the poller immediately.
+//! readiness pass delivered and serves the owned requests first, through
+//! [`ServiceCore::serve_batch_into`], then the called `Get`s, with keys
+//! borrowed from the read buffer, through [`ServiceCore::serve_gets`].
+//! Poll waits are bounded by the configured tick so the loop observes
+//! the runtime's shutdown flag; at shutdown the dummy connection from
+//! [`ConnectionLayer::unblock`] also wakes every poller immediately.
 
 use crate::client::TcpClientTransport;
 use crate::frame::{CallHeader, FrameReader, MAX_FRAME, MODE_CAST};
@@ -36,9 +36,8 @@ use geometa_core::{FxHashMap, MetaError};
 use geometa_sim::topology::SiteId;
 use parking_lot::Mutex;
 use polling::{Event, Poller};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,8 +62,9 @@ pub struct TcpConfig {
     /// ports chosen by the OS (tests).
     pub base_port: u16,
     /// At most this many live connections per site, summed over the
-    /// reactor pool; at the cap the listener is paused and further
-    /// clients wait in the kernel backlog.
+    /// reactor pool and exact: a reactor reserves a slot before each
+    /// accept. At the cap every reactor pauses its listener interest and
+    /// further clients wait in the kernel backlog until a close.
     pub max_conns_per_site: usize,
     /// Poll tick of the server reactors (shutdown observation latency).
     /// The client has no tick: a caller waits on its own socket until
@@ -72,9 +72,9 @@ pub struct TcpConfig {
     pub read_timeout: Duration,
     /// Client-side deadline for one call's response.
     pub call_timeout: Duration,
-    /// Reactor threads per site. 0 = auto (`min(4, cores)`). Reactor 0
-    /// owns the listener and hands accepted connections off round-robin
-    /// to the pool; a connection lives on one reactor for its lifetime.
+    /// Reactor threads per site. 0 = auto (`min(4, cores)`). Every
+    /// reactor accepts from the site's listener; a connection lives on
+    /// the reactor that accepted it.
     pub reactors: usize,
 }
 
@@ -159,39 +159,30 @@ impl ConnectionLayer for TcpLayer {
                 reason = "infallible: local_addr on a freshly bound loopback listener cannot fail, and no peer input is involved"
             )]
             let addr = listener.local_addr().expect("bound listener has an addr");
+            // Nonblocking, so the reactors that lose an accept race see
+            // `WouldBlock` instead of parking in `accept`.
+            listener
+                .set_nonblocking(true)
+                .unwrap_or_else(|e| panic!("nonblocking listener for {site}: {e}"));
             self.addrs.insert(site, addr);
-            let core = Arc::clone(core);
-            let read_timeout = self.config.read_timeout;
-            let max_conns = self.config.max_conns_per_site;
-            let pool = self.config.resolved_reactors().max(1);
-            // One live-connection counter shared by the whole pool: the
-            // listener pauses against the *site* total.
+            let listener = Arc::new(listener);
+            // One live-connection counter per site: every reactor reserves
+            // its accepts against the *site* total.
             let live = Arc::new(AtomicUsize::new(0));
-            let mut peers: Vec<Arc<ReactorInbox>> = Vec::new();
-            for k in 1..pool {
-                let Ok((wake_tx, wake_rx)) = UnixStream::pair() else {
-                    break; // fd pressure: serve with fewer reactors
+            for k in 0..self.config.resolved_reactors() {
+                let reactor = Reactor {
+                    core: Arc::clone(core),
+                    site,
+                    listener: Arc::clone(&listener),
+                    live: Arc::clone(&live),
+                    max_conns: self.config.max_conns_per_site.max(1),
+                    poller: Poller::new().unwrap_or_else(|e| panic!("poller for {site}: {e}")),
+                    conns: Vec::new(),
+                    listener_paused: false,
                 };
-                if wake_tx.set_nonblocking(true).is_err() || wake_rx.set_nonblocking(true).is_err()
-                {
-                    break;
-                }
-                let inbox = Arc::new(ReactorInbox {
-                    queue: Mutex::new(Vec::new()),
-                    wake: wake_tx,
-                });
-                peers.push(Arc::clone(&inbox));
-                let core = Arc::clone(&core);
-                let live = Arc::clone(&live);
-                spawner.spawn(format!("tcp-reactor-{site}-{k}"), move || {
-                    let role = ReactorRole::Worker { inbox, wake_rx };
-                    reactor_loop(role, &core, site, &live, max_conns, read_timeout)
-                });
+                let tick = self.config.read_timeout;
+                spawner.spawn(format!("tcp-reactor-{site}-{k}"), move || reactor.run(tick));
             }
-            spawner.spawn(format!("tcp-reactor-{site}"), move || {
-                let role = ReactorRole::Accepting { listener, peers };
-                reactor_loop(role, &core, site, &live, max_conns, read_timeout)
-            });
         }
     }
 
@@ -205,8 +196,9 @@ impl ConnectionLayer for TcpLayer {
     }
 
     fn unblock(&self) {
-        // One dummy connection per listener wakes its reactor's poll
-        // wait; the loop then observes the shutdown flag and drains.
+        // One dummy connection per listener wakes the poll wait of every
+        // reactor of its site; each then observes the shutdown flag and
+        // drains.
         for addr in self.addrs.values() {
             let _ = TcpStream::connect_timeout(addr, Duration::from_millis(250));
         }
@@ -225,34 +217,6 @@ const LISTENER_KEY: usize = usize::MAX;
 /// instead of into server memory.
 const OUT_HIGH_WATER: usize = 4 * 1024 * 1024;
 
-/// Poller key reserved for a worker reactor's hand-off wake pipe.
-const INBOX_WAKE_KEY: usize = usize::MAX - 1;
-
-/// Hand-off mailbox from the accepting reactor to a worker reactor:
-/// freshly accepted streams queue here and a byte on the wake pipe pops
-/// the worker's poll wait.
-struct ReactorInbox {
-    queue: Mutex<Vec<TcpStream>>,
-    /// Write end of the worker's wake pipe (nonblocking: a full pipe
-    /// means wakes are already pending, so a dropped byte is harmless).
-    wake: UnixStream,
-}
-
-/// Which job a reactor thread performs in the per-site pool.
-enum ReactorRole {
-    /// Reactor 0: owns the listener, serves its own share of the
-    /// connections, hands the rest off round-robin.
-    Accepting {
-        listener: TcpListener,
-        peers: Vec<Arc<ReactorInbox>>,
-    },
-    /// Reactors 1..n: serve the connections pushed into their inbox.
-    Worker {
-        inbox: Arc<ReactorInbox>,
-        wake_rx: UnixStream,
-    },
-}
-
 /// One reactor-managed connection. The scratch vectors at the bottom are
 /// the allocation story of the wire path: cleared and reused every
 /// readiness pass, they reach a high-water mark during warmup and the
@@ -265,7 +229,8 @@ struct RConn {
     sent: usize,
     /// Peer sent EOF: serve what arrived, drain `out`, then close.
     closing: bool,
-    /// Owned (non-get) requests of the pass, drained by `serve_batch_into`.
+    /// Owned requests of the pass (all but called gets), drained by
+    /// `serve_batch_into`.
     reqs: Vec<RegistryRequest>,
     /// Per request in `reqs`, the sequence id its response is owed under
     /// (`None` for a cast, which is owed nothing).
@@ -314,15 +279,21 @@ impl RConn {
 
     /// Decode and serve everything buffered, replying into `out`. Every
     /// response names its call's sequence id, so reply order is free:
-    /// refusals first, then the reads, then the owned batch.
+    /// refusals first, then the owned batch, then the reads.
+    ///
+    /// Serve order is not free. The owned batch goes first: a session
+    /// has at most one call in flight, so everything it sent ahead of a
+    /// called `Get` in this pass is an owned request (a cast, say), and
+    /// the `Get` must see it — the FIFO rule the client promises for a
+    /// call behind its own lazy push.
     ///
     /// The zero-allocation path: frames are popped as *ranges* into the
-    /// reader's buffer, `Get` keys stay borrowed `&str` views resolved
-    /// through [`ServiceCore::serve_gets`], and responses are encoded
-    /// in place behind the frame header by [`append_reply`]. Only
-    /// non-get requests are materialized and decoded into owned form,
-    /// then served as one ordered [`ServiceCore::serve_batch_into`]
-    /// call (whole-batch shard-grouped reads, one WAL append).
+    /// reader's buffer, called `Get` keys stay borrowed `&str` views
+    /// resolved through [`ServiceCore::serve_gets`], and responses are
+    /// encoded in place behind the frame header by [`append_reply`].
+    /// Every other request is materialized and decoded into owned form,
+    /// then served in arrival order by one
+    /// [`ServiceCore::serve_batch_into`] call (one WAL append).
     fn dispatch(&mut self, core: &Arc<ServiceCore>, site: SiteId) -> bool {
         self.reqs.clear();
         self.req_seqs.clear();
@@ -391,9 +362,12 @@ impl RConn {
                 append_reply(&mut self.out, seq, &refusal);
             }
         }
-        // Resolve the borrowed reads: a single get probes the store with
-        // no allocation at all; two or more share shard locks through
-        // one grouped read (the collect below is amortized over ≥2).
+        if !self.reqs.is_empty() {
+            core.serve_batch_into(site, &mut self.reqs, &mut self.resps, &mut self.batch);
+        }
+        // Then the borrowed reads: a single get probes the store with no
+        // allocation at all; two or more share shard locks through one
+        // grouped read (the collect below is amortized over ≥2).
         let key = |(_, range): &(u32, std::ops::Range<usize>)| {
             std::str::from_utf8(self.reader.view(range.clone())).unwrap_or("")
         };
@@ -405,22 +379,19 @@ impl RConn {
                 core.serve_gets(site, &keys, &mut self.get_resps);
             }
         }
-        if !self.reqs.is_empty() {
-            core.serve_batch_into(site, &mut self.reqs, &mut self.resps, &mut self.batch);
-        }
-        // serve_gets/serve_batch_into answer every request; a shortfall is
+        // serve_batch_into/serve_gets answer every request; a shortfall is
         // a server-side invariant breach — drop the connection rather
         // than answer the wrong caller.
-        if self.get_resps.len() != self.gets.len() || self.resps.len() != self.req_seqs.len() {
+        if self.resps.len() != self.req_seqs.len() || self.get_resps.len() != self.gets.len() {
             return false;
-        }
-        for ((seq, _), resp) in self.gets.iter().zip(&self.get_resps) {
-            append_reply(&mut self.out, *seq, resp);
         }
         for (reply, resp) in self.req_seqs.iter().zip(&self.resps) {
             if let Some(seq) = reply {
                 append_reply(&mut self.out, *seq, resp);
             }
+        }
+        for ((seq, _), resp) in self.gets.iter().zip(&self.get_resps) {
+            append_reply(&mut self.out, *seq, resp);
         }
         true
     }
@@ -488,250 +459,168 @@ fn append_reply(out: &mut Vec<u8>, seq: u32, resp: &RegistryResponse) {
     debug_assert_eq!(out.len() - before, resp.encoded_len());
 }
 
-/// One reactor thread of the per-site pool: drives its share of the
-/// connections (plus, for reactor 0, the listener) through nonblocking
-/// I/O and the poll shim. Poll waits are bounded by `tick` so the loop
-/// observes shutdown even when idle; workers additionally wake on their
-/// inbox pipe when the accepting reactor hands a connection off.
-fn reactor_loop(
-    role: ReactorRole,
-    core: &Arc<ServiceCore>,
+/// One reactor thread of a site's pool: its own poller, with the site's
+/// shared listener and the connections this reactor accepted.
+struct Reactor {
+    core: Arc<ServiceCore>,
     site: SiteId,
-    live: &AtomicUsize,
+    listener: Arc<TcpListener>,
+    /// Live connections of the whole site, shared by its reactors.
+    live: Arc<AtomicUsize>,
     max_conns: usize,
-    tick: Duration,
-) {
-    let max_conns = max_conns.max(1);
-    let Ok(poller) = Poller::new() else { return };
-    match &role {
-        ReactorRole::Accepting { listener, .. } => {
-            if listener.set_nonblocking(true).is_err() {
-                return;
-            }
-            if poller.add(listener, Event::readable(LISTENER_KEY)).is_err() {
-                return;
-            }
-        }
-        ReactorRole::Worker { wake_rx, .. } => {
-            if poller
-                .add(wake_rx, Event::readable(INBOX_WAKE_KEY))
-                .is_err()
-            {
-                return;
-            }
-        }
-    }
-    let mut conns: Vec<Option<RConn>> = Vec::new();
-    let mut events: Vec<Event> = Vec::new();
-    let mut next_target = 0usize; // round-robin cursor (accepting reactor)
-    let mut listener_paused = false;
-    while !core.is_shutdown() {
-        events.clear();
-        if poller.wait(&mut events, Some(tick)).is_err() {
-            break;
-        }
-        // Re-arm a paused listener once the pool has room again. Any
-        // reactor may have freed the slot; reactor 0 notices within one
-        // tick.
-        if listener_paused && live.load(Ordering::SeqCst) < max_conns {
-            if let ReactorRole::Accepting { listener, .. } = &role {
-                if poller
-                    .modify(listener, Event::readable(LISTENER_KEY))
-                    .is_ok()
-                {
-                    listener_paused = false;
-                }
-            }
-        }
-        for &ev in &events {
-            if ev.key == LISTENER_KEY {
-                if let ReactorRole::Accepting { listener, peers } = &role {
-                    accept_ready(
-                        listener,
-                        core,
-                        site,
-                        &poller,
-                        &mut conns,
-                        live,
-                        max_conns,
-                        peers,
-                        &mut next_target,
-                        &mut listener_paused,
-                    );
-                }
-                continue;
-            }
-            if ev.key == INBOX_WAKE_KEY {
-                if let ReactorRole::Worker { inbox, wake_rx } = &role {
-                    drain_wake(wake_rx);
-                    adopt_handoffs(inbox, core, site, &poller, &mut conns, live);
-                }
-                continue;
-            }
-            let Some(conn) = conns.get_mut(ev.key).and_then(Option::as_mut) else {
-                continue; // closed earlier in this pass
-            };
-            let mut dead = false;
-            if ev.readable && !conn.closing {
-                dead = !conn.pump_read(core, site);
-            }
-            if !dead {
-                match conn.flush_out() {
-                    Ok(drained) => dead = conn.closing && drained,
-                    Err(_) => dead = true,
-                }
-            }
-            if dead {
-                close_conn(&poller, &mut conns, ev.key, live);
-                core.conn_closed(site);
-            } else {
-                let interest = conn.desired_interest(ev.key);
-                if poller.modify(&conn.stream, interest).is_err() {
-                    close_conn(&poller, &mut conns, ev.key, live);
-                    core.conn_closed(site);
-                }
-            }
-        }
-    }
-    // Dropping the connections closes every socket; in-flight requests
-    // were either answered above or die with the connection, which the
-    // client surfaces as Unavailable.
-    for conn in conns.into_iter().flatten() {
-        drop(conn);
-        live.fetch_sub(1, Ordering::SeqCst);
-        core.conn_closed(site);
-    }
-    // Hand-offs that were queued but never adopted were counted at
-    // accept time; close them out so the conn counters stay balanced.
-    if let ReactorRole::Worker { inbox, .. } = &role {
-        for stream in inbox.queue.lock().drain(..) {
-            drop(stream);
-            live.fetch_sub(1, Ordering::SeqCst);
-            core.conn_closed(site);
-        }
-    }
+    poller: Poller,
+    /// Indexed by poller key; `None` slots are reused.
+    conns: Vec<Option<RConn>>,
+    /// Listener interest is off because the site was at its cap.
+    listener_paused: bool,
 }
 
-/// Accept until the listener would block, distributing connections
-/// round-robin over the reactor pool (slot 0 = the accepting reactor
-/// itself). At `max_conns` *site-wide* the listener's read interest is
-/// paused (further clients queue in the kernel backlog) and re-armed
-/// when a connection closes.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the reactor loop's state, borrowed field by field so the borrow checker sees disjoint fields"
-)]
-fn accept_ready(
-    listener: &TcpListener,
-    core: &Arc<ServiceCore>,
-    site: SiteId,
-    poller: &Poller,
-    conns: &mut Vec<Option<RConn>>,
-    live: &AtomicUsize,
-    max_conns: usize,
-    peers: &[Arc<ReactorInbox>],
-    next_target: &mut usize,
-    listener_paused: &mut bool,
-) {
-    loop {
-        if live.load(Ordering::SeqCst) >= max_conns {
-            if poller.modify(listener, Event::none(LISTENER_KEY)).is_ok() {
-                *listener_paused = true;
-            }
+impl Reactor {
+    /// Drive the listener and this reactor's connections through
+    /// nonblocking I/O until shutdown. Poll waits are bounded by `tick`
+    /// so the loop observes the shutdown flag even when idle.
+    fn run(mut self, tick: Duration) {
+        if self
+            .poller
+            .add(&*self.listener, Event::readable(LISTENER_KEY))
+            .is_err()
+        {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if core.is_shutdown() {
-                    return; // dummy unblock connection, most likely
-                }
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                live.fetch_add(1, Ordering::SeqCst);
-                core.conn_opened(site);
-                let target = *next_target;
-                *next_target = (*next_target + 1) % (peers.len() + 1);
-                if target == 0 {
-                    if !adopt_conn(poller, conns, stream) {
-                        live.fetch_sub(1, Ordering::SeqCst);
-                        core.conn_closed(site);
-                    }
+        let mut events: Vec<Event> = Vec::new();
+        while !self.core.is_shutdown() {
+            events.clear();
+            if self.poller.wait(&mut events, Some(tick)).is_err() {
+                break;
+            }
+            // Re-arm a paused listener once the site has room again: any
+            // reactor may have freed the slot, so each one checks here,
+            // within one tick of the close.
+            if self.listener_paused && self.live.load(Ordering::SeqCst) < self.max_conns {
+                self.listen(true);
+            }
+            for &ev in &events {
+                if ev.key == LISTENER_KEY {
+                    self.accept_ready();
                 } else {
-                    let inbox = &peers[target - 1];
-                    inbox.queue.lock().push(stream);
-                    // One byte wakes the worker; WouldBlock on a full
-                    // pipe means wakes are already pending.
-                    let _ = (&inbox.wake).write(&[1u8]);
+                    self.serve_ready(ev);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                // Persistent accept failure (EMFILE and friends) with a
-                // pending backlog would spin the poll loop at syscall
-                // speed; back off briefly.
-                std::thread::sleep(Duration::from_millis(10));
+        }
+        // Dropping the connections closes every socket; in-flight requests
+        // were either answered above or die with the connection, which the
+        // client surfaces as Unavailable.
+        for key in 0..self.conns.len() {
+            self.close(key);
+        }
+    }
+
+    /// Turn this reactor's listener interest on or off.
+    fn listen(&mut self, on: bool) {
+        let interest = if on {
+            Event::readable(LISTENER_KEY)
+        } else {
+            Event::none(LISTENER_KEY)
+        };
+        if self.poller.modify(&*self.listener, interest).is_ok() {
+            self.listener_paused = !on;
+        }
+    }
+
+    /// Accept until the listener would block. Each accept first reserves
+    /// a slot in the site-wide `live` count, so reactors racing for one
+    /// backlog never overshoot `max_conns`; at the cap this reactor
+    /// pauses its listener interest (clients wait in the kernel backlog)
+    /// until a close anywhere in the site frees a slot.
+    fn accept_ready(&mut self) {
+        let max = self.max_conns;
+        loop {
+            let reserve = |n: usize| (n < max).then_some(n + 1);
+            if self
+                .live
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, reserve)
+                .is_err()
+            {
+                self.listen(false);
+                return;
+            }
+            let again = match self.listener.accept() {
+                // The dummy connection from `unblock`, most likely.
+                Ok(_) if self.core.is_shutdown() => false,
+                Ok((stream, _peer)) => {
+                    if self.adopt(stream) {
+                        continue; // the slot is the connection's now
+                    }
+                    true
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => true,
+                // Backlog empty, or another reactor won the race.
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
+                Err(_) => {
+                    // Persistent accept failure (EMFILE and friends) with a
+                    // pending backlog would spin the poll loop at syscall
+                    // speed; back off briefly.
+                    std::thread::sleep(Duration::from_millis(10));
+                    false
+                }
+            };
+            self.live.fetch_sub(1, Ordering::SeqCst);
+            if !again {
                 return;
             }
         }
     }
-}
 
-/// Register one stream with this reactor's poller. Returns false when
-/// registration failed (dropping the stream closes it).
-fn adopt_conn(poller: &Poller, conns: &mut Vec<Option<RConn>>, stream: TcpStream) -> bool {
-    let key = match conns.iter().position(Option::is_none) {
-        Some(k) => k,
-        None => {
-            conns.push(None);
-            conns.len() - 1
+    /// Register an accepted stream with this reactor's poller. Returns
+    /// false when that failed (dropping the stream closes it).
+    fn adopt(&mut self, stream: TcpStream) -> bool {
+        if stream.set_nonblocking(true).is_err() {
+            return false;
         }
-    };
-    if poller.add(&stream, Event::readable(key)).is_err() {
-        return false;
-    }
-    conns[key] = Some(RConn::new(stream));
-    true
-}
-
-/// Adopt every connection the accepting reactor queued on this worker's
-/// inbox. Streams arrive already nonblocking + nodelay and counted in
-/// `live`/`conn_opened`.
-fn adopt_handoffs(
-    inbox: &ReactorInbox,
-    core: &Arc<ServiceCore>,
-    site: SiteId,
-    poller: &Poller,
-    conns: &mut Vec<Option<RConn>>,
-    live: &AtomicUsize,
-) {
-    let mut queue = inbox.queue.lock();
-    for stream in queue.drain(..) {
-        if !adopt_conn(poller, conns, stream) {
-            live.fetch_sub(1, Ordering::SeqCst);
-            core.conn_closed(site);
+        let _ = stream.set_nodelay(true);
+        let key = match self.conns.iter().position(Option::is_none) {
+            Some(k) => k,
+            None => {
+                self.conns.push(None);
+                self.conns.len() - 1
+            }
+        };
+        if self.poller.add(&stream, Event::readable(key)).is_err() {
+            return false;
         }
+        self.conns[key] = Some(RConn::new(stream));
+        self.core.conn_opened(self.site);
+        true
     }
-}
 
-/// Drain the wake pipe so its level-triggered readability clears.
-fn drain_wake(mut wake_rx: &UnixStream) {
-    let mut buf = [0u8; 64];
-    loop {
-        match wake_rx.read(&mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => continue,
+    /// Read, serve and flush one ready connection, then re-arm its
+    /// interest or close it.
+    fn serve_ready(&mut self, ev: Event) {
+        let Some(conn) = self.conns.get_mut(ev.key).and_then(Option::as_mut) else {
+            return; // closed earlier in this pass
+        };
+        let mut dead = ev.readable && !conn.closing && !conn.pump_read(&self.core, self.site);
+        if !dead {
+            dead = match conn.flush_out() {
+                Ok(drained) => conn.closing && drained,
+                Err(_) => true,
+            };
+        }
+        if !dead {
+            let interest = conn.desired_interest(ev.key);
+            dead = self.poller.modify(&conn.stream, interest).is_err();
+        }
+        if dead {
+            self.close(ev.key);
         }
     }
-}
 
-/// Deregister and drop one connection. The accepting reactor re-arms a
-/// paused listener on its next pass once `live` drops below the cap.
-fn close_conn(poller: &Poller, conns: &mut [Option<RConn>], key: usize, live: &AtomicUsize) {
-    if let Some(conn) = conns[key].take() {
-        let _ = poller.delete(&conn.stream);
-        live.fetch_sub(1, Ordering::SeqCst);
+    /// Deregister and drop one connection, freeing its site-wide slot.
+    fn close(&mut self, key: usize) {
+        if let Some(conn) = self.conns[key].take() {
+            let _ = self.poller.delete(&conn.stream);
+            self.live.fetch_sub(1, Ordering::SeqCst);
+            self.core.conn_closed(self.site);
+        }
     }
 }

@@ -1,23 +1,31 @@
-//! `geometa-load` and `geometa-admin` must refuse arguments they do not
-//! know instead of skipping them (a mistyped `--reactor 4` used to run the
-//! default pool; a mistyped `--wait-sec 0` used to wait the default 30 s;
-//! the removed `--out`/`--baseline`/`--nodes` must not come back as silent
-//! no-ops), and a load run must leave nothing behind: it used to overwrite
-//! a committed snapshot in the working directory.
+//! The operator binaries must refuse arguments they do not know instead of
+//! skipping them (a mistyped `--reactor 4` used to run the default pool; a
+//! mistyped `--wait-sec 0` used to wait the default 30 s; the removed
+//! `--out`/`--baseline`/`--nodes` must not come back as silent no-ops),
+//! and counts they cannot use (`--sites 0` used to panic, `--threads 0`
+//! used to run nothing and exit 0). A load run must leave nothing behind:
+//! it used to overwrite a committed snapshot in the working directory.
 
 use std::process::Command;
 
 const LOAD: &str = env!("CARGO_BIN_EXE_geometa-load");
 const ADMIN: &str = env!("CARGO_BIN_EXE_geometa-admin");
+const SERVER: &str = env!("CARGO_BIN_EXE_geometa-server");
 
 #[test]
-fn unknown_flags_and_workloads_exit_2_naming_the_offender() {
+fn bad_arguments_exit_2_naming_the_offender() {
     for (bin, args, offender) in [
         (LOAD, "--quick --reactor 4", "--reactor"),
         (LOAD, "--out x.json", "--out"),
         (LOAD, "--baseline=y.json", "--baseline"),
         (LOAD, "--nodes 8", "--nodes"),
         (LOAD, "--quick --workload bogus", "bogus"),
+        (LOAD, "--sites 0", "0"),
+        (LOAD, "--threads 0", "0"),
+        (LOAD, "--ops 0", "0"),
+        (LOAD, "--reactors 0", "0"),
+        (SERVER, "--sites 0", "0"),
+        (SERVER, "--shards 0", "0"),
         (
             ADMIN,
             "status --connect 127.0.0.1:1 --bogus 3 extra",

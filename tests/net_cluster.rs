@@ -5,9 +5,10 @@
 //! release every port.
 
 use geometa::core::controller::ArchitectureController;
+use geometa::core::protocol::RegistryRequest;
 use geometa::core::runtime::{RuntimeConfig, ServiceRuntime};
 use geometa::core::strategy::StrategyKind;
-use geometa::core::transport::InProcessTransport;
+use geometa::core::transport::{InProcessTransport, RegistryTransport};
 use geometa::core::{ClientConfig, StrategyClient};
 use geometa::net::loadgen::{run_stream, LoadOptions};
 use geometa::net::TcpLayer;
@@ -151,15 +152,17 @@ fn tcp_cluster_matches_in_process_run_and_shuts_down_cleanly() {
 /// The reactor pool is a pure serving-capacity knob: the same workload
 /// against a 1-reactor and a multi-reactor cluster must leave byte-equal
 /// registry contents at every site (modulo clock-stamped fields, as
-/// above). Connections land on different reactors round-robin, so this
-/// exercises the hand-off path and cross-reactor batching end to end.
+/// above). The pooled run drives its clients through as many transports
+/// as there are reactors — one connection per site each — so every site
+/// serves at least that many connections, spread over its reactors by
+/// whichever wins each accept.
 #[test]
 fn reactor_pool_matches_single_reactor_contents() {
     let kind = StrategyKind::DhtLocalReplica;
     let stream = montage_stream();
     let sites: Vec<SiteId> = (0..4).map(SiteId).collect();
 
-    let run_with = |reactors: usize| -> SiteContents {
+    let run_with = |pool: usize| -> SiteContents {
         let runtime = ServiceRuntime::start(
             RuntimeConfig {
                 topology: Topology::azure_4dc(),
@@ -169,7 +172,7 @@ fn reactor_pool_matches_single_reactor_contents() {
                 ..RuntimeConfig::default()
             },
             geometa::net::TcpLayer::new(geometa::net::TcpConfig {
-                reactors,
+                reactors: pool,
                 ..geometa::net::TcpConfig::default()
             }),
         );
@@ -179,12 +182,14 @@ fn reactor_pool_matches_single_reactor_contents() {
             pairs.sort_by_key(|(s, _)| *s);
             pairs.into_iter().map(|(_, a)| a).collect()
         };
-        let transport = geometa::net::transport_for(&addrs, Duration::from_secs(10));
+        let transports: Vec<_> = (0..pool)
+            .map(|_| geometa::net::transport_for(&addrs, Duration::from_secs(10)))
+            .collect();
         let controller = Arc::new(ArchitectureController::with_kind(kind, sites.clone()));
         let report = run_stream(
             |site, node| {
                 StrategyClient::new(
-                    Arc::clone(&transport),
+                    Arc::clone(&transports[node as usize % pool]),
                     Arc::clone(&controller),
                     ClientConfig { site, node },
                 )
@@ -215,7 +220,18 @@ fn reactor_pool_matches_single_reactor_contents() {
                 last = now;
             }
         }
-        drop(transport);
+        for &site in &sites {
+            let status = transports[0]
+                .call(site, RegistryRequest::Status)
+                .into_status()
+                .expect("status");
+            assert!(
+                status.conns as usize >= pool,
+                "{site} serves {} connections, fewer than {pool} transports",
+                status.conns
+            );
+        }
+        drop(transports);
         runtime.shutdown();
         last
     };
