@@ -385,7 +385,18 @@ impl RegistryEntry {
     /// Serialize to the wire/cache representation.
     pub fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
-        put_str(&mut buf, &self.name);
+        self.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Serialize by appending to an existing buffer — the in-place variant
+    /// of [`RegistryEntry::to_bytes`], byte-identical output. Appends
+    /// exactly [`RegistryEntry::encoded_len`] bytes, so request encoders,
+    /// WAL records and snapshot images embed an entry without a
+    /// throw-away buffer.
+    #[inline]
+    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
+        put_str(buf, &self.name);
         buf.put_u64_le(self.size);
         buf.put_u32_le(self.locations.len() as u32);
         for loc in &self.locations {
@@ -395,12 +406,11 @@ impl RegistryEntry {
         match &self.producer {
             Some(p) => {
                 buf.put_u8(1);
-                put_str(&mut buf, p);
+                put_str(buf, p);
             }
             None => buf.put_u8(0),
         }
         buf.put_u64_le(self.created_at);
-        buf.freeze()
     }
 
     /// Deserialize from the wire/cache representation.
@@ -462,7 +472,7 @@ impl RegistryEntry {
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str<B: BufMut>(buf: &mut B, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }

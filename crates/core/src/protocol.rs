@@ -252,7 +252,7 @@ fn put_entries<B: BufMut>(buf: &mut B, entries: &[RegistryEntry]) {
     buf.put_u32_le(entries.len() as u32);
     for e in entries {
         buf.put_u32_le(e.encoded_len() as u32);
-        buf.put_slice(&e.to_bytes());
+        e.encode_into(buf);
     }
 }
 
@@ -369,8 +369,7 @@ impl RegistryRequest {
             RegistryRequest::Put { entry } => {
                 buf.put_u8(tag::REQ_PUT);
                 buf.put_u32_le(entry.encoded_len() as u32);
-                // Entry bodies own heap strings; Put is not on the alloc-gated echo path.
-                buf.put_slice(&entry.to_bytes());
+                entry.encode_into(buf);
             }
             RegistryRequest::Absorb { entries } => {
                 buf.put_u8(tag::REQ_ABSORB);
@@ -478,8 +477,7 @@ impl RegistryResponse {
             RegistryResponse::Found { entry } => {
                 buf.put_u8(tag::RESP_FOUND);
                 buf.put_u32_le(entry.encoded_len() as u32);
-                // Entry bodies own heap strings; Found is the documented get-hit cost.
-                buf.put_slice(&entry.to_bytes());
+                entry.encode_into(buf);
             }
             RegistryResponse::Ack => buf.put_u8(tag::RESP_ACK),
             RegistryResponse::Delta { entries } => {
@@ -605,7 +603,7 @@ impl RegistryResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::FileLocation;
+    use crate::entry::{FileLocation, Locations};
     use geometa_sim::topology::SiteId;
 
     fn entry(name: &str) -> RegistryEntry {
@@ -776,6 +774,25 @@ mod tests {
             assert_eq!(&buf[..], &resp.encode()[..], "{resp:?}");
         }
         let _ = buf;
+        // The entries inside those messages: in place ≡ `to_bytes`, for
+        // every location count around the inline limit, with and without
+        // a producer, appended behind existing bytes.
+        for n_locs in [0usize, 1, Locations::INLINE, Locations::INLINE + 1, 40] {
+            for producer in [None, Some("mProject-7")] {
+                let mut e = entry("shape/entry.fits");
+                e.locations = (0..n_locs)
+                    .map(|i| FileLocation {
+                        site: SiteId(i as u16),
+                        node: 1000 + i as u32,
+                    })
+                    .collect();
+                e.producer = producer.map(Into::into);
+                let mut vec_buf = b"prefix".to_vec();
+                e.encode_into(&mut vec_buf);
+                assert_eq!(&vec_buf[6..], &e.to_bytes()[..], "{e:?}");
+                assert_eq!(vec_buf.len() - 6, e.encoded_len());
+            }
+        }
     }
 
     #[test]

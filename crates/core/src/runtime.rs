@@ -84,7 +84,11 @@ pub struct RuntimeConfig {
     pub sync_interval: Duration,
     /// Write-ahead logging behind every registry.
     pub wal: WalConfig,
-    /// Appends between snapshot + log-truncation cycles.
+    /// Floor on the appends between snapshot + log-truncation cycles. A
+    /// site snapshots once its log is at least this long *and* at least
+    /// as long as its last snapshot (`wal::log_acked_writes`), so a
+    /// snapshot's cost is spread over as many records as it has entries
+    /// and recovery reads one snapshot plus a tail no longer than it.
     pub snapshot_every: u64,
     /// Initial member sites (placement targets). `None` means every
     /// topology site. A subset leaves the excluded sites' registries and

@@ -42,7 +42,7 @@
 use crate::entry::RegistryEntry;
 use crate::protocol::RegistryRequest;
 use crate::registry::RegistryInstance;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use parking_lot::{Condvar, Mutex};
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -65,8 +65,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"GWSN";
 // CRC32 (IEEE), hand-rolled: no external crates in this tree.
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `t[0]` is the classic bytewise table, and
+/// `t[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
+/// input bytes fold into the register with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -79,19 +82,43 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC32 (IEEE 802.3 polynomial) of `bytes`.
+/// CRC32 (IEEE 802.3 polynomial) of `bytes`, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -181,16 +208,25 @@ pub struct TornTail {
 
 /// Encode one record (header + CRC'd payload).
 pub fn encode_record(seq: u64, now_micros: u64, req: &RegistryRequest) -> Vec<u8> {
-    let wire = req.encode();
-    let mut payload = BytesMut::with_capacity(PAYLOAD_PREFIX + wire.len());
-    payload.put_u64_le(seq);
-    payload.put_u64_le(now_micros);
-    payload.extend_from_slice(&wire);
-    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::with_capacity(RECORD_HEADER + PAYLOAD_PREFIX + req.encoded_len());
+    encode_record_into(&mut out, seq, now_micros, req);
     out
+}
+
+/// Append one record to `out`, byte-identical to [`encode_record`]: the
+/// header is reserved, the payload encoded behind it, then its length
+/// and CRC are filled in over the payload where it lies.
+fn encode_record_into(out: &mut Vec<u8>, seq: u64, now_micros: u64, req: &RegistryRequest) {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER]);
+    out.put_u64_le(seq);
+    out.put_u64_le(now_micros);
+    req.encode_into(out);
+    let payload = &out[start + RECORD_HEADER..];
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    out[start..start + 4].copy_from_slice(&len);
+    out[start + 4..start + RECORD_HEADER].copy_from_slice(&crc);
 }
 
 /// Decode a log image into its clean prefix. Total: every byte sequence
@@ -241,20 +277,21 @@ fn torn(offset: usize, reason: &str) -> Option<TornTail> {
 }
 
 /// Encode a snapshot image: magic, CRC over the body, the sequence
-/// number it covers, then the entries in the entry codec.
+/// number it covers, then the entries in the entry codec — written into
+/// one buffer sized up front, the CRC filled in last over the body.
 pub fn encode_snapshot(seq: u64, entries: &[RegistryEntry]) -> Vec<u8> {
-    let mut body = BytesMut::new();
-    body.put_u64_le(seq);
-    body.put_u32_le(entries.len() as u32);
-    for e in entries {
-        let bytes = e.to_bytes();
-        body.put_u32_le(bytes.len() as u32);
-        body.extend_from_slice(&bytes);
-    }
-    let mut out = Vec::with_capacity(8 + body.len());
+    let body_len = 8 + 4 + entries.iter().map(|e| 4 + e.encoded_len()).sum::<usize>();
+    let mut out = Vec::with_capacity(8 + body_len);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    out.put_u32_le(0);
+    out.put_u64_le(seq);
+    out.put_u32_le(entries.len() as u32);
+    for e in entries {
+        out.put_u32_le(e.encoded_len() as u32);
+        e.encode_into(&mut out);
+    }
+    let crc = crc32(&out[8..]).to_le_bytes();
+    out[4..8].copy_from_slice(&crc);
     out
 }
 
@@ -333,6 +370,11 @@ pub trait WalSink: Send + Sync {
     /// Records appended since the last snapshot (the snapshot trigger).
     fn records_since_snapshot(&self) -> u64;
 
+    /// Entries in the last installed snapshot — `collect()`'s length, or
+    /// the recovered image's on reopen; 0 before the first. The trigger
+    /// waits for the log to grow this long.
+    fn snapshot_entries(&self) -> u64;
+
     /// The sequence number the next append will be assigned — i.e. one
     /// past the highest record ever written (0 for a fresh log). The ops
     /// surface reports this as the site's WAL position.
@@ -343,13 +385,22 @@ pub trait WalSink: Send + Sync {
 }
 
 /// Log a run of acked writes against `registry`, then snapshot and
-/// truncate once `snapshot_every` records have piled up. Every server of
-/// writes — the live runtime, one request or a batch at a time, and the
-/// simulator's registry actor — calls this before an ack leaves the
-/// site. `Err` means the append failed and no write of the run may be
-/// acked; the failure is already reported on stderr. A snapshot failure
-/// is not fatal to the acks (the records are durable in the log): it is
-/// reported and retried at the next trigger.
+/// truncate once the log has grown to
+/// `max(snapshot_every, wal.snapshot_entries())` records: as long as the
+/// last snapshot, and never shorter than the floor. A snapshot re-encodes
+/// the whole registry, so waiting for a log that long spreads its cost
+/// over at least as many records as it writes entries — a constant cost
+/// per record whatever the registry's size — while recovery still reads
+/// at most one snapshot plus a tail no longer than it (Raft's compaction
+/// rule, Ongaro & Ousterhout, USENIX ATC 2014, §7).
+///
+/// Every server of writes — the live runtime, one request or a batch at
+/// a time, and the simulator's registry actor — calls this before an ack
+/// leaves the site, so this is the one place the rule lives. `Err` means
+/// the append failed and no write of the run may be acked; the failure
+/// is already reported on stderr. A snapshot failure is not fatal to the
+/// acks (the records are durable in the log): it is reported and retried
+/// at the next trigger.
 pub fn log_acked_writes(
     wal: &dyn WalSink,
     writes: &[RegistryRequest],
@@ -360,7 +411,8 @@ pub fn log_acked_writes(
     let site = registry.site().0;
     wal.append_batch(writes, now_micros)
         .inspect_err(|e| eprintln!("geometa: wal append failed at site {site}: {e}"))?;
-    if wal.records_since_snapshot() >= snapshot_every {
+    let pending = wal.records_since_snapshot();
+    if pending >= snapshot_every && pending >= wal.snapshot_entries() {
         if let Err(e) = wal.install_snapshot(&mut || registry.all_entries()) {
             eprintln!("geometa: wal snapshot failed at site {site}: {e}");
         }
@@ -451,6 +503,10 @@ impl WalSink for MemWal {
         self.inner.lock().records.len() as u64
     }
 
+    fn snapshot_entries(&self) -> u64 {
+        self.inner.lock().snapshot.len() as u64
+    }
+
     fn next_seq(&self) -> u64 {
         self.inner.lock().next_seq
     }
@@ -525,10 +581,14 @@ impl WalRecovery {
 
 struct FileWalState {
     file: File,
+    /// One append run's records, encoded back to back for a single
+    /// `write_all`; cleared per run, never shrunk.
+    run: Vec<u8>,
     next_seq: u64,
     appended_seq: u64,
     synced_seq: u64,
     records_since_snapshot: u64,
+    snapshot_entries: u64,
     stop: bool,
     sick: Option<String>,
 }
@@ -613,10 +673,12 @@ impl FileWal {
         let shared = Arc::new(FileWalShared {
             state: Mutex::new(FileWalState {
                 file,
+                run: Vec::new(),
                 next_seq,
                 appended_seq: next_seq.saturating_sub(1),
                 synced_seq: next_seq.saturating_sub(1),
                 records_since_snapshot: tail.len() as u64,
+                snapshot_entries: entries.len() as u64,
                 stop: false,
                 sick: None,
             }),
@@ -685,28 +747,37 @@ impl WalSink for FileWal {
             ));
         }
         // Write the whole run under one lock hold: the records get a
-        // contiguous seq range and — under group commit — share a single
-        // durability wait on the last seq, so N writes in one serve batch
-        // cost one flusher round-trip instead of N.
-        let mut last = state.next_seq;
-        for req in reqs {
-            let seq = state.next_seq;
-            let buf = encode_record(seq, now_micros, req);
-            // The policy branch below makes the whole run durable; the
-            // `raw_writes_are_the_reviewed_two` test pins this write.
-            if let Err(e) = state.file.write_all(&buf) {
-                state.sick = Some(format!("append write_all: {e}"));
-                return Err(io_err("append", e));
-            }
-            state.next_seq = seq + 1;
-            state.appended_seq = seq;
-            state.records_since_snapshot += 1;
-            last = seq;
+        // contiguous seq range, are encoded back to back into one reused
+        // buffer and leave in one write, and — under group commit — share
+        // a single durability wait on the last seq, so N writes in one
+        // serve batch cost one flusher round-trip instead of N.
+        let st = &mut *state;
+        let first = st.next_seq;
+        st.run.clear();
+        for (seq, req) in (first..).zip(reqs) {
+            encode_record_into(&mut st.run, seq, now_micros, req);
         }
+        // The policy branch below makes the whole run durable; the
+        // `raw_writes_are_the_reviewed_two` test pins this write.
+        if let Err(e) = st.file.write_all(&st.run) {
+            st.sick = Some(format!("append write_all: {e}"));
+            return Err(io_err("append", e));
+        }
+        let last = first + reqs.len() as u64 - 1;
+        st.next_seq = last + 1;
+        st.appended_seq = last;
+        st.records_since_snapshot += reqs.len() as u64;
         match self.shared.policy {
             FsyncPolicy::Never => Ok(last),
             FsyncPolicy::Always => {
-                state.file.sync_data().map_err(|e| io_err("sync_data", e))?;
+                // After a failed fsync the kernel may have dropped the
+                // dirty pages (Rebello et al., USENIX ATC 2020): a retry
+                // could "succeed" over lost records, so the log goes sick
+                // like it does for a failed flusher sync or write.
+                if let Err(e) = state.file.sync_data() {
+                    state.sick = Some(format!("append sync_data: {e}"));
+                    return Err(io_err("sync_data", e));
+                }
                 state.synced_seq = last;
                 Ok(last)
             }
@@ -750,10 +821,12 @@ impl WalSink for FileWal {
         f.sync_all().map_err(|e| io_err("sync snapshot", e))?;
         drop(f);
         std::fs::rename(&tmp, &final_path).map_err(|e| io_err("rename snapshot", e))?;
-        // Persist the rename itself (directory metadata).
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        // Persist the rename itself (directory metadata). Until that is
+        // durable a crash may bring back the old snapshot, so the log
+        // keeps every record: on failure, return before truncating.
+        File::open(&self.dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err("sync snapshot dir", e))?;
         // Every record in the log has seq < next_seq and its effect is
         // in the snapshot; drop them all.
         state
@@ -769,12 +842,17 @@ impl WalSink for FileWal {
             .sync_data()
             .map_err(|e| io_err("sync truncated log", e))?;
         state.records_since_snapshot = 0;
+        state.snapshot_entries = entries.len() as u64;
         state.synced_seq = state.appended_seq;
         Ok(())
     }
 
     fn records_since_snapshot(&self) -> u64 {
         self.shared.state.lock().records_since_snapshot
+    }
+
+    fn snapshot_entries(&self) -> u64 {
+        self.shared.state.lock().snapshot_entries
     }
 
     fn next_seq(&self) -> u64 {
@@ -816,6 +894,7 @@ impl fmt::Debug for FileWal {
 mod tests {
     use super::*;
     use crate::entry::FileLocation;
+    use crate::protocol::RegistryResponse;
     use geometa_sim::topology::SiteId;
 
     /// Tripwire until a crash checker proves the log durable: the only raw
@@ -863,6 +942,107 @@ mod tests {
         // IEEE CRC32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The on-disk format, pinned. Both images were written by the
+    /// encoders as they stood before records and snapshots were encoded
+    /// in place: the current encoders must reproduce them byte for byte,
+    /// and the decoders must read them back.
+    #[test]
+    fn on_disk_format_is_pinned() {
+        const PUT_RECORD: &str = "5200000062dd83aa070000000000000087d612000000000002\
+            3d0000001000000077616c2f666978747572652e666974730010000000000000\
+            01000000020005000000010a0000006d50726f6a6563742d3163000000000000\
+            00";
+        const SNAPSHOT: &str = "4757534e926693fb2a0000000000000002000000260000000100\
+            0000610100000000000000020000000000000000000300090000000003000000\
+            00000000320000000b000000736e61702f622e66697473000001000000000001\
+            00000001000200000001040000006d4164640500000000000000";
+        let put = RegistryRequest::Put {
+            entry: RegistryEntry::new(
+                "wal/fixture.fits",
+                4096,
+                FileLocation {
+                    site: SiteId(2),
+                    node: 5,
+                },
+                99,
+            )
+            .with_producer("mProject-1"),
+        };
+        let record = unhex(PUT_RECORD);
+        assert_eq!(encode_record(7, 1_234_567, &put), record);
+        let (records, torn) = decode_log(&record);
+        assert!(torn.is_none());
+        assert_eq!(
+            records,
+            vec![WalRecord {
+                seq: 7,
+                now_micros: 1_234_567,
+                req: put,
+            }]
+        );
+
+        let mut a = RegistryEntry::new(
+            "a",
+            1,
+            FileLocation {
+                site: SiteId(0),
+                node: 0,
+            },
+            3,
+        );
+        a.add_location(FileLocation {
+            site: SiteId(3),
+            node: 9,
+        });
+        let b = RegistryEntry::new(
+            "snap/b.fits",
+            65_536,
+            FileLocation {
+                site: SiteId(1),
+                node: 2,
+            },
+            5,
+        )
+        .with_producer("mAdd");
+        let entries = vec![a, b];
+        let image = unhex(SNAPSHOT);
+        assert_eq!(encode_snapshot(42, &entries), image);
+        assert_eq!(
+            decode_snapshot(Path::new("fixture"), &image).unwrap(),
+            (42, entries)
+        );
+    }
+
+    /// The trigger: the floor first, then each snapshot once the log is
+    /// as long as the snapshot before it — so snapshot sizes double and
+    /// every record pays for at most about one entry re-encoded.
+    #[test]
+    fn snapshots_wait_for_the_log_to_reach_the_last_snapshot() {
+        let registry = RegistryInstance::new(SiteId(0), 4);
+        let wal = MemWal::new();
+        let mut installs = Vec::new();
+        for i in 1..=100u64 {
+            let req = put(&format!("r{i}"), i);
+            assert_eq!(registry.serve(req.clone(), i), RegistryResponse::Ack);
+            log_acked_writes(&wal, std::slice::from_ref(&req), i, 4, &registry).unwrap();
+            if wal.records_since_snapshot() == 0 {
+                installs.push((i, wal.snapshot_entries()));
+            }
+        }
+        assert_eq!(installs, vec![(4, 4), (8, 8), (16, 16), (32, 32), (64, 64)]);
     }
 
     #[test]

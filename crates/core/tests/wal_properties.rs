@@ -5,13 +5,17 @@
 //! every position — recovery yields a clean prefix of what was appended
 //! (or a typed error, for the all-or-nothing snapshot). It never panics,
 //! and it never resurrects a record that was not appended.
+//!
+//! Alongside it: the fast codec paths equal their plain definitions (the
+//! sliced CRC32 against a bitwise one, a batched append against
+//! record-by-record encoding), and the snapshot trigger keeps its bound.
 
 use geometa_core::entry::{FileLocation, RegistryEntry};
-use geometa_core::protocol::{ReconfigureOp, RegistryRequest};
+use geometa_core::protocol::{ReconfigureOp, RegistryRequest, RegistryResponse};
 use geometa_core::runtime::{InlineLayer, RuntimeConfig, ServiceRuntime, WalConfig};
 use geometa_core::wal::{
-    decode_log, decode_snapshot, encode_record, encode_snapshot, read_log_file, read_snapshot_file,
-    FileWal, FsyncPolicy, WalError, WalSink, LOG_FILE, SNAPSHOT_FILE,
+    crc32, decode_log, decode_snapshot, encode_record, encode_snapshot, read_log_file,
+    read_snapshot_file, FileWal, FsyncPolicy, WalError, WalSink, LOG_FILE, SNAPSHOT_FILE,
 };
 use geometa_sim::topology::SiteId;
 use proptest::prelude::*;
@@ -286,4 +290,188 @@ proptest! {
             std::fs::remove_dir_all(dir.parent().expect("data dir")).expect("cleanup");
         }
     }
+}
+
+/// CRC32 (IEEE, reflected) by its definition: bit by bit, no tables.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+/// Every length from empty to eight full words, at every start offset
+/// within a word: the eight-at-a-time loop, its bytewise remainder and
+/// the hand-over between them all agree with the definition.
+#[test]
+fn crc32_matches_the_bitwise_definition_at_every_short_length_and_offset() {
+    let data: Vec<u8> = (0..80u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+    for start in 0..8 {
+        for len in 0..=64 {
+            let s = &data[start..start + len];
+            assert_eq!(crc32(s), crc32_bitwise(s), "offset {start}, length {len}");
+        }
+    }
+}
+
+/// Writes of every kind the runtime logs.
+fn arb_write() -> impl Strategy<Value = RegistryRequest> {
+    prop_oneof![
+        arb_entry().prop_map(|entry| RegistryRequest::Put { entry }),
+        prop::collection::vec(arb_entry(), 0..4)
+            .prop_map(|entries| RegistryRequest::Absorb { entries }),
+        "[a-z0-9/_.]{1,32}".prop_map(|k| RegistryRequest::Remove { key: k.into() }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Arbitrary bytes, and an arbitrary (so mostly unaligned) sub-slice
+    /// of them.
+    #[test]
+    fn crc32_matches_the_bitwise_definition(
+        bytes in prop::collection::vec(any::<u8>(), 0..600),
+        start_raw in any::<usize>(),
+        len_raw in any::<usize>(),
+    ) {
+        prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        let start = start_raw % (bytes.len() + 1);
+        let end = start + len_raw % (bytes.len() - start + 1);
+        let sub = &bytes[start..end];
+        prop_assert_eq!(crc32(sub), crc32_bitwise(sub));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One `append_batch` run is one buffer encoded in place, and it
+    /// must be exactly the records `encode_record` gives one at a time,
+    /// with consecutive seqs continuing across runs.
+    #[test]
+    fn append_batch_writes_the_concatenated_records(
+        first in prop::collection::vec(arb_write(), 1..6),
+        second in prop::collection::vec(arb_write(), 1..6),
+        now in any::<u64>(),
+    ) {
+        let dir = scratch_dir();
+        let (wal, _) = FileWal::open(&dir, FsyncPolicy::Never).expect("open");
+        prop_assert_eq!(wal.append_batch(&first, now).expect("append"), first.len() as u64 - 1);
+        let last = wal.append_batch(&second, now + 1).expect("append");
+        prop_assert_eq!(last, (first.len() + second.len()) as u64 - 1);
+        wal.close();
+        let mut expected = Vec::new();
+        for (seq, req) in first.iter().enumerate() {
+            expected.extend_from_slice(&encode_record(seq as u64, now, req));
+        }
+        for (i, req) in second.iter().enumerate() {
+            expected.extend_from_slice(&encode_record((first.len() + i) as u64, now + 1, req));
+        }
+        prop_assert_eq!(std::fs::read(dir.join(LOG_FILE)).expect("read log"), expected);
+        drop(wal);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+}
+
+/// The snapshot trigger's promise, end to end through `ServiceCore` on a
+/// file WAL with a floor of 64. After every batch the log holds at most
+/// `max(64, last snapshot's entries) + batch length` records, so a
+/// restart reads one snapshot plus a tail no longer than it; snapshots
+/// come at doubling sizes, not every 64 records; and the restart
+/// recovers exactly the registry.
+#[test]
+fn log_growth_trigger_bounds_the_tail_and_recovers_exactly() {
+    const FLOOR: u64 = 64;
+    const KEYS: u64 = 1500;
+    let site = SiteId(0);
+    let dir = scratch_dir();
+    let site_dir = dir.join("site-0");
+    let config = RuntimeConfig {
+        wal: WalConfig::File {
+            data_dir: dir.clone(),
+            fsync: FsyncPolicy::Never,
+        },
+        snapshot_every: FLOOR,
+        ..RuntimeConfig::default()
+    };
+    let rt = ServiceRuntime::start(config.clone(), InlineLayer);
+    let core = rt.core();
+    let wal = core.wal(site).expect("file wal");
+    let mut scratch = core.new_batch_scratch();
+    let (mut reqs, mut out) = (Vec::new(), Vec::new());
+    let (mut published, mut installs, mut last_snapshot) = (0u64, 0u32, 0u64);
+    let mut max_batch = 0;
+    for batch in 0..400u64 {
+        let len = 1 + batch % 13;
+        max_batch = max_batch.max(len);
+        for _ in 0..len {
+            // Keys wrap after KEYS publishes, so later puts merge a new
+            // location into an entry the snapshot already holds.
+            let location = FileLocation {
+                site,
+                node: (published / KEYS) as u32,
+            };
+            let name = format!("bound/{}", published % KEYS);
+            let entry = RegistryEntry::new(name, published, location, published);
+            reqs.push(RegistryRequest::Put { entry });
+            published += 1;
+        }
+        let before = wal.records_since_snapshot();
+        core.serve_batch_into(site, &mut reqs, &mut out, &mut scratch);
+        assert!(out.drain(..).all(|r| r == RegistryResponse::Ack));
+        let after = wal.records_since_snapshot();
+        if after < before + len {
+            installs += 1;
+            let (_, entries) = read_snapshot_file(&site_dir.join(SNAPSHOT_FILE))
+                .expect("read snapshot")
+                .expect("a snapshot was installed");
+            last_snapshot = entries.len() as u64;
+            assert_eq!(wal.snapshot_entries(), last_snapshot);
+        }
+        assert!(
+            after <= FLOOR.max(last_snapshot) + len,
+            "batch {batch}: {after} records past a {last_snapshot}-entry snapshot"
+        );
+    }
+    assert!(published > 2500, "a few thousand publishes: {published}");
+    // 64, 128, 256, 512, 1024, then every 1500 (the key pool's size):
+    // a floor-only trigger would have snapshotted ~45 times.
+    assert!(
+        (4..=7).contains(&installs),
+        "{installs} snapshots for {published} publishes"
+    );
+    let contents = |rt: &ServiceRuntime<InlineLayer>| {
+        let mut entries = rt.core().registry(site).expect("site").all_entries();
+        entries.sort_by(|x, y| x.name.as_str().cmp(y.name.as_str()));
+        entries
+    };
+    let before = contents(&rt);
+    assert_eq!(before.len() as u64, KEYS);
+    rt.shutdown();
+
+    let restarted = ServiceRuntime::start(config, InlineLayer);
+    let report = restarted
+        .core()
+        .recovery_reports()
+        .iter()
+        .find(|r| r.site == site)
+        .expect("site 0 recovered")
+        .clone();
+    assert_eq!(report.snapshot_entries as u64, last_snapshot);
+    assert!(report.replayed as u64 <= FLOOR.max(last_snapshot) + max_batch);
+    assert!(report.torn.is_none());
+    assert_eq!(contents(&restarted), before);
+    restarted.shutdown();
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }

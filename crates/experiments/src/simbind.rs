@@ -182,8 +182,11 @@ pub fn site_of_node(node: usize, n_sites: usize) -> SiteId {
 // Registry actor
 // ---------------------------------------------------------------------
 
-/// Snapshot + truncate the simulated WAL once this many records pile up
-/// past the last snapshot (exercises the truncation path inside the DES).
+/// Floor on the records the simulated WAL piles up past the last
+/// snapshot before it snapshots + truncates (exercises the truncation
+/// path inside the DES). Above the floor the live runtime's rule applies,
+/// through the same `log_acked_writes`: the log must also be as long as
+/// the last snapshot.
 const SIM_SNAPSHOT_EVERY: u64 = 32;
 
 /// One site's registry service inside the simulation.
