@@ -58,13 +58,15 @@ impl Key {
 
     /// Length of the key text in bytes.
     #[inline]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.s.len()
     }
 
     /// Whether the key text is empty.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.s.is_empty()
     }
 }
@@ -189,7 +191,7 @@ pub(crate) struct StrQuery<'a> {
 
 impl<'a> StrQuery<'a> {
     #[inline]
-    pub fn new(s: &'a str) -> StrQuery<'a> {
+    pub(crate) fn new(s: &'a str) -> StrQuery<'a> {
         StrQuery {
             hash: fx_hash_str(s),
             s,
@@ -197,7 +199,7 @@ impl<'a> StrQuery<'a> {
     }
 
     /// Promote to an owned interned key (first insertion of this key).
-    pub fn to_key(&self) -> Key {
+    pub(crate) fn to_key(&self) -> Key {
         Key::from_raw(Arc::from(self.s), self.hash)
     }
 }

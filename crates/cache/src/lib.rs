@@ -42,12 +42,12 @@
 //! assert_eq!(hit.version, 1);
 //! ```
 
-pub mod entry;
+mod entry;
 pub mod hash;
-pub mod key;
-pub mod replica;
-pub mod stats;
-pub mod store;
+mod key;
+mod replica;
+mod stats;
+mod store;
 
 pub use entry::{CacheEntry, CacheError, PutCondition};
 pub use hash::{

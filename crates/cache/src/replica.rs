@@ -173,11 +173,6 @@ impl HaCache {
         self.put_if(key, PutCondition::Always, value, now)
     }
 
-    /// Unconditional write by interned key.
-    pub fn put_key(&self, key: &Key, value: Bytes, now: u64) -> Result<u64, CacheError> {
-        self.put_if_key(key, PutCondition::Always, value, now)
-    }
-
     /// Remove from both stores.
     pub fn remove(&self, key: &str) -> Result<CacheEntry, CacheError> {
         let out = self.primary_op(|store| store.remove(key));

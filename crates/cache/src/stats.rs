@@ -13,23 +13,24 @@ pub(crate) struct StatsCounters {
 
 impl StatsCounters {
     #[inline]
-    pub fn hit(&self) {
+    pub(crate) fn hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
     #[inline]
-    pub fn miss(&self) {
+    pub(crate) fn miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
     #[inline]
-    pub fn write(&self) {
+    pub(crate) fn write(&self) {
         self.writes.fetch_add(1, Ordering::Relaxed);
     }
     #[inline]
-    pub fn conflict(&self) {
+    pub(crate) fn conflict(&self) {
         self.conflicts.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn snapshot(&self) -> CacheStats {
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -52,43 +53,9 @@ pub struct CacheStats {
     pub conflicts: u64,
 }
 
-impl CacheStats {
-    /// Read hit ratio in `[0,1]`; 0 when no reads happened.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Total read operations.
-    pub fn reads(&self) -> u64 {
-        self.hits + self.misses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hit_ratio_handles_empty() {
-        assert_eq!(CacheStats::default().hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn hit_ratio_math() {
-        let s = CacheStats {
-            hits: 3,
-            misses: 1,
-            writes: 0,
-            conflicts: 0,
-        };
-        assert!((s.hit_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(s.reads(), 4);
-    }
 
     #[test]
     fn counters_accumulate() {

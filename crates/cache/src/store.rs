@@ -28,7 +28,7 @@
 use crate::entry::{CacheEntry, CacheError, PutCondition};
 use crate::hash::PrehashedBuildHasher;
 use crate::key::{Key, KeyQuery, StrQuery};
-use crate::stats::{CacheStats, StatsCounters};
+use crate::stats::StatsCounters;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,19 +111,14 @@ impl ShardedStore {
     }
 
     /// Mark the instance failed: every subsequent operation returns
-    /// [`CacheError::Unavailable`] until [`Self::revive`]. Failure injection
-    /// hook used by the HA pair and the tests.
-    pub fn fail(&self) {
+    /// [`CacheError::Unavailable`]. Failure injection hook used by the HA
+    /// pair and the tests.
+    pub(crate) fn fail(&self) {
         self.failed.store(true, Ordering::Release);
     }
 
-    /// Clear the failure flag.
-    pub fn revive(&self) {
-        self.failed.store(false, Ordering::Release);
-    }
-
     /// Whether the instance is currently marked failed.
-    pub fn is_failed(&self) -> bool {
+    pub(crate) fn is_failed(&self) -> bool {
         self.failed.load(Ordering::Acquire)
     }
 
@@ -153,7 +148,8 @@ impl ShardedStore {
     }
 
     /// Whether a key is present (does not count as hit/miss).
-    pub fn contains(&self, key: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, key: &str) -> bool {
         if self.is_failed() {
             return false;
         }
@@ -346,7 +342,8 @@ impl ShardedStore {
     }
 
     /// Remove all entries.
-    pub fn clear(&self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&self) {
         for s in &self.shards {
             s.write().clear();
         }
@@ -502,24 +499,15 @@ impl ShardedStore {
         out
     }
 
-    /// Snapshot of all keys (cheap `Arc` clones).
-    pub fn keys(&self) -> Vec<Key> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            let shard = s.read();
-            out.reserve(shard.len());
-            out.extend(shard.keys().cloned());
-        }
-        out
-    }
-
     /// Operation statistics so far.
-    pub fn stats(&self) -> CacheStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> crate::CacheStats {
         self.stats.snapshot()
     }
 
-    /// Number of shards (for tests/benches).
-    pub fn shard_count(&self) -> usize {
+    /// Number of shards.
+    #[cfg(test)]
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 }
@@ -795,8 +783,6 @@ mod tests {
         assert_eq!(err.applied, 0);
         assert_eq!(err.error, CacheError::Unavailable);
         assert!(err.to_string().contains("after 0 entries"));
-        store.revive();
-        assert_eq!(store.multi_put(vec![("a", b("1"))], 1).unwrap(), 1);
     }
 
     #[test]
@@ -866,8 +852,6 @@ mod tests {
         assert_eq!(store.put("g", b("v"), 0), Err(CacheError::Unavailable));
         assert!(!store.contains("f"));
         assert_eq!(store.multi_get(&["f"]), vec![Err(CacheError::Unavailable)]);
-        store.revive();
-        assert!(store.get("f").is_ok());
     }
 
     #[test]

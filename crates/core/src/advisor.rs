@@ -52,19 +52,19 @@ pub struct WorkloadProfile {
 impl WorkloadProfile {
     /// Whether this counts as "small scale" in the paper's sense: few tens
     /// of nodes, ≤ ~500 files each, effectively single-site.
-    pub fn is_small_scale(&self) -> bool {
+    pub(crate) fn is_small_scale(&self) -> bool {
         self.sites <= 1 || (self.nodes <= 32 && self.files_per_node <= 500)
     }
 
     /// Whether files are "very large" (tens to hundreds of MB), making
     /// metadata operations comparatively rare.
-    pub fn has_large_files(&self) -> bool {
+    pub(crate) fn has_large_files(&self) -> bool {
         self.avg_file_size >= 10 * 1024 * 1024
     }
 
     /// Whether the workload is metadata-intensive: many small files per
     /// node across several sites.
-    pub fn is_metadata_intensive(&self) -> bool {
+    pub(crate) fn is_metadata_intensive(&self) -> bool {
         self.files_per_node > 500 && !self.has_large_files()
     }
 }

@@ -54,11 +54,6 @@ impl<T: RegistryTransport> StrategyClient<T> {
         }
     }
 
-    /// The client's site.
-    pub fn site(&self) -> SiteId {
-        self.config.site
-    }
-
     /// Operation statistics.
     pub fn stats(&self) -> &OpStats {
         &self.stats
@@ -109,7 +104,7 @@ impl<T: RegistryTransport> StrategyClient<T> {
     }
 
     /// Publish a pre-built entry (callers set provenance etc.).
-    pub fn publish_entry(&self, entry: RegistryEntry) -> Result<(), MetaError> {
+    pub(crate) fn publish_entry(&self, entry: RegistryEntry) -> Result<(), MetaError> {
         self.with_epoch_refresh(|c| c.publish_entry_once(entry.clone()))
     }
 

@@ -1,5 +1,4 @@
-//! Eventual-consistency machinery: entry merging and inconsistency-window
-//! measurement.
+//! Eventual-consistency machinery: entry merging.
 //!
 //! The middleware favours availability: writes complete locally and
 //! propagate lazily (paper §III-D). When the same key is written at two
@@ -7,14 +6,8 @@
 //! deterministic, commutative, associative rule (location-set union plus
 //! last-writer-wins on scalar fields), so the final state is independent of
 //! delivery order.
-//!
-//! [`InconsistencyTracker`] measures the paper's "inconsistent window": the
-//! lag between a write completing at its origin and becoming visible at
-//! every other site.
 
 use crate::entry::RegistryEntry;
-use geometa_cache::FxHashMap;
-use geometa_sim::time::{SimDuration, SimTime};
 
 /// Merge two versions of the same entry into their least upper bound.
 ///
@@ -45,72 +38,6 @@ pub fn merge_entries(existing: &RegistryEntry, incoming: &RegistryEntry) -> Regi
     }
     merged.locations.sort();
     merged
-}
-
-/// Tracks how long writes take to become visible everywhere.
-#[derive(Debug, Default)]
-pub struct InconsistencyTracker {
-    /// key -> (write completion time at origin, sites still missing it).
-    pending: FxHashMap<String, (SimTime, usize)>,
-    windows: Vec<SimDuration>,
-}
-
-impl InconsistencyTracker {
-    /// New tracker.
-    pub fn new() -> InconsistencyTracker {
-        InconsistencyTracker::default()
-    }
-
-    /// A write of `key` completed at its origin at `at`; it must still
-    /// reach `remote_sites` other sites.
-    pub fn write_completed(&mut self, key: &str, at: SimTime, remote_sites: usize) {
-        if remote_sites == 0 {
-            self.windows.push(SimDuration::ZERO);
-            return;
-        }
-        self.pending.insert(key.to_string(), (at, remote_sites));
-    }
-
-    /// The entry for `key` became visible at one more remote site at `at`.
-    /// When the last site is covered, the window is recorded.
-    pub fn propagated(&mut self, key: &str, at: SimTime) {
-        if let Some((start, remaining)) = self.pending.get_mut(key) {
-            *remaining -= 1;
-            if *remaining == 0 {
-                let start = *start;
-                self.pending.remove(key);
-                self.windows.push(at.since(start));
-            }
-        }
-    }
-
-    /// Number of fully propagated writes.
-    pub fn closed(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Number of writes still propagating.
-    pub fn open(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Mean inconsistency window over closed writes.
-    pub fn mean_window(&self) -> SimDuration {
-        if self.windows.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let sum: u64 = self.windows.iter().map(|w| w.as_micros()).sum();
-        SimDuration::from_micros(sum / self.windows.len() as u64)
-    }
-
-    /// Maximum inconsistency window observed.
-    pub fn max_window(&self) -> SimDuration {
-        self.windows
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -182,34 +109,5 @@ mod tests {
         assert_eq!(m.size, 999);
         let m2 = merge_entries(&new, &old);
         assert_eq!(m2.size, 999);
-    }
-
-    #[test]
-    fn tracker_measures_windows() {
-        let mut t = InconsistencyTracker::new();
-        t.write_completed("k", SimTime(1_000_000), 2);
-        assert_eq!(t.open(), 1);
-        t.propagated("k", SimTime(1_500_000));
-        assert_eq!(t.closed(), 0, "still one site missing");
-        t.propagated("k", SimTime(2_000_000));
-        assert_eq!(t.closed(), 1);
-        assert_eq!(t.open(), 0);
-        assert_eq!(t.mean_window(), SimDuration::from_secs(1));
-        assert_eq!(t.max_window(), SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn tracker_zero_remote_sites_closes_immediately() {
-        let mut t = InconsistencyTracker::new();
-        t.write_completed("k", SimTime(5), 0);
-        assert_eq!(t.closed(), 1);
-        assert_eq!(t.mean_window(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn tracker_ignores_unknown_keys() {
-        let mut t = InconsistencyTracker::new();
-        t.propagated("ghost", SimTime(1));
-        assert_eq!(t.closed(), 0);
     }
 }

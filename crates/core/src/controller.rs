@@ -69,17 +69,14 @@ impl ArchitectureController {
 /// Virtual nodes per site in every canonical consistent ring. The
 /// elastic rebalance planner builds before/after rings with the same
 /// count so its placement agrees with the strategies clients run.
-pub const RING_VNODES: usize = 128;
+pub(crate) const RING_VNODES: usize = 128;
 
 /// Build the canonical instance of each strategy kind over `sites`.
 pub fn build_strategy(kind: StrategyKind, sites: Vec<SiteId>) -> Arc<dyn MetadataStrategy> {
     assert!(!sites.is_empty(), "strategy needs at least one site");
     match kind {
         StrategyKind::Centralized => Arc::new(Centralized::new(sites[0])),
-        StrategyKind::Replicated => {
-            let agent = sites[0];
-            Arc::new(Replicated::new(sites, agent))
-        }
+        StrategyKind::Replicated => Arc::new(Replicated::new(sites)),
         StrategyKind::DhtNonReplicated => {
             let placer: Arc<dyn SitePlacer> = Arc::new(ConsistentRing::new(sites, RING_VNODES));
             Arc::new(DhtNonReplicated::new(placer))

@@ -36,7 +36,7 @@ pub struct MetaStr(Bytes);
 
 impl MetaStr {
     /// Wrap validated bytes. Errors on invalid UTF-8.
-    pub fn from_utf8(bytes: Bytes) -> Result<MetaStr, MetaError> {
+    pub(crate) fn from_utf8(bytes: Bytes) -> Result<MetaStr, MetaError> {
         std::str::from_utf8(&bytes).map_err(|e| MetaError::Codec(e.to_string()))?;
         Ok(MetaStr(bytes))
     }
@@ -52,20 +52,8 @@ impl MetaStr {
 
     /// Length in bytes.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.len()
-    }
-
-    /// Whether the string is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The underlying shared buffer.
-    #[inline]
-    pub fn as_bytes(&self) -> &Bytes {
-        &self.0
     }
 }
 
@@ -201,10 +189,10 @@ pub enum Locations {
 
 impl Locations {
     /// Number of locations stored without heap allocation.
-    pub const INLINE: usize = 4;
+    pub(crate) const INLINE: usize = 4;
 
     /// An empty set.
-    pub fn new() -> Locations {
+    pub(crate) fn new() -> Locations {
         Locations::Inline {
             len: 0,
             buf: [NO_LOCATION; Self::INLINE],
@@ -212,7 +200,7 @@ impl Locations {
     }
 
     /// A single-location set (the common case: the file's origin).
-    pub fn one(loc: FileLocation) -> Locations {
+    pub(crate) fn one(loc: FileLocation) -> Locations {
         let mut buf = [NO_LOCATION; Self::INLINE];
         buf[0] = loc;
         Locations::Inline { len: 1, buf }
@@ -220,7 +208,7 @@ impl Locations {
 
     /// An empty set that will hold `n` locations, pre-spilled if `n`
     /// exceeds the inline capacity.
-    pub fn with_capacity(n: usize) -> Locations {
+    pub(crate) fn with_capacity(n: usize) -> Locations {
         if n <= Self::INLINE {
             Locations::new()
         } else {
@@ -230,7 +218,7 @@ impl Locations {
 
     /// Append a location (unconditionally; see
     /// [`RegistryEntry::add_location`] for the deduplicating variant).
-    pub fn push(&mut self, loc: FileLocation) {
+    pub(crate) fn push(&mut self, loc: FileLocation) {
         match self {
             Locations::Inline { len, buf } => {
                 if (*len as usize) < Self::INLINE {
@@ -258,7 +246,7 @@ impl Locations {
 
     /// The locations as a mutable slice.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [FileLocation] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [FileLocation] {
         match self {
             Locations::Inline { len, buf } => &mut buf[..*len as usize],
             Locations::Heap(v) => v,
@@ -266,12 +254,13 @@ impl Locations {
     }
 
     /// Remove every location.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         *self = Locations::new();
     }
 
     /// Sort in place (sites then nodes; the codec's canonical order).
-    pub fn sort(&mut self) {
+    pub(crate) fn sort(&mut self) {
         self.as_mut_slice().sort_unstable();
     }
 }
@@ -356,13 +345,14 @@ impl RegistryEntry {
     }
 
     /// Attach the producing task (builder-style).
-    pub fn with_producer(mut self, producer: impl Into<MetaStr>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_producer(mut self, producer: impl Into<MetaStr>) -> Self {
         self.producer = Some(producer.into());
         self
     }
 
     /// Add a location if not already present; returns true if added.
-    pub fn add_location(&mut self, loc: FileLocation) -> bool {
+    pub(crate) fn add_location(&mut self, loc: FileLocation) -> bool {
         if self.locations.contains(&loc) {
             false
         } else {
@@ -378,7 +368,7 @@ impl RegistryEntry {
 
     /// The interned cache key for this entry (one allocation + one hash;
     /// reused across a whole OCC retry loop by the registry).
-    pub fn cache_key(&self) -> Key {
+    pub(crate) fn cache_key(&self) -> Key {
         Key::new(&self.name)
     }
 
@@ -395,7 +385,7 @@ impl RegistryEntry {
     /// WAL records and snapshot images embed an entry without a
     /// throw-away buffer.
     #[inline]
-    pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
+    pub(crate) fn encode_into<B: BufMut>(&self, buf: &mut B) {
         put_str(buf, &self.name);
         buf.put_u64_le(self.size);
         buf.put_u32_le(self.locations.len() as u32);

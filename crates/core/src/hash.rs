@@ -125,13 +125,9 @@ impl ConsistentRing {
     }
 
     /// Number of member sites.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
-    }
-
-    /// True if the ring has no members (never true via the public API).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
     }
 }
 
@@ -178,19 +174,11 @@ impl Rendezvous {
     }
 
     /// Add a site (no-op if present).
-    pub fn add_site(&mut self, site: SiteId) {
+    #[cfg(test)]
+    pub(crate) fn add_site(&mut self, site: SiteId) {
         if !self.sites.contains(&site) {
             self.sites.push(site);
         }
-    }
-
-    /// Remove a site; panics if it would leave no sites.
-    pub fn remove_site(&mut self, site: SiteId) {
-        assert!(
-            self.sites.len() > 1 || !self.sites.contains(&site),
-            "cannot remove the last site"
-        );
-        self.sites.retain(|&s| s != site);
     }
 }
 

@@ -21,38 +21,12 @@ pub struct ReadyBatch {
     pub entries: Vec<RegistryEntry>,
 }
 
-/// Conservation accounting of a batcher: every entry ever enqueued is
-/// either still pending or was handed out in a flushed batch. The chaos
-/// oracle asserts this end to end — batched-but-unflushed publishes must
-/// be retried or reported, never silently dropped.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatcherStats {
-    /// Entries ever enqueued.
-    pub enqueued: u64,
-    /// Batches handed out (size-, age- and drain-triggered).
-    pub flushed_batches: u64,
-    /// Entries handed out inside those batches.
-    pub flushed_entries: u64,
-    /// Entries currently waiting in destination queues.
-    pub pending: u64,
-}
-
-impl BatcherStats {
-    /// The conservation invariant: nothing enqueued ever disappears.
-    pub fn conserved(&self) -> bool {
-        self.enqueued == self.flushed_entries + self.pending
-    }
-}
-
 /// Accumulates lazy updates per destination and decides when to flush.
 #[derive(Debug)]
 pub struct LazyBatcher {
     max_batch: usize,
     max_age: SimDuration,
     queues: FxHashMap<SiteId, (SimTime, Vec<RegistryEntry>)>,
-    enqueued: u64,
-    flushed_batches: u64,
-    flushed_entries: u64,
 }
 
 impl LazyBatcher {
@@ -64,16 +38,7 @@ impl LazyBatcher {
             max_batch,
             max_age,
             queues: FxHashMap::default(),
-            enqueued: 0,
-            flushed_batches: 0,
-            flushed_entries: 0,
         }
-    }
-
-    /// An eager batcher: every enqueue immediately yields a single-entry
-    /// batch. Baseline for the `ablation_lazy` bench.
-    pub fn eager() -> LazyBatcher {
-        LazyBatcher::new(1, SimDuration::ZERO)
     }
 
     /// Queue capacity to pre-allocate per destination: the full batch size
@@ -96,7 +61,6 @@ impl LazyBatcher {
         entry: RegistryEntry,
         now: SimTime,
     ) -> Option<ReadyBatch> {
-        self.enqueued += 1;
         let cap = self.queue_capacity();
         let (first_at, queue) = self
             .queues
@@ -108,8 +72,6 @@ impl LazyBatcher {
         queue.push(entry);
         if queue.len() >= self.max_batch {
             let entries = std::mem::replace(queue, Vec::with_capacity(cap));
-            self.flushed_batches += 1;
-            self.flushed_entries += entries.len() as u64;
             Some(ReadyBatch { target, entries })
         } else {
             None
@@ -123,8 +85,6 @@ impl LazyBatcher {
         for (&target, (first_at, queue)) in self.queues.iter_mut() {
             if !queue.is_empty() && now.since(*first_at) >= self.max_age {
                 let entries = std::mem::take(queue);
-                self.flushed_batches += 1;
-                self.flushed_entries += entries.len() as u64;
                 out.push(ReadyBatch { target, entries });
             }
         }
@@ -139,8 +99,6 @@ impl LazyBatcher {
         for (&target, (_, queue)) in self.queues.iter_mut() {
             if !queue.is_empty() {
                 let entries = std::mem::take(queue);
-                self.flushed_batches += 1;
-                self.flushed_entries += entries.len() as u64;
                 out.push(ReadyBatch { target, entries });
             }
         }
@@ -151,41 +109,6 @@ impl LazyBatcher {
     /// Entries currently waiting.
     pub fn pending(&self) -> usize {
         self.queues.values().map(|(_, q)| q.len()).sum()
-    }
-
-    /// When the earliest pending entry was enqueued (None if empty). Used
-    /// to schedule the next age-based flush.
-    pub fn oldest_pending(&self) -> Option<SimTime> {
-        self.queues
-            .values()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(t, _)| *t)
-            .min()
-    }
-
-    /// (entries enqueued, batches flushed) — the batching ratio is the
-    /// message-saving the lazy scheme buys.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.enqueued, self.flushed_batches)
-    }
-
-    /// Full conservation accounting (see [`BatcherStats`]).
-    pub fn entry_stats(&self) -> BatcherStats {
-        BatcherStats {
-            enqueued: self.enqueued,
-            flushed_batches: self.flushed_batches,
-            flushed_entries: self.flushed_entries,
-            pending: self.pending() as u64,
-        }
-    }
-
-    /// Crash recovery: hand out *everything* still queued so the caller
-    /// can retry it. Exactly [`Self::flush_all`], named for intent — a
-    /// node that lost its flush timer to a crash must either re-ship
-    /// these batches or report them; dropping the queues on the floor is
-    /// the bug the chaos oracle's lazy-accounting invariant catches.
-    pub fn drain_for_recovery(&mut self) -> Vec<ReadyBatch> {
-        self.flush_all()
     }
 }
 
@@ -249,9 +172,12 @@ mod tests {
 
     #[test]
     fn eager_batcher_emits_immediately() {
-        let mut b = LazyBatcher::eager();
-        let batch = b.enqueue(SiteId(3), entry(0), SimTime(0)).unwrap();
-        assert_eq!(batch.entries.len(), 1);
+        let mut b = LazyBatcher::new(1, SimDuration::ZERO);
+        for i in 0..5 {
+            let batch = b.enqueue(SiteId(3), entry(i), SimTime(0)).unwrap();
+            assert_eq!(batch.entries.len(), 1);
+        }
+        assert_eq!(b.pending(), 0);
     }
 
     #[test]
@@ -266,39 +192,23 @@ mod tests {
         assert_eq!(b.pending(), 0);
     }
 
+    /// The WAN saving §III-D argues for: 1 000 updates fanned out to 3
+    /// sites cost one message per update per site when eager, and
+    /// ceil(1000 / batch) per site when batched.
     #[test]
-    fn stats_expose_batching_ratio() {
-        let mut b = LazyBatcher::new(10, SimDuration::from_secs(10));
-        for i in 0..25 {
-            b.enqueue(SiteId(1), entry(i), SimTime(i as u64));
-        }
-        let _ = b.flush_all();
-        let (enqueued, batches) = b.stats();
-        assert_eq!(enqueued, 25);
-        assert_eq!(batches, 3, "2 full batches + 1 flush_all remainder");
-
-        // The WAN saving §III-D argues for: 1 000 updates fanned out to 3
-        // sites cost one message per update per site when eager, and
-        // ceil(1000 / batch) per site when batched.
-        for (batch, per_site) in [(1usize, 1_000u64), (16, 63), (64, 16), (256, 4)] {
+    fn batching_divides_messages_by_the_batch_size() {
+        for (batch, per_site) in [(1usize, 1_000usize), (16, 63), (64, 16), (256, 4)] {
             let mut b = LazyBatcher::new(batch, SimDuration::from_secs(10));
+            let mut messages = 0;
             for i in 0..1_000 {
                 for target in 1..4 {
-                    b.enqueue(SiteId(target), entry(i), SimTime(i as u64));
+                    messages +=
+                        usize::from(b.enqueue(SiteId(target), entry(i), SimTime(0)).is_some());
                 }
             }
-            let _ = b.flush_all();
-            assert_eq!(b.stats(), (3_000, 3 * per_site), "batch size {batch}");
+            messages += b.flush_all().len();
+            assert_eq!(messages, 3 * per_site, "batch size {batch}");
         }
-    }
-
-    #[test]
-    fn oldest_pending_tracks_head_of_line() {
-        let mut b = LazyBatcher::new(10, SimDuration::from_secs(1));
-        assert_eq!(b.oldest_pending(), None);
-        b.enqueue(SiteId(1), entry(0), SimTime(500));
-        b.enqueue(SiteId(2), entry(1), SimTime(300));
-        assert_eq!(b.oldest_pending(), Some(SimTime(300)));
     }
 
     #[test]
@@ -316,17 +226,12 @@ mod tests {
                 shipped += batch.entries.len() as u64;
             }
         }
-        let s = b.entry_stats();
-        assert!(s.conserved(), "after size flushes: {s:?}");
-        assert_eq!(s.flushed_entries, shipped);
+        assert_eq!(shipped + b.pending() as u64, 10, "after size flushes");
         for batch in b.poll_expired(SimTime(1_000_000)) {
             shipped += batch.entries.len() as u64;
         }
-        let s = b.entry_stats();
-        assert!(s.conserved(), "after age flushes: {s:?}");
-        assert_eq!(s.flushed_entries, shipped);
-        assert_eq!(s.pending, 0);
-        assert_eq!(s.enqueued, 10);
+        assert_eq!(shipped, 10, "after age flushes");
+        assert_eq!(b.pending(), 0);
     }
 
     #[test]
@@ -335,40 +240,25 @@ mod tests {
         // drain must hand back exactly the unflushed tail so it can be
         // re-shipped — nothing is silently dropped.
         let mut b = LazyBatcher::new(4, SimDuration::from_secs(10));
-        let mut acked_to_batcher = Vec::new();
+        let mut shipped = 0;
         for i in 0..10 {
-            let k = format!("f{i}");
-            acked_to_batcher.push(k);
-            let _ = b.enqueue(SiteId(1), entry(i), SimTime(i as u64));
+            if let Some(batch) = b.enqueue(SiteId(1), entry(i), SimTime(i as u64)) {
+                shipped += batch.entries.len();
+            }
         }
         // 2 full batches (8 entries) flushed by size; 2 entries pending at
         // "crash" time.
-        assert_eq!(b.entry_stats().flushed_entries, 8);
+        assert_eq!(shipped, 8);
         assert_eq!(b.pending(), 2);
-        let recovered = b.drain_for_recovery();
+        let recovered = b.flush_all();
         let recovered_names: Vec<String> = recovered
             .iter()
             .flat_map(|batch| batch.entries.iter())
             .map(|e| e.name.as_str().to_owned())
             .collect();
         assert_eq!(recovered_names, vec!["f8", "f9"], "the unflushed tail");
-        let s = b.entry_stats();
-        assert!(s.conserved(), "{s:?}");
-        assert_eq!(s.flushed_entries, 10, "everything accounted for");
-        assert_eq!(s.pending, 0);
+        assert_eq!(b.pending(), 0);
         // A second recovery drain is a no-op, not a double-ship.
-        assert!(b.drain_for_recovery().is_empty());
-    }
-
-    #[test]
-    fn eager_batcher_is_trivially_conserved() {
-        let mut b = LazyBatcher::eager();
-        for i in 0..5 {
-            assert!(b.enqueue(SiteId(0), entry(i), SimTime(0)).is_some());
-        }
-        let s = b.entry_stats();
-        assert!(s.conserved());
-        assert_eq!(s.flushed_entries, 5);
-        assert_eq!(s.flushed_batches, 5);
+        assert!(b.flush_all().is_empty());
     }
 }

@@ -55,7 +55,7 @@ pub mod entry;
 pub mod hash;
 pub mod lazy;
 pub mod metrics;
-pub mod plan;
+mod plan;
 pub mod protocol;
 pub mod rebalance;
 pub mod registry;

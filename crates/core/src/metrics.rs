@@ -71,12 +71,14 @@ impl OpStats {
 
 impl OpStatsSnapshot {
     /// All completed reads.
-    pub fn reads(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn reads(&self) -> u64 {
         self.local_read_hits + self.remote_reads + self.read_misses
     }
 
     /// All writes.
-    pub fn writes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn writes(&self) -> u64 {
         self.local_writes + self.remote_writes
     }
 

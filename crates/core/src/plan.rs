@@ -28,11 +28,6 @@ impl WritePlan {
             .chain(self.async_targets.iter())
             .copied()
     }
-
-    /// Whether the plan writes to `site` at all.
-    pub fn touches(&self, site: SiteId) -> bool {
-        self.all_targets().any(|s| s == site)
-    }
 }
 
 /// Plan for resolving (reading) one metadata entry.
@@ -46,13 +41,8 @@ pub struct ReadPlan {
 
 impl ReadPlan {
     /// A plan probing exactly one site.
-    pub fn single(site: SiteId) -> ReadPlan {
+    pub(crate) fn single(site: SiteId) -> ReadPlan {
         ReadPlan { probes: vec![site] }
-    }
-
-    /// Number of probes in the worst case.
-    pub fn max_probes(&self) -> usize {
-        self.probes.len()
     }
 }
 
@@ -68,14 +58,11 @@ mod tests {
         };
         let all: Vec<SiteId> = p.all_targets().collect();
         assert_eq!(all, vec![SiteId(1), SiteId(2), SiteId(3)]);
-        assert!(p.touches(SiteId(2)));
-        assert!(!p.touches(SiteId(0)));
     }
 
     #[test]
     fn single_read_plan() {
         let p = ReadPlan::single(SiteId(3));
         assert_eq!(p.probes, vec![SiteId(3)]);
-        assert_eq!(p.max_probes(), 1);
     }
 }

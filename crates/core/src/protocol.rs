@@ -17,7 +17,7 @@ pub const FRAME_OVERHEAD: usize = 48;
 
 /// Hard cap on the entry count of one `Absorb`/`Delta` message. Decoders
 /// reject anything larger before allocating (codec totality on garbage).
-pub const MAX_WIRE_ENTRIES: usize = 1 << 20;
+pub(crate) const MAX_WIRE_ENTRIES: usize = 1 << 20;
 
 /// Hard cap on one length-prefixed element (key or encoded entry).
 const MAX_WIRE_ELEMENT: usize = 64 * 1024 * 1024;
@@ -149,7 +149,8 @@ impl RegistryResponse {
     }
 
     /// Unwrap into a found entry or an error.
-    pub fn into_entry(self) -> Result<RegistryEntry, MetaError> {
+    #[cfg(test)]
+    pub(crate) fn into_entry(self) -> Result<RegistryEntry, MetaError> {
         match self {
             RegistryResponse::Found { entry } => Ok(entry),
             RegistryResponse::Error { error } => Err(error),
@@ -158,7 +159,7 @@ impl RegistryResponse {
     }
 
     /// Unwrap an acknowledgement.
-    pub fn into_ack(self) -> Result<(), MetaError> {
+    pub(crate) fn into_ack(self) -> Result<(), MetaError> {
         match self {
             RegistryResponse::Ack => Ok(()),
             RegistryResponse::Error { error } => Err(error),
@@ -192,29 +193,29 @@ impl RegistryResponse {
 // ---------------------------------------------------------------------------
 
 mod tag {
-    pub const REQ_GET: u8 = 1;
-    pub const REQ_PUT: u8 = 2;
-    pub const REQ_ABSORB: u8 = 3;
-    pub const REQ_REMOVE: u8 = 4;
-    pub const REQ_DELTA_PULL: u8 = 5;
-    pub const REQ_STATUS: u8 = 6;
-    pub const REQ_RECONFIGURE: u8 = 7;
+    pub(super) const REQ_GET: u8 = 1;
+    pub(super) const REQ_PUT: u8 = 2;
+    pub(super) const REQ_ABSORB: u8 = 3;
+    pub(super) const REQ_REMOVE: u8 = 4;
+    pub(super) const REQ_DELTA_PULL: u8 = 5;
+    pub(super) const REQ_STATUS: u8 = 6;
+    pub(super) const REQ_RECONFIGURE: u8 = 7;
 
-    pub const RESP_FOUND: u8 = 1;
-    pub const RESP_ACK: u8 = 2;
-    pub const RESP_DELTA: u8 = 3;
-    pub const RESP_ERROR: u8 = 4;
-    pub const RESP_STATUS: u8 = 5;
+    pub(super) const RESP_FOUND: u8 = 1;
+    pub(super) const RESP_ACK: u8 = 2;
+    pub(super) const RESP_DELTA: u8 = 3;
+    pub(super) const RESP_ERROR: u8 = 4;
+    pub(super) const RESP_STATUS: u8 = 5;
 
-    pub const ERR_NOT_FOUND: u8 = 1;
-    pub const ERR_UNAVAILABLE: u8 = 2;
-    pub const ERR_CONTENTION: u8 = 3;
-    pub const ERR_CODEC: u8 = 4;
-    pub const ERR_WRONG_EPOCH: u8 = 5;
+    pub(super) const ERR_NOT_FOUND: u8 = 1;
+    pub(super) const ERR_UNAVAILABLE: u8 = 2;
+    pub(super) const ERR_CONTENTION: u8 = 3;
+    pub(super) const ERR_CODEC: u8 = 4;
+    pub(super) const ERR_WRONG_EPOCH: u8 = 5;
 
-    pub const OP_JOIN: u8 = 1;
-    pub const OP_LEAVE: u8 = 2;
-    pub const OP_DRAIN: u8 = 3;
+    pub(super) const OP_JOIN: u8 = 1;
+    pub(super) const OP_LEAVE: u8 = 2;
+    pub(super) const OP_DRAIN: u8 = 3;
 }
 
 fn put_prefixed<B: BufMut>(buf: &mut B, bytes: &[u8]) {

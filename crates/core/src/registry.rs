@@ -45,7 +45,7 @@ impl RegistryInstance {
     }
 
     /// The site this instance serves.
-    pub fn site(&self) -> SiteId {
+    pub(crate) fn site(&self) -> SiteId {
         self.site
     }
 
@@ -93,7 +93,7 @@ impl RegistryInstance {
 
     /// Read an entry by interned key (the RPC path: the client interned the
     /// key once and it rides the request, so no hashing happens here).
-    pub fn get_key(&self, key: &Key) -> Result<RegistryEntry, MetaError> {
+    pub(crate) fn get_key(&self, key: &Key) -> Result<RegistryEntry, MetaError> {
         self.gets.fetch_add(1, Ordering::Relaxed);
         entry_of(self.cache.get_key(key))
     }
@@ -102,7 +102,7 @@ impl RegistryInstance {
     /// zero-copy request path parses keys as `&str` views into the wire
     /// buffer and never interns a [`Key`]. One shard lock per shard
     /// group, results in request order; each key counts as one get.
-    pub fn multi_get(&self, keys: &[&str]) -> Vec<Result<RegistryEntry, MetaError>> {
+    pub(crate) fn multi_get(&self, keys: &[&str]) -> Vec<Result<RegistryEntry, MetaError>> {
         self.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
         self.cache
             .multi_get(keys)
@@ -212,7 +212,7 @@ impl RegistryInstance {
     }
 
     /// Absorb a batch (one sync push).
-    pub fn absorb_batch(&self, entries: &[RegistryEntry]) -> Result<usize, MetaError> {
+    pub(crate) fn absorb_batch(&self, entries: &[RegistryEntry]) -> Result<usize, MetaError> {
         for e in entries {
             self.absorb(e)?;
         }
@@ -220,7 +220,8 @@ impl RegistryInstance {
     }
 
     /// Remove an entry.
-    pub fn remove(&self, key: &str) -> Result<(), MetaError> {
+    #[cfg(test)]
+    pub(crate) fn remove(&self, key: &str) -> Result<(), MetaError> {
         match self.cache.remove(key) {
             Ok(_) => Ok(()),
             Err(CacheError::NotFound) => Err(MetaError::NotFound),
@@ -230,7 +231,7 @@ impl RegistryInstance {
     }
 
     /// Remove an entry by interned key (the RPC path).
-    pub fn remove_key(&self, key: &Key) -> Result<(), MetaError> {
+    pub(crate) fn remove_key(&self, key: &Key) -> Result<(), MetaError> {
         match self.cache.remove_key(key) {
             Ok(_) => Ok(()),
             Err(CacheError::NotFound) => Err(MetaError::NotFound),
@@ -251,7 +252,7 @@ impl RegistryInstance {
 
     /// All entries modified strictly after `since` (the sync agent's delta
     /// query).
-    pub fn delta_since(&self, since: u64) -> Vec<RegistryEntry> {
+    pub(crate) fn delta_since(&self, since: u64) -> Vec<RegistryEntry> {
         self.cache
             .primary()
             .modified_since(since)
@@ -291,7 +292,7 @@ impl RegistryInstance {
     }
 
     /// (gets, puts, absorbs) served so far.
-    pub fn op_counts(&self) -> (u64, u64, u64) {
+    pub(crate) fn op_counts(&self) -> (u64, u64, u64) {
         (
             self.gets.load(Ordering::Relaxed),
             self.puts.load(Ordering::Relaxed),

@@ -128,10 +128,9 @@ pub struct RecoveryReport {
     pub torn: Option<TornTail>,
 }
 
-/// Sync-agent health counters, surfaced through
-/// [`ServiceCore::sync_stats`].
+/// Sync-agent health counters.
 #[derive(Debug, Default)]
-pub struct SyncAgentStats {
+pub(crate) struct SyncAgentStats {
     /// Delta pulls that returned an error (the site backs off).
     pub pull_failures: AtomicU64,
     /// Absorb pushes that were not acked (watermark rolled back).
@@ -141,8 +140,9 @@ pub struct SyncAgentStats {
 }
 
 /// Point-in-time copy of [`SyncAgentStats`].
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SyncAgentStatsSnapshot {
+pub(crate) struct SyncAgentStatsSnapshot {
     /// See [`SyncAgentStats::pull_failures`].
     pub pull_failures: u64,
     /// See [`SyncAgentStats::push_failures`].
@@ -153,7 +153,8 @@ pub struct SyncAgentStatsSnapshot {
 
 impl SyncAgentStats {
     /// Snapshot the counters.
-    pub fn snapshot(&self) -> SyncAgentStatsSnapshot {
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> SyncAgentStatsSnapshot {
         SyncAgentStatsSnapshot {
             pull_failures: self.pull_failures.load(Ordering::Relaxed),
             push_failures: self.push_failures.load(Ordering::Relaxed),
@@ -295,7 +296,8 @@ impl ServiceCore {
     }
 
     /// The strategy controller (runtime switching).
-    pub fn controller(&self) -> &Arc<ArchitectureController> {
+    #[cfg(test)]
+    pub(crate) fn controller(&self) -> &Arc<ArchitectureController> {
         &self.controller
     }
 
@@ -467,16 +469,11 @@ impl ServiceCore {
         &self.recovery
     }
 
-    /// Sync-agent health counters (zero when no agent runs).
-    pub fn sync_stats(&self) -> SyncAgentStatsSnapshot {
-        self.sync_stats.snapshot()
-    }
-
     /// Fault injection: kill `site`'s primary cache mid-traffic. The
     /// serving loops keep running; the next operation drives the HaCache
     /// primary→replica promotion. Returns whether the site hosts a
     /// registry.
-    pub fn fail_primary(&self, site: SiteId) -> bool {
+    pub(crate) fn fail_primary(&self, site: SiteId) -> bool {
         match self.registries.get(&site) {
             Some(r) => {
                 r.fail_primary();
@@ -487,7 +484,7 @@ impl ServiceCore {
     }
 
     /// Current membership `(epoch, members)`.
-    pub fn membership(&self) -> (u64, Vec<SiteId>) {
+    pub(crate) fn membership(&self) -> (u64, Vec<SiteId>) {
         let m = self.membership.lock();
         (m.epoch, m.members.clone())
     }
@@ -933,12 +930,12 @@ impl<L: ConnectionLayer> Drop for ServiceRuntime<L> {
 /// would eventually exceed a network transport's frame/entry caps and
 /// livelock replication. Bounded chunks (~a few hundred KB each) always
 /// fit, and a mid-window failure just re-pulls — absorb is idempotent.
-pub const SYNC_PUSH_CHUNK: usize = 4096;
+pub(crate) const SYNC_PUSH_CHUNK: usize = 4096;
 
 /// Longest a failing site is skipped, in cycles (base backoff doubles
 /// per consecutive failure up to this cap; jitter can add up to one
 /// more base on top).
-pub const SYNC_BACKOFF_CAP_CYCLES: u64 = 32;
+pub(crate) const SYNC_BACKOFF_CAP_CYCLES: u64 = 32;
 
 /// Per-site pull backoff: consecutive failures double the number of
 /// cycles the site is skipped (capped), plus deterministic seeded jitter
@@ -997,7 +994,7 @@ impl PullBackoff {
 /// capped exponential backoff with seeded jitter (a dead site is not
 /// hammered every cycle; a recovering one is re-probed within a bounded,
 /// de-synchronized number of cycles). Health counters land in `stats`.
-pub fn drive_sync_agent<T: RegistryTransport>(
+pub(crate) fn drive_sync_agent<T: RegistryTransport>(
     transport: &T,
     sites: &[SiteId],
     interval: Duration,

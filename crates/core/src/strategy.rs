@@ -105,11 +105,6 @@ impl Centralized {
     pub fn new(home: SiteId) -> Centralized {
         Centralized { home }
     }
-
-    /// The registry's site.
-    pub fn home(&self) -> SiteId {
-        self.home
-    }
 }
 
 impl MetadataStrategy for Centralized {
@@ -138,24 +133,14 @@ impl MetadataStrategy for Centralized {
 #[derive(Clone, Debug)]
 pub struct Replicated {
     sites: Vec<SiteId>,
-    agent_site: SiteId,
 }
 
 impl Replicated {
-    /// Replicate across `sites`, with the sync agent placed at
-    /// `agent_site` ("can be placed in any of the sites").
-    pub fn new(sites: Vec<SiteId>, agent_site: SiteId) -> Replicated {
+    /// Replicate across `sites`. The runtime places the sync agent ("can
+    /// be placed in any of the sites").
+    pub(crate) fn new(sites: Vec<SiteId>) -> Replicated {
         assert!(!sites.is_empty(), "replicated strategy needs sites");
-        assert!(
-            sites.contains(&agent_site),
-            "agent site must be one of the registry sites"
-        );
-        Replicated { sites, agent_site }
-    }
-
-    /// Where the synchronization agent runs.
-    pub fn agent_site(&self) -> SiteId {
-        self.agent_site
+        Replicated { sites }
     }
 }
 
@@ -200,7 +185,8 @@ impl DhtNonReplicated {
     }
 
     /// The owner site of a key (exposed for tests/diagnostics).
-    pub fn owner(&self, key: &str) -> SiteId {
+    #[cfg(test)]
+    pub(crate) fn owner(&self, key: &str) -> SiteId {
         self.placer.owner(key)
     }
 }
@@ -247,12 +233,13 @@ pub struct DhtLocalReplica {
 
 impl DhtLocalReplica {
     /// Partition entries across the placer's sites, with local replicas.
-    pub fn new(placer: Arc<dyn SitePlacer>) -> DhtLocalReplica {
+    pub(crate) fn new(placer: Arc<dyn SitePlacer>) -> DhtLocalReplica {
         DhtLocalReplica { placer }
     }
 
     /// The owner site of a key (exposed for tests/diagnostics).
-    pub fn owner(&self, key: &str) -> SiteId {
+    #[cfg(test)]
+    pub(crate) fn owner(&self, key: &str) -> SiteId {
         self.placer.owner(key)
     }
 }
@@ -339,7 +326,7 @@ mod tests {
 
     #[test]
     fn replicated_is_always_local_with_agent() {
-        let s = Replicated::new(sites4(), SiteId(0));
+        let s = Replicated::new(sites4());
         for origin in sites4() {
             let wp = s.write_plan("f", origin);
             assert_eq!(wp.sync_targets, vec![origin]);
@@ -348,12 +335,6 @@ mod tests {
         }
         assert!(s.uses_sync_agent());
         assert_eq!(s.registry_sites().len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "agent site must be one of the registry sites")]
-    fn replicated_agent_must_live_in_a_registry_site() {
-        let _ = Replicated::new(vec![SiteId(0), SiteId(1)], SiteId(3));
     }
 
     #[test]

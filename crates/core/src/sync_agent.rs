@@ -48,12 +48,6 @@ impl SyncAgentState {
         }
     }
 
-    /// The sites the agent polls, in fixed order ("it sequentially queries
-    /// the instances for updates").
-    pub fn poll_order(&self) -> &[SiteId] {
-        &self.sites
-    }
-
     /// The `since` watermark to use when pulling a delta from `site`.
     pub fn watermark(&self, site: SiteId) -> u64 {
         self.watermark.get(&site).copied().unwrap_or(0)
@@ -93,7 +87,7 @@ impl SyncAgentState {
     /// delta could not be delivered: the next cycle re-pulls the same
     /// window and re-pushes everywhere (absorb is idempotent, so targets
     /// that did receive the first attempt are unharmed).
-    pub fn rollback_watermark(&mut self, site: SiteId, to: u64) {
+    pub(crate) fn rollback_watermark(&mut self, site: SiteId, to: u64) {
         if let Some(w) = self.watermark.get_mut(&site) {
             *w = (*w).min(to);
         }
@@ -105,12 +99,14 @@ impl SyncAgentState {
     }
 
     /// Completed cycles.
-    pub fn cycles(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cycles(&self) -> u64 {
         self.cycles
     }
 
     /// Total entries propagated (each counted once per pull, not per push).
-    pub fn entries_propagated(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn entries_propagated(&self) -> u64 {
         self.entries_propagated
     }
 }
@@ -134,15 +130,6 @@ mod tests {
 
     fn agent() -> SyncAgentState {
         SyncAgentState::new((0..4).map(SiteId).collect())
-    }
-
-    #[test]
-    fn poll_order_is_stable() {
-        let a = agent();
-        assert_eq!(
-            a.poll_order(),
-            &[SiteId(0), SiteId(1), SiteId(2), SiteId(3)]
-        );
     }
 
     #[test]

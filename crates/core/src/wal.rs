@@ -52,14 +52,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Header bytes per record: length + CRC32.
-pub const RECORD_HEADER: usize = 8;
+pub(crate) const RECORD_HEADER: usize = 8;
 /// Fixed payload prefix: sequence number + timestamp.
-pub const PAYLOAD_PREFIX: usize = 16;
+pub(crate) const PAYLOAD_PREFIX: usize = 16;
 /// Upper bound on a single record's payload (mirrors the wire codec's
 /// element cap; a length field above this is torn/garbage framing).
-pub const MAX_RECORD_PAYLOAD: usize = 64 * 1024 * 1024;
+pub(crate) const MAX_RECORD_PAYLOAD: usize = 64 * 1024 * 1024;
 /// Snapshot file magic ("GWSN" — geometa WAL snapshot).
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"GWSN";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"GWSN";
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE), hand-rolled: no external crates in this tree.
@@ -447,16 +447,6 @@ impl MemWal {
         MemWal::default()
     }
 
-    /// The live log (records since the last snapshot), in append order.
-    pub fn records(&self) -> Vec<WalRecord> {
-        self.inner.lock().records.clone()
-    }
-
-    /// The last installed snapshot.
-    pub fn snapshot(&self) -> Vec<RegistryEntry> {
-        self.inner.lock().snapshot.clone()
-    }
-
     /// Everything a restart would recover: snapshot entries plus the
     /// replayable tail.
     pub fn recovery(&self) -> WalRecovery {
@@ -710,11 +700,6 @@ impl FileWal {
         };
         Ok((wal, recovery))
     }
-
-    /// The site directory this WAL writes under.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
 }
 
 fn flusher_loop(shared: &FileWalShared, interval: Duration) {
@@ -896,6 +881,13 @@ mod tests {
     use crate::entry::FileLocation;
     use crate::protocol::RegistryResponse;
     use geometa_sim::topology::SiteId;
+
+    impl MemWal {
+        /// The live log (records since the last snapshot), in append order.
+        fn records(&self) -> Vec<WalRecord> {
+            self.inner.lock().records.clone()
+        }
+    }
 
     /// Tripwire until a crash checker proves the log durable: the only raw
     /// writes are the snapshot image, synced on the spot, and the append

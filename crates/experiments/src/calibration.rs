@@ -85,7 +85,7 @@ impl Default for Calibration {
 impl Calibration {
     /// The Fig. 1 variant: no client overhead ("isolating the metadata
     /// access times"), no congestion (single sequential client).
-    pub fn isolated_ops() -> Calibration {
+    pub(crate) fn isolated_ops() -> Calibration {
         Calibration {
             client_overhead: SimDuration::ZERO,
             ..Calibration::default()

@@ -87,7 +87,7 @@ impl ChaosFault {
     }
 
     /// Short label for tables and banners.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ChaosFault::RegistryCrash => "crash",
             ChaosFault::Partition => "partition",
@@ -110,13 +110,8 @@ pub enum ChaosApp {
 }
 
 impl ChaosApp {
-    /// All workloads, in matrix order.
-    pub fn all() -> [ChaosApp; 3] {
-        [ChaosApp::Synthetic, ChaosApp::Montage, ChaosApp::BuzzFlow]
-    }
-
     /// Short label for tables and banners.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ChaosApp::Synthetic => "synthetic",
             ChaosApp::Montage => "montage",
@@ -284,7 +279,7 @@ pub fn kill_recover_grid(seeds: &[u64]) -> Vec<ChaosCell> {
 
 /// The workflow spot cells appended to the matrix: one Montage and one
 /// BuzzFlow registry-crash cell per strategy.
-pub fn spot_cells(seed: u64) -> Vec<ChaosCell> {
+pub(crate) fn spot_cells(seed: u64) -> Vec<ChaosCell> {
     let mut cells = Vec::new();
     for kind in StrategyKind::all() {
         for app in [ChaosApp::Montage, ChaosApp::BuzzFlow] {
@@ -300,7 +295,7 @@ pub fn spot_cells(seed: u64) -> Vec<ChaosCell> {
 }
 
 /// One-line reproduction command for a failing cell.
-pub fn repro_command(cell: &ChaosCell) -> String {
+pub(crate) fn repro_command(cell: &ChaosCell) -> String {
     format!(
         "GEOMETA_SEED={} cargo test --release --test chaos_matrix",
         cell.seed
@@ -326,7 +321,10 @@ pub fn check_cell(cell: ChaosCell, size: &ChaosSize) -> ChaosReport {
 
 /// Run a cell twice and enforce invariant 4 (byte-identical replay) on
 /// top of the per-run invariants.
-pub fn run_cell_checked(cell: ChaosCell, size: &ChaosSize) -> Result<ChaosReport, ChaosViolation> {
+pub(crate) fn run_cell_checked(
+    cell: ChaosCell,
+    size: &ChaosSize,
+) -> Result<ChaosReport, ChaosViolation> {
     let first = run_cell(cell, size)?;
     let second = run_cell(cell, size)?;
     if first.fingerprint != second.fingerprint {
@@ -344,7 +342,7 @@ pub fn run_cell_checked(cell: ChaosCell, size: &ChaosSize) -> Result<ChaosReport
 
 /// Build the deterministic fault schedule for a cell. Returns the
 /// schedule and, for crash faults, the crashed site.
-pub fn build_schedule(
+pub(crate) fn build_schedule(
     cell: &ChaosCell,
     registry_sites: &[SiteId],
     all_sites: &[SiteId],

@@ -48,7 +48,7 @@ impl Default for Fig1Config {
 
 impl Fig1Config {
     /// Reduced sweep for tests/benches.
-    pub fn quick() -> Fig1Config {
+    pub(crate) fn quick() -> Fig1Config {
         Fig1Config {
             file_counts: vec![50, 200],
             seed: 1,
@@ -102,7 +102,7 @@ pub fn run(cfg: &Fig1Config) -> Vec<Fig1Row> {
 }
 
 /// Render paper-style output.
-pub fn render(rows: &[Fig1Row]) -> Table {
+pub(crate) fn render(rows: &[Fig1Row]) -> Table {
     let mut t = Table::new(
         "Fig. 1 — time (s) to post N files from West Europe vs registry location",
         &["files", "same site", "same region", "distant region"],

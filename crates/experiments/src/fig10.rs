@@ -46,7 +46,7 @@ impl App {
 
 /// One (app, scenario) cell across all strategies.
 #[derive(Clone, Debug)]
-pub struct Fig10Row {
+pub(crate) struct Fig10Row {
     /// Application.
     pub app: App,
     /// Table I scenario.
@@ -154,7 +154,7 @@ pub fn run_cell(
 /// independent simulation, fanned out over the
 /// [`Runner`](crate::runner::Runner) worker pool and re-assembled by cell
 /// index so the rows are byte-identical to a sequential run.
-pub fn run(cfg: &Fig10Config) -> Vec<Fig10Row> {
+pub(crate) fn run(cfg: &Fig10Config) -> Vec<Fig10Row> {
     let mut shells: Vec<(App, Scenario, Workflow, Placement)> = Vec::new();
     for app in App::all() {
         for &scenario in &cfg.scenarios {
@@ -194,7 +194,7 @@ pub fn run(cfg: &Fig10Config) -> Vec<Fig10Row> {
 }
 
 /// Render paper-style output.
-pub fn render(rows: &[Fig10Row]) -> Table {
+pub(crate) fn render(rows: &[Fig10Row]) -> Table {
     let mut t = Table::new(
         "Fig. 10 — workflow makespan (s) per scenario and strategy",
         &[
@@ -223,7 +223,7 @@ pub fn render(rows: &[Fig10Row]) -> Table {
 
 /// Gain of the best decentralized strategy over the centralized baseline
 /// for one row.
-pub fn decentralized_gain(row: &Fig10Row) -> f64 {
+pub(crate) fn decentralized_gain(row: &Fig10Row) -> f64 {
     let c = row.makespan[0].as_secs_f64();
     let best = row.makespan[2].min(row.makespan[3]).as_secs_f64();
     if c > 0.0 {

@@ -15,7 +15,7 @@ use geometa_workflow::apps::synthetic::SyntheticSpec;
 
 /// One sweep point: every strategy at one ops/node setting.
 #[derive(Clone, Debug)]
-pub struct Fig5Row {
+pub(crate) struct Fig5Row {
     /// Operations per node.
     pub ops_per_node: usize,
     /// Aggregate operations (the figure's grey bars).
@@ -26,7 +26,7 @@ pub struct Fig5Row {
 
 /// Experiment configuration.
 #[derive(Clone, Debug)]
-pub struct Fig5Config {
+pub(crate) struct Fig5Config {
     /// Node count (paper: 32).
     pub nodes: usize,
     /// Ops/node sweep (paper: 500, 1000, 5000, 10000).
@@ -47,7 +47,7 @@ impl Default for Fig5Config {
 
 impl Fig5Config {
     /// Reduced sweep for tests/benches.
-    pub fn quick() -> Fig5Config {
+    pub(crate) fn quick() -> Fig5Config {
         Fig5Config {
             nodes: 16,
             ops_sweep: vec![50, 150],
@@ -57,7 +57,7 @@ impl Fig5Config {
 }
 
 /// Run one (strategy, ops/node) cell.
-pub fn run_cell(cfg: &Fig5Config, kind: StrategyKind, ops: usize) -> SyntheticOutcome {
+pub(crate) fn run_cell(cfg: &Fig5Config, kind: StrategyKind, ops: usize) -> SyntheticOutcome {
     let spec = SyntheticSpec {
         nodes: cfg.nodes,
         ops_per_node: ops,
@@ -70,7 +70,7 @@ pub fn run_cell(cfg: &Fig5Config, kind: StrategyKind, ops: usize) -> SyntheticOu
 /// Run the full sweep: the (ops/node × strategy) grid fans out over the
 /// [`Runner`](crate::runner::Runner) worker pool, index-keyed so the rows
 /// are byte-identical to a sequential sweep.
-pub fn run(cfg: &Fig5Config) -> Vec<Fig5Row> {
+pub(crate) fn run(cfg: &Fig5Config) -> Vec<Fig5Row> {
     let cells: Vec<(usize, StrategyKind)> = cfg
         .ops_sweep
         .iter()
@@ -91,7 +91,7 @@ pub fn run(cfg: &Fig5Config) -> Vec<Fig5Row> {
 }
 
 /// Render paper-style output.
-pub fn render(rows: &[Fig5Row]) -> Table {
+pub(crate) fn render(rows: &[Fig5Row]) -> Table {
     let mut t = Table::new(
         "Fig. 5 — avg node execution time (s), 32 nodes, by ops/node",
         &[
@@ -119,7 +119,7 @@ pub fn render(rows: &[Fig5Row]) -> Table {
 /// The paper's headline number for this figure: relative gain of the best
 /// decentralized strategy over the centralized baseline at the largest
 /// sweep point.
-pub fn headline_gain(rows: &[Fig5Row]) -> f64 {
+pub(crate) fn headline_gain(rows: &[Fig5Row]) -> f64 {
     let last = rows.last().expect("non-empty sweep");
     let centralized = last.times[0].as_secs_f64();
     let best_dec = last.times[2].min(last.times[3]).as_secs_f64();

@@ -16,7 +16,7 @@ use geometa_workflow::apps::synthetic::SyntheticSpec;
 
 /// Progress curves for the three strategies the figure plots.
 #[derive(Clone, Debug)]
-pub struct Fig6Outcome {
+pub(crate) struct Fig6Outcome {
     /// (fraction, completion time) — Centralized.
     pub centralized: Vec<(f64, SimDuration)>,
     /// (fraction, completion time) — Dec. Non-replicated.
@@ -30,7 +30,7 @@ pub struct Fig6Outcome {
 
 /// Experiment configuration.
 #[derive(Clone, Debug)]
-pub struct Fig6Config {
+pub(crate) struct Fig6Config {
     /// Node count (paper: 32).
     pub nodes: usize,
     /// Ops per node (paper: 5,000).
@@ -51,7 +51,7 @@ impl Default for Fig6Config {
 
 impl Fig6Config {
     /// Reduced configuration for tests/benches.
-    pub fn quick() -> Fig6Config {
+    pub(crate) fn quick() -> Fig6Config {
         Fig6Config {
             nodes: 16,
             ops_per_node: 120,
@@ -72,7 +72,7 @@ fn one(cfg: &Fig6Config, kind: StrategyKind) -> SyntheticOutcome {
 
 /// Run the experiment (the three strategy runs are independent cells on
 /// the [`Runner`](crate::runner::Runner) pool).
-pub fn run(cfg: &Fig6Config) -> Fig6Outcome {
+pub(crate) fn run(cfg: &Fig6Config) -> Fig6Outcome {
     let kinds = vec![
         StrategyKind::Centralized,
         StrategyKind::DhtNonReplicated,
@@ -95,7 +95,7 @@ pub fn run(cfg: &Fig6Config) -> Fig6Outcome {
 }
 
 /// Render the progress-curve table.
-pub fn render(out: &Fig6Outcome) -> Table {
+pub(crate) fn render(out: &Fig6Outcome) -> Table {
     let mut t = Table::new(
         "Fig. 6 — time (s) at which each %-completion point was reached",
         &["% complete", "Centralized", "Dec. Non-rep", "Dec. Rep"],
@@ -112,7 +112,7 @@ pub fn render(out: &Fig6Outcome) -> Table {
 }
 
 /// Render the centrality table (per-site mean completion under DR).
-pub fn render_centrality(out: &Fig6Outcome) -> Table {
+pub(crate) fn render_centrality(out: &Fig6Outcome) -> Table {
     let mut t = Table::new(
         "Fig. 6 analysis — DR mean node completion (s) per site (centrality)",
         &["site", "mean completion (s)"],
@@ -127,7 +127,7 @@ pub fn render_centrality(out: &Fig6Outcome) -> Table {
 
 /// Speedup of DR over DN in the mid-execution band (paper: ≥1.25x between
 /// 20% and 70%).
-pub fn midband_speedup(out: &Fig6Outcome) -> f64 {
+pub(crate) fn midband_speedup(out: &Fig6Outcome) -> f64 {
     let band: Vec<usize> = (0..out.dn.len())
         .filter(|&i| {
             let f = out.dn[i].0;

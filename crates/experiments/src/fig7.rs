@@ -15,7 +15,7 @@ use geometa_workflow::apps::synthetic::SyntheticSpec;
 
 /// Throughput of each strategy at one node count.
 #[derive(Clone, Debug)]
-pub struct Fig7Row {
+pub(crate) struct Fig7Row {
     /// Execution nodes.
     pub nodes: usize,
     /// Aggregate throughput (ops/s) per strategy, paper order.
@@ -24,7 +24,7 @@ pub struct Fig7Row {
 
 /// Experiment configuration.
 #[derive(Clone, Debug)]
-pub struct Fig7Config {
+pub(crate) struct Fig7Config {
     /// Node counts (paper: 8, 16, 32, 64, 128).
     pub node_counts: Vec<usize>,
     /// Ops per node (paper: 5,000).
@@ -45,7 +45,7 @@ impl Default for Fig7Config {
 
 impl Fig7Config {
     /// Reduced sweep for tests/benches.
-    pub fn quick() -> Fig7Config {
+    pub(crate) fn quick() -> Fig7Config {
         Fig7Config {
             node_counts: vec![8, 32],
             ops_per_node: 100,
@@ -57,7 +57,7 @@ impl Fig7Config {
 /// Run the sweep: the (node count × strategy) grid fans out over the
 /// [`Runner`](crate::runner::Runner) worker pool, index-keyed so rows stay
 /// byte-identical to a sequential sweep.
-pub fn run(cfg: &Fig7Config) -> Vec<Fig7Row> {
+pub(crate) fn run(cfg: &Fig7Config) -> Vec<Fig7Row> {
     let cells: Vec<(usize, StrategyKind)> = cfg
         .node_counts
         .iter()
@@ -87,7 +87,7 @@ pub fn run(cfg: &Fig7Config) -> Vec<Fig7Row> {
 }
 
 /// Render paper-style output.
-pub fn render(rows: &[Fig7Row]) -> Table {
+pub(crate) fn render(rows: &[Fig7Row]) -> Table {
     let mut t = Table::new(
         "Fig. 7 — aggregate metadata throughput (ops/s) vs node count",
         &[

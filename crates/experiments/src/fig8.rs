@@ -14,7 +14,7 @@ use geometa_workflow::apps::synthetic::SyntheticSpec;
 
 /// Completion time of each strategy at one node count.
 #[derive(Clone, Debug)]
-pub struct Fig8Row {
+pub(crate) struct Fig8Row {
     /// Execution nodes.
     pub nodes: usize,
     /// Batch completion time per strategy, paper order.
@@ -23,7 +23,7 @@ pub struct Fig8Row {
 
 /// Experiment configuration.
 #[derive(Clone, Debug)]
-pub struct Fig8Config {
+pub(crate) struct Fig8Config {
     /// Node counts (paper: 8, 16, 32, 64, 128).
     pub node_counts: Vec<usize>,
     /// Total operations split across nodes (paper: 32,000).
@@ -44,7 +44,7 @@ impl Default for Fig8Config {
 
 impl Fig8Config {
     /// Reduced sweep for tests/benches.
-    pub fn quick() -> Fig8Config {
+    pub(crate) fn quick() -> Fig8Config {
         Fig8Config {
             node_counts: vec![8, 32],
             total_ops: 1_600,
@@ -56,7 +56,7 @@ impl Fig8Config {
 /// Run the sweep: the (node count × strategy) grid fans out over the
 /// [`Runner`](crate::runner::Runner) worker pool, index-keyed so rows stay
 /// byte-identical to a sequential sweep.
-pub fn run(cfg: &Fig8Config) -> Vec<Fig8Row> {
+pub(crate) fn run(cfg: &Fig8Config) -> Vec<Fig8Row> {
     let cells: Vec<(usize, StrategyKind)> = cfg
         .node_counts
         .iter()
@@ -86,7 +86,7 @@ pub fn run(cfg: &Fig8Config) -> Vec<Fig8Row> {
 }
 
 /// Render paper-style output.
-pub fn render(rows: &[Fig8Row]) -> Table {
+pub(crate) fn render(rows: &[Fig8Row]) -> Table {
     let mut t = Table::new(
         "Fig. 8 — completion time (s) of a fixed 32k-op batch vs node count",
         &[

@@ -31,10 +31,10 @@ pub mod calibration;
 pub mod chaos;
 pub mod fig1;
 pub mod fig10;
-pub mod fig5;
-pub mod fig6;
-pub mod fig7;
-pub mod fig8;
+mod fig5;
+mod fig6;
+mod fig7;
+mod fig8;
 pub mod report;
 pub mod runner;
 pub mod scale;

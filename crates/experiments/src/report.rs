@@ -148,7 +148,7 @@ pub fn generate(opts: &ReportOptions) -> String {
 /// cells out over the worker pool (every cell is already a hermetic seeded
 /// simulation; `check_cell` replays it and panics with the seed banner on
 /// any violation, which the pool re-raises deterministically).
-pub fn chaos_matrix_table(quick: bool) -> table::Table {
+pub(crate) fn chaos_matrix_table(quick: bool) -> table::Table {
     let size = if quick {
         chaos::ChaosSize::smoke()
     } else {

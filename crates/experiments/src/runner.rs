@@ -43,7 +43,7 @@ use std::sync::{mpsc, Mutex};
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Environment variable consulted when no explicit override is set.
-pub const JOBS_ENV: &str = "GEOMETA_JOBS";
+pub(crate) const JOBS_ENV: &str = "GEOMETA_JOBS";
 
 /// Install a process-wide worker count (what `repro --jobs N` does).
 /// Takes precedence over [`JOBS_ENV`]; `0` clears the override.
@@ -95,7 +95,8 @@ impl Runner {
     }
 
     /// The worker count this runner uses.
-    pub fn jobs(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn jobs(&self) -> usize {
         self.jobs
     }
 

@@ -122,7 +122,7 @@ pub fn run_cell(cfg: &ScaleConfig, files_per_site: usize, kind: StrategyKind) ->
 }
 
 /// Run the sweep over the worker pool.
-pub fn run(cfg: &ScaleConfig) -> Vec<ScaleRow> {
+pub(crate) fn run(cfg: &ScaleConfig) -> Vec<ScaleRow> {
     let cells: Vec<(usize, StrategyKind)> = cfg
         .files_per_site
         .iter()

@@ -36,7 +36,7 @@ use geometa_workflow::scheduler::Placement;
 use std::sync::Arc;
 
 /// Marker op-id for fire-and-forget requests (no response expected).
-pub const CAST_OP: u64 = u64::MAX;
+pub(crate) const CAST_OP: u64 = u64::MAX;
 
 const TAG_NEXT_OP: u64 = 1;
 const TAG_RETRY: u64 = 2;
@@ -94,7 +94,7 @@ impl OpTimeout {
 
 /// Messages exchanged in the simulated deployment.
 #[derive(Clone, Debug)]
-pub enum Msg {
+pub(crate) enum Msg {
     /// Client/agent → registry.
     Req {
         /// Correlation id ([`CAST_OP`] = no response wanted).
@@ -166,7 +166,7 @@ impl SimConfig {
 
     /// True when a fault schedule is installed (clients run their
     /// chaos-mode recovery machinery).
-    pub fn chaos_mode(&self) -> bool {
+    pub(crate) fn chaos_mode(&self) -> bool {
         !self.faults.is_empty()
     }
 }
@@ -174,7 +174,7 @@ impl SimConfig {
 /// Which site a synthetic-benchmark node runs in: writer/reader pairs are
 /// dealt round-robin across sites, so each site gets an even mix of both
 /// roles ("32 nodes evenly distributed in our datacenters").
-pub fn site_of_node(node: usize, n_sites: usize) -> SiteId {
+pub(crate) fn site_of_node(node: usize, n_sites: usize) -> SiteId {
     SiteId(((node / 2) % n_sites) as u16)
 }
 
@@ -190,7 +190,7 @@ pub fn site_of_node(node: usize, n_sites: usize) -> SiteId {
 const SIM_SNAPSHOT_EVERY: u64 = 32;
 
 /// One site's registry service inside the simulation.
-pub struct RegistryActor {
+pub(crate) struct RegistryActor {
     instance: Arc<RegistryInstance>,
     queue: ServiceQueue,
     cal: Calibration,
@@ -328,7 +328,7 @@ enum ClientPhase {
 /// crashes of its own site by restarting its closed loop, and can route
 /// lazy propagation through a real [`LazyBatcher`] whose unflushed tail
 /// is retried — never silently dropped — after a crash.
-pub struct SyntheticClientActor {
+pub(crate) struct SyntheticClientActor {
     spec: SyntheticSpec,
     node: usize,
     site: SiteId,
@@ -338,7 +338,6 @@ pub struct SyntheticClientActor {
     cal: Calibration,
     ops_done: usize,
     op_seq: u64,
-    op_started: SimTime,
     phase: ClientPhase,
     key_rng: geometa_sim::rng::SplitMix64,
     finished: bool,
@@ -365,7 +364,6 @@ impl SyntheticClientActor {
                 .complete(&format!("node_done_site{}", self.site.0), now);
             return;
         }
-        self.op_started = ctx.now();
         self.op_seq += 1;
         match self.role {
             Role::Writer => {
@@ -509,8 +507,6 @@ impl SyntheticClientActor {
         ctx.metrics().complete("ops", now);
         ctx.metrics()
             .complete(&format!("ops_site{}", self.site.0), now);
-        ctx.metrics()
-            .observe("op_latency", now.since(self.op_started));
         if missed {
             ctx.metrics().incr("read_miss", 1);
         }
@@ -715,7 +711,7 @@ impl Actor<Msg> for SyntheticClientActor {
 /// them to the rest of the set"). The serial pull→process→push cycle is
 /// precisely why the single agent saturates under metadata-intensive load
 /// (paper Fig. 7, >32 nodes).
-pub struct SyncAgentActor {
+pub(crate) struct SyncAgentActor {
     state: SyncAgentState,
     registries: Arc<FxHashMap<SiteId, ActorId>>,
     order: Vec<SiteId>,
@@ -934,7 +930,7 @@ enum WfPhase {
 
 /// An execution node running its queue of workflow tasks: resolve inputs
 /// (polling the registry until they appear), compute, publish outputs.
-pub struct WorkflowNodeActor {
+pub(crate) struct WorkflowNodeActor {
     tasks: Vec<NodeTask>,
     site: SiteId,
     node_idx: u32,
@@ -1467,7 +1463,7 @@ pub fn run_synthetic(spec: &SyntheticSpec, cfg: &SimConfig) -> SyntheticOutcome 
 
 /// [`run_synthetic`], also returning the [`SimArtifacts`] the chaos
 /// oracle audits.
-pub fn run_synthetic_instrumented(
+pub(crate) fn run_synthetic_instrumented(
     spec: &SyntheticSpec,
     cfg: &SimConfig,
 ) -> (SyntheticOutcome, SimArtifacts) {
@@ -1488,7 +1484,6 @@ pub fn run_synthetic_instrumented(
                 cal: cfg.cal,
                 ops_done: 0,
                 op_seq: 0,
-                op_started: SimTime::ZERO,
                 phase: ClientPhase::Idle,
                 key_rng: spec.node_rng(node),
                 finished: false,
@@ -1599,7 +1594,7 @@ pub fn run_workflow(
 
 /// [`run_workflow`], also returning the [`SimArtifacts`] the chaos oracle
 /// audits.
-pub fn run_workflow_instrumented(
+pub(crate) fn run_workflow_instrumented(
     workflow: &Workflow,
     placement: &Placement,
     cfg: &SimConfig,

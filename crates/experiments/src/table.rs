@@ -29,13 +29,9 @@ impl Table {
     }
 
     /// Number of data rows.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render as an aligned ASCII table.
@@ -97,7 +93,7 @@ impl Table {
 }
 
 /// Format seconds with one decimal.
-pub fn secs(d: geometa_sim::time::SimDuration) -> String {
+pub(crate) fn secs(d: geometa_sim::time::SimDuration) -> String {
     format!("{:.1}", d.as_secs_f64())
 }
 

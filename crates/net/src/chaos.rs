@@ -41,7 +41,7 @@
 
 use crate::client::TcpClientTransport;
 use crate::frame::{Fill, FrameReader, MAX_FRAME};
-use crate::server::{TcpConfig, TcpLayer};
+use crate::server::TcpLayer;
 use geometa_core::runtime::{ConnectionLayer, ServiceCore, Spawner};
 use geometa_core::FxHashMap;
 use geometa_sim::rng::SplitMix64;
@@ -120,23 +120,6 @@ pub struct ChaosConfig {
     pub partitions: Vec<PartitionWindow>,
 }
 
-impl ChaosConfig {
-    /// A moderate default mix for `seed`: every fault class is active
-    /// but rare enough that a storm of ordinary traffic still makes
-    /// progress (the tests' liveness depends on it).
-    pub fn mild(seed: u64) -> ChaosConfig {
-        ChaosConfig {
-            seed,
-            drop_prob: 0.02,
-            reset_prob: 0.01,
-            delay_prob: 0.05,
-            max_delay: Duration::from_millis(15),
-            drip_prob: 0.02,
-            partitions: Vec::new(),
-        }
-    }
-}
-
 /// Counters for every injected fault (and the traffic that crossed
 /// cleanly). All relaxed — these are test oracles, not synchronization.
 #[derive(Debug, Default)]
@@ -157,16 +140,6 @@ pub struct ChaosStats {
     pub partition_drops: AtomicU64,
 }
 
-impl ChaosStats {
-    /// Total structural faults injected (drops + resets + partition
-    /// drops): the "chaos actually happened" assertion.
-    pub fn total_faults(&self) -> u64 {
-        self.frames_dropped.load(Ordering::Relaxed)
-            + self.resets.load(Ordering::Relaxed)
-            + self.partition_drops.load(Ordering::Relaxed)
-    }
-}
-
 /// [`TcpLayer`] behind per-site seeded chaos proxies. See the module
 /// docs for the fault model.
 pub struct ChaosLayer {
@@ -182,12 +155,7 @@ pub struct ChaosLayer {
 }
 
 impl ChaosLayer {
-    /// Wrap a fresh ephemeral [`TcpLayer`] in chaos proxies.
-    pub fn new(config: ChaosConfig) -> ChaosLayer {
-        ChaosLayer::over(TcpLayer::new(TcpConfig::default()), config)
-    }
-
-    /// Wrap an explicit inner layer (custom `TcpConfig`).
+    /// Put `inner` behind chaos proxies.
     pub fn over(inner: TcpLayer, config: ChaosConfig) -> ChaosLayer {
         ChaosLayer {
             inner,
@@ -202,13 +170,6 @@ impl ChaosLayer {
     /// Fault counters (shared with every proxy thread).
     pub fn stats(&self) -> Arc<ChaosStats> {
         Arc::clone(&self.stats)
-    }
-
-    /// The proxied address of every site (valid after the runtime
-    /// started). This is what external clients must dial — traffic to
-    /// the inner layer's own addresses bypasses chaos entirely.
-    pub fn proxy_addrs(&self) -> &FxHashMap<SiteId, SocketAddr> {
-        &self.proxy_addrs
     }
 
     /// The inner layer's *unproxied* addresses — a chaos-free side door
@@ -496,33 +457,40 @@ mod tests {
         );
     }
 
+    /// A fault-free mix with one partition window.
+    fn with_window(window: PartitionWindow) -> ChaosConfig {
+        ChaosConfig {
+            seed: 1,
+            drop_prob: 0.0,
+            reset_prob: 0.0,
+            delay_prob: 0.0,
+            max_delay: Duration::ZERO,
+            drip_prob: 0.0,
+            partitions: vec![window],
+        }
+    }
+
     #[test]
     fn partition_windows_are_time_boxed_and_directional() {
         let t0 = Instant::now();
-        let config = ChaosConfig {
-            partitions: vec![PartitionWindow {
-                site: SiteId(1),
-                direction: Direction::ToServer,
-                start: Duration::ZERO,
-                len: Duration::from_secs(3600),
-            }],
-            ..ChaosConfig::mild(1)
-        };
+        let config = with_window(PartitionWindow {
+            site: SiteId(1),
+            direction: Direction::ToServer,
+            start: Duration::ZERO,
+            len: Duration::from_secs(3600),
+        });
         assert!(partitioned(&config, SiteId(1), Direction::ToServer, t0));
         assert!(
             !partitioned(&config, SiteId(1), Direction::ToClient, t0),
             "asymmetric: reverse direction flows"
         );
         assert!(!partitioned(&config, SiteId(0), Direction::ToServer, t0));
-        let late = ChaosConfig {
-            partitions: vec![PartitionWindow {
-                site: SiteId(1),
-                direction: Direction::ToServer,
-                start: Duration::from_secs(3600),
-                len: Duration::from_secs(1),
-            }],
-            ..ChaosConfig::mild(1)
-        };
+        let late = with_window(PartitionWindow {
+            site: SiteId(1),
+            direction: Direction::ToServer,
+            start: Duration::from_secs(3600),
+            len: Duration::from_secs(1),
+        });
         assert!(
             !partitioned(&late, SiteId(1), Direction::ToServer, t0),
             "window not yet open"

@@ -5,7 +5,7 @@
 use geometa_core::strategy::StrategyKind;
 
 /// Parse the kebab-case strategy names the binaries accept.
-pub fn parse_strategy(s: &str) -> Option<StrategyKind> {
+pub(crate) fn parse_strategy(s: &str) -> Option<StrategyKind> {
     match s {
         "centralized" => Some(StrategyKind::Centralized),
         "replicated" => Some(StrategyKind::Replicated),
@@ -89,16 +89,21 @@ pub fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// The value of `--name VALUE` or `--name=VALUE`, if present.
+/// The value of `--name VALUE` or `--name=VALUE`, if the flag is present.
+/// A present flag without a value (the last argument, followed by another
+/// `--flag`, or an empty `--name=`) exits 2 naming it: it must not fall
+/// back to the default or take the next flag as its value.
 pub fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix(&format!("{name}=")).map(str::to_string))
-        })
+    let value = match args.iter().position(|a| a == name) {
+        Some(i) => args.get(i + 1).map_or("", String::as_str),
+        None => args
+            .iter()
+            .find_map(|a| a.strip_prefix(name)?.strip_prefix('='))?,
+    };
+    if value.is_empty() || value.starts_with("--") {
+        die(&format!("flag '{name}' needs a value"));
+    }
+    Some(value.to_string())
 }
 
 #[cfg(test)]

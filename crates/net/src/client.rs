@@ -779,11 +779,6 @@ impl TcpClientTransport {
         false
     }
 
-    /// Membership epoch this transport currently stamps on calls.
-    pub fn membership_epoch(&self) -> u64 {
-        self.mem_epoch.load(Ordering::Acquire)
-    }
-
     /// Whether `target`'s call breaker is open right now.
     pub fn breaker_open(&self, target: SiteId) -> bool {
         self.breaker.lock().is_open(target, Instant::now())

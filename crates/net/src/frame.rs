@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 
 /// Hard cap on one frame body; larger prefixes are a protocol error
 /// (protects the server from a garbage length burning 4 GiB).
-pub const MAX_FRAME: usize = 64 * 1024 * 1024;
+pub(crate) const MAX_FRAME: usize = 64 * 1024 * 1024;
 
 /// Frame-body mode byte: fire-and-forget, no response. The body is
 /// `[MODE_CAST][request]`.
@@ -40,12 +40,12 @@ pub struct CallHeader {
 
 impl CallHeader {
     /// Bytes a header carrying `epoch` occupies.
-    pub fn encoded_len(epoch: Option<u64>) -> usize {
+    pub(crate) fn encoded_len(epoch: Option<u64>) -> usize {
         1 + 4 + if epoch.is_some() { 8 } else { 0 }
     }
 
     /// Append the header to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(MODE_CALL | u8::from(self.epoch.is_some()));
         out.extend_from_slice(&self.seq.to_le_bytes());
         if let Some(epoch) = self.epoch {
@@ -171,7 +171,7 @@ impl FrameReader {
     /// short read or `WouldBlock`), the peer closes (`Ok(true)`), or
     /// [`MAX_FILLS_PER_PASS`] reads. A level-triggered poller re-fires for
     /// whatever the pass leaves behind, a FIN after a short read included.
-    pub fn drain(&mut self, r: &mut impl Read) -> std::io::Result<bool> {
+    pub(crate) fn drain(&mut self, r: &mut impl Read) -> std::io::Result<bool> {
         for _ in 0..MAX_FILLS_PER_PASS {
             match self.fill(r)? {
                 Fill::Progress => continue,
@@ -246,13 +246,13 @@ impl FrameReader {
     /// Copy a popped range into an owned `Bytes` — for the frames whose
     /// decoded form must outlive the read buffer (`MetaStr` views into
     /// the message body escape into the registry).
-    pub fn materialize(&self, range: std::ops::Range<usize>) -> Bytes {
+    pub(crate) fn materialize(&self, range: std::ops::Range<usize>) -> Bytes {
         Bytes::copy_from_slice(&self.buf[range])
     }
 
-    /// Whether any partial bytes are buffered (a pooled connection must be
-    /// clean before reuse).
-    pub fn is_clean(&self) -> bool {
+    /// Whether any partial bytes are buffered.
+    #[cfg(test)]
+    pub(crate) fn is_clean(&self) -> bool {
         self.start == self.end
     }
 }

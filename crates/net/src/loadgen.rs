@@ -54,7 +54,7 @@ impl LoadMode {
     }
 
     /// The configured arrival rate, if open-loop.
-    pub fn target_rate(&self) -> Option<f64> {
+    pub(crate) fn target_rate(&self) -> Option<f64> {
         match self {
             LoadMode::Closed => None,
             LoadMode::Open { rate } => Some(*rate),

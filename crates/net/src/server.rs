@@ -137,7 +137,7 @@ impl TcpLayer {
     }
 
     /// The layer's tuning.
-    pub fn config(&self) -> &TcpConfig {
+    pub(crate) fn config(&self) -> &TcpConfig {
         &self.config
     }
 }

@@ -3,7 +3,10 @@
 //! mistyped `--wait-sec 0` used to wait the default 30 s; the removed
 //! `--out`/`--baseline`/`--nodes` must not come back as silent no-ops),
 //! and counts they cannot use (`--sites 0` used to panic, `--threads 0`
-//! used to run nothing and exit 0). A load run must leave nothing behind:
+//! used to run nothing and exit 0), nor a value flag given no value (a
+//! trailing `--data-dir` used to run on an in-memory WAL, and
+//! `--data-dir --recover` made a directory named `--recover`). A load
+//! run must leave nothing behind:
 //! it used to overwrite a committed snapshot in the working directory.
 
 use std::process::Command;
@@ -26,6 +29,16 @@ fn bad_arguments_exit_2_naming_the_offender() {
         (LOAD, "--reactors 0", "0"),
         (SERVER, "--sites 0", "0"),
         (SERVER, "--shards 0", "0"),
+        // A value flag with no value is refused, not skipped.
+        (SERVER, "--data-dir", "--data-dir"),
+        (SERVER, "--data-dir --recover", "--data-dir"),
+        (SERVER, "--fsync", "--fsync"),
+        (
+            LOAD,
+            "--quick --workload synthetic --mode closed --ops 1 --connect",
+            "--connect",
+        ),
+        (LOAD, "--seed=", "--seed"),
         (
             ADMIN,
             "status --connect 127.0.0.1:1 --bogus 3 extra",

@@ -14,7 +14,6 @@ use crate::network::NetworkModel;
 use crate::rng::SplitMix64;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{SiteId, Topology};
-use crate::trace::Trace;
 use std::fmt;
 
 /// Identifier of an actor within one engine. Dense indices from 0.
@@ -24,7 +23,7 @@ pub struct ActorId(pub u32);
 impl ActorId {
     /// Index for vector addressing.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -98,9 +97,7 @@ pub struct Ctx<'a, M> {
     sites: &'a [SiteId],
     metrics: &'a mut MetricsHub,
     rng: &'a mut SplitMix64,
-    trace: &'a mut Trace,
     next_timer: &'a mut u64,
-    stop_requested: &'a mut bool,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -108,29 +105,6 @@ impl<'a, M> Ctx<'a, M> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// This actor's id.
-    #[inline]
-    pub fn id(&self) -> ActorId {
-        self.self_id
-    }
-
-    /// The site this actor is placed at.
-    #[inline]
-    pub fn site(&self) -> SiteId {
-        self.self_site
-    }
-
-    /// Site of any actor.
-    #[inline]
-    pub fn site_of(&self, actor: ActorId) -> SiteId {
-        self.sites[actor.index()]
-    }
-
-    /// The topology the simulation runs over.
-    pub fn topology(&self) -> &Topology {
-        self.network.topology()
     }
 
     /// Send `msg` (`size_bytes` on the wire) to `dst`; it will be delivered
@@ -185,29 +159,10 @@ impl<'a, M> Ctx<'a, M> {
     ) {
         let net = self.network.delay(self.self_site, dst_site, size_bytes);
         let deliver_at = self.now + extra + net;
-        self.trace.message(self.now, self.self_id, dst, deliver_at);
         self.queue.push(
             deliver_at,
             EventKind::Deliver {
                 dst,
-                env: Envelope {
-                    from: self.self_id,
-                    from_site: self.self_site,
-                    sent_at: self.now,
-                    msg,
-                },
-            },
-        );
-    }
-
-    /// Schedule a message to this actor itself after `delay` (a
-    /// self-message; unlike a timer it carries a payload).
-    pub fn send_self(&mut self, msg: M, delay: SimDuration) {
-        let deliver_at = self.now + delay;
-        self.queue.push(
-            deliver_at,
-            EventKind::Deliver {
-                dst: self.self_id,
                 env: Envelope {
                     from: self.self_id,
                     from_site: self.self_site,
@@ -250,11 +205,6 @@ impl<'a, M> Ctx<'a, M> {
     pub fn metrics(&mut self) -> &mut MetricsHub {
         self.metrics
     }
-
-    /// Ask the engine to stop after the current event.
-    pub fn stop(&mut self) {
-        *self.stop_requested = true;
-    }
 }
 
 /// Summary of one engine run.
@@ -264,8 +214,6 @@ pub struct RunReport {
     pub events_processed: u64,
     /// Virtual time when the run ended.
     pub final_time: SimTime,
-    /// Whether the run ended because an actor requested a stop.
-    pub stopped_by_actor: bool,
     /// Whether the run hit the event-count safety limit.
     pub hit_event_limit: bool,
 }
@@ -284,7 +232,6 @@ pub struct Engine<M> {
     fault_events: Vec<FaultEvent>,
     fault_cursor: usize,
     metrics: MetricsHub,
-    trace: Trace,
     root_rng: SplitMix64,
     next_timer: u64,
     started: bool,
@@ -308,7 +255,6 @@ impl<M> Engine<M> {
             fault_events: Vec::new(),
             fault_cursor: 0,
             metrics: MetricsHub::new(),
-            trace: Trace::disabled(),
             root_rng: SplitMix64::new(seed),
             next_timer: 0,
             started: false,
@@ -330,16 +276,6 @@ impl<M> Engine<M> {
         id
     }
 
-    /// Number of registered actors.
-    pub fn num_actors(&self) -> usize {
-        self.actors.len()
-    }
-
-    /// Site of an actor.
-    pub fn site_of(&self, actor: ActorId) -> SiteId {
-        self.sites[actor.index()]
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -358,16 +294,6 @@ impl<M> Engine<M> {
     /// The network model (for traffic accounting).
     pub fn network(&self) -> &NetworkModel {
         &self.network
-    }
-
-    /// Enable event tracing with a bounded buffer.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::bounded(capacity);
-    }
-
-    /// The trace buffer.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Cap the number of events processed (runaway-protection).
@@ -392,26 +318,21 @@ impl<M> Engine<M> {
         self.faults.stats()
     }
 
-    /// Live fault state (down-site / blocked-link queries for harnesses).
-    pub fn fault_state(&self) -> &FaultState {
-        &self.faults
-    }
-
     /// Cancel a pending timer. The event is removed from the queue
     /// immediately (slot-addressed, O(log n)) — no tombstones accumulate.
     /// Returns whether the timer was still pending.
-    pub fn cancel_timer(&mut self, id: TimerId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn cancel_timer(&mut self, id: TimerId) -> bool {
         self.queue.cancel_timer(id)
     }
 
-    /// Run until the event queue drains, an actor calls [`Ctx::stop`], or
-    /// the event limit is hit.
+    /// Run until the event queue drains or the event limit is hit.
     pub fn run(&mut self) -> RunReport {
         self.run_until(SimTime::MAX)
     }
 
     /// Run, but do not dispatch events scheduled after `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunReport {
+    pub(crate) fn run_until(&mut self, deadline: SimTime) -> RunReport {
         self.start_if_needed();
         let mut report = RunReport::default();
         loop {
@@ -446,11 +367,7 @@ impl<M> Engine<M> {
                 }
                 continue;
             }
-            let stopped = self.dispatch(ev.kind);
-            if stopped {
-                report.stopped_by_actor = true;
-                break;
-            }
+            self.dispatch(ev.kind);
         }
         report.final_time = self.now;
         report
@@ -519,15 +436,12 @@ impl<M> Engine<M> {
                 network,
                 faults,
                 metrics,
-                trace,
                 next_timer,
                 ..
             } = self;
             let Some(actor) = actors[idx].as_deref_mut() else {
                 continue;
             };
-            // Fault notices cannot request a stop.
-            let mut stop = false;
             let mut ctx = Ctx {
                 now,
                 self_id: ActorId(idx as u32),
@@ -538,22 +452,15 @@ impl<M> Engine<M> {
                 sites,
                 metrics,
                 rng: &mut rngs[idx],
-                trace,
                 next_timer,
-                stop_requested: &mut stop,
             };
             actor.on_fault(&mut ctx, notice);
         }
     }
 
-    /// Run for a bounded span of virtual time from `now`.
-    pub fn run_for(&mut self, span: SimDuration) -> RunReport {
-        let deadline = self.now + span;
-        self.run_until(deadline)
-    }
-
     /// Pending events (diagnostics).
-    pub fn pending_events(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_events(&self) -> usize {
         self.queue.len()
     }
 
@@ -568,7 +475,6 @@ impl<M> Engine<M> {
         for idx in 0..self.actors.len() {
             let id = ActorId(idx as u32);
             let mut actor = self.actors[idx].take().expect("actor present at start");
-            let mut stop = false;
             let mut ctx = Ctx {
                 now: self.now,
                 self_id: id,
@@ -579,21 +485,19 @@ impl<M> Engine<M> {
                 sites: &self.sites,
                 metrics: &mut self.metrics,
                 rng: &mut self.rngs[idx],
-                trace: &mut self.trace,
                 next_timer: &mut self.next_timer,
-                stop_requested: &mut stop,
             };
             actor.on_start(&mut ctx);
             self.actors[idx] = Some(actor);
         }
     }
 
-    /// Dispatch one event; returns true if the handler requested a stop.
+    /// Dispatch one event.
     ///
     /// Borrows the actor slot and the context fields disjointly (no
     /// take/put-back shuffle): `Ctx` never touches `actors`, so the
     /// mutable borrows cannot alias.
-    fn dispatch(&mut self, kind: EventKind<M>) -> bool {
+    fn dispatch(&mut self, kind: EventKind<M>) {
         let now = self.now;
         let Engine {
             actors,
@@ -603,7 +507,6 @@ impl<M> Engine<M> {
             network,
             faults,
             metrics,
-            trace,
             next_timer,
             ..
         } = self;
@@ -614,9 +517,8 @@ impl<M> Engine<M> {
         let Some(actor) = actors[idx].as_deref_mut() else {
             // Actor slot vacated (cannot happen via the public API, but
             // stay robust).
-            return false;
+            return;
         };
-        let mut stop = false;
         let mut ctx = Ctx {
             now,
             self_id: aid,
@@ -627,15 +529,12 @@ impl<M> Engine<M> {
             sites,
             metrics,
             rng: &mut rngs[idx],
-            trace,
             next_timer,
-            stop_requested: &mut stop,
         };
         match kind {
             EventKind::Deliver { env, .. } => actor.on_message(&mut ctx, env),
             EventKind::Timer { id, tag, .. } => actor.on_timer(&mut ctx, id, tag),
         }
-        stop
     }
 }
 
@@ -665,7 +564,6 @@ mod tests {
                 ctx.metrics().incr("pongs", 1);
                 if n == 0 {
                     self.done_at = Some(ctx.now());
-                    ctx.stop();
                 } else {
                     ctx.send(self.peer, Msg::Ping(n - 1), 64);
                 }
@@ -704,8 +602,7 @@ mod tests {
                 done_at: None,
             },
         );
-        let report = engine.run();
-        assert!(report.stopped_by_actor);
+        engine.run();
         // 5 round trips (rounds 4..0 inclusive). Message size adds a small
         // transfer term on top of pure RTTs.
         assert!(engine.now() >= SimTime::ZERO + rtt * 5);
@@ -750,13 +647,12 @@ mod tests {
             },
         );
         let deadline = SimTime::ZERO + SimDuration::from_millis(500);
-        let report = engine.run_until(deadline);
-        assert!(!report.stopped_by_actor);
+        engine.run_until(deadline);
         assert!(engine.now() <= deadline);
         assert!(engine.pending_events() > 0, "work should remain");
         // Resume and finish.
-        let report2 = engine.run();
-        assert!(report2.stopped_by_actor);
+        engine.run();
+        assert_eq!(engine.metrics().counter("pongs"), 1_001);
     }
 
     struct TimerActor {
@@ -827,11 +723,12 @@ mod tests {
         struct Looper;
         impl Actor<()> for Looper {
             fn on_start(&mut self, ctx: &mut Ctx<()>) {
-                ctx.send_self((), SimDuration::from_micros(1));
+                ctx.set_timer(SimDuration::from_micros(1), 0);
             }
-            fn on_message(&mut self, ctx: &mut Ctx<()>, _env: Envelope<()>) {
-                ctx.send_self((), SimDuration::from_micros(1));
+            fn on_timer(&mut self, ctx: &mut Ctx<()>, _id: TimerId, _tag: u64) {
+                ctx.set_timer(SimDuration::from_micros(1), 0);
             }
+            fn on_message(&mut self, _ctx: &mut Ctx<()>, _env: Envelope<()>) {}
         }
         let mut engine: Engine<()> = Engine::new(Topology::single_site(), 5);
         engine.add_actor(SiteId(0), Looper);

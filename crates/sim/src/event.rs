@@ -91,7 +91,7 @@ pub(crate) struct EventQueue<M> {
 }
 
 impl<M> EventQueue<M> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             delivers: Vec::new(),
             timers: Vec::new(),
@@ -103,12 +103,12 @@ impl<M> EventQueue<M> {
 
     /// Pre-size the queue (the engine reserves mailbox room per actor so
     /// steady-state scheduling doesn't regrow the buffers mid-run).
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.delivers.reserve(additional);
         self.timers.reserve(additional);
     }
 
-    pub fn push(&mut self, time: SimTime, kind: EventKind<M>) {
+    pub(crate) fn push(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         match kind {
@@ -157,14 +157,14 @@ impl<M> EventQueue<M> {
         not(test),
         expect(dead_code, reason = "only the queue's tests call it")
     )]
-    pub fn pop(&mut self) -> Option<ScheduledEvent<M>> {
+    pub(crate) fn pop(&mut self) -> Option<ScheduledEvent<M>> {
         self.pop_at_or_before(SimTime::MAX)
     }
 
     /// Pop the earliest event only if it is scheduled at or before
     /// `deadline` (single root inspection per heap; saves the
     /// peek-then-pop double probe in the engine's hot loop).
-    pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<ScheduledEvent<M>> {
+    pub(crate) fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<ScheduledEvent<M>> {
         let dk = self.delivers.first().map(|e| (e.time, e.seq));
         let tk = self.timers.first().map(|e| (e.time, e.seq));
         let take_timer = match (dk, tk) {
@@ -212,7 +212,7 @@ impl<M> EventQueue<M> {
 
     /// Cancel a pending timer by removing its event from the heap (slot
     /// lookup + one sift). Returns whether the timer was still pending.
-    pub fn cancel_timer(&mut self, id: TimerId) -> bool {
+    pub(crate) fn cancel_timer(&mut self, id: TimerId) -> bool {
         let Some(rel) = id.0.checked_sub(self.timer_pos_base) else {
             return false; // from a drained epoch: already fired/cancelled
         };
@@ -225,7 +225,7 @@ impl<M> EventQueue<M> {
         }
     }
 
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         let d = self.delivers.first().map(|e| (e.time, e.seq));
         let t = self.timers.first().map(|e| (e.time, e.seq));
         match (d, t) {
@@ -235,7 +235,8 @@ impl<M> EventQueue<M> {
         }
     }
 
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.delivers.len() + self.timers.len()
     }
 
@@ -243,7 +244,7 @@ impl<M> EventQueue<M> {
         not(test),
         expect(dead_code, reason = "only the queue's tests call it")
     )]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.delivers.is_empty() && self.timers.is_empty()
     }
 

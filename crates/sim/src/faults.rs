@@ -143,12 +143,13 @@ impl FaultSchedule {
     }
 
     /// Number of scheduled actions.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
     /// Push a raw action.
-    pub fn push(&mut self, at: SimTime, action: FaultAction) -> &mut Self {
+    pub(crate) fn push(&mut self, at: SimTime, action: FaultAction) -> &mut Self {
         self.events.push(FaultEvent { at, action });
         self
     }
@@ -284,7 +285,7 @@ pub struct FaultStats {
 /// Live fault state consulted by the engine and [`crate::engine::Ctx`] on
 /// every send/delivery while a schedule is active.
 #[derive(Clone, Debug)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     num_sites: usize,
     site_down: Vec<bool>,
     /// Ordered-pair partition matrix (`from × to`).
@@ -302,7 +303,7 @@ const FAULT_RNG_STREAM: u64 = 0x0066_6175_6C74;
 
 impl FaultState {
     /// Healthy state over `num_sites` sites; `seed` feeds drop/dup rolls.
-    pub fn new(num_sites: usize, seed: u64) -> FaultState {
+    pub(crate) fn new(num_sites: usize, seed: u64) -> FaultState {
         FaultState {
             num_sites,
             site_down: vec![false; num_sites],
@@ -321,13 +322,13 @@ impl FaultState {
 
     /// Is the site currently crashed?
     #[inline]
-    pub fn site_down(&self, site: SiteId) -> bool {
+    pub(crate) fn site_down(&self, site: SiteId) -> bool {
         self.site_down[site.index()]
     }
 
     /// Is the ordered link currently partitioned?
     #[inline]
-    pub fn link_blocked(&self, from: SiteId, to: SiteId) -> bool {
+    pub(crate) fn link_blocked(&self, from: SiteId, to: SiteId) -> bool {
         self.blocked[self.link(from, to)]
     }
 
@@ -335,7 +336,7 @@ impl FaultState {
     /// `None` = dropped, `Some(copies)` = deliver that many copies (1
     /// normally, 2 when duplicated). Draws the fault RNG only when the
     /// link actually has chaos configured.
-    pub fn roll_link(&mut self, from: SiteId, to: SiteId) -> Option<u32> {
+    pub(crate) fn roll_link(&mut self, from: SiteId, to: SiteId) -> Option<u32> {
         if self.link_blocked(from, to) {
             self.stats.dropped_partition += 1;
             return None;
@@ -356,12 +357,12 @@ impl FaultState {
     }
 
     /// Record a delivery dropped because the destination site is down.
-    pub fn count_crashed_delivery(&mut self) {
+    pub(crate) fn count_crashed_delivery(&mut self) {
         self.stats.dropped_crashed_dst += 1;
     }
 
     /// Record a timer lost to a crashed site.
-    pub fn count_lost_timer(&mut self) {
+    pub(crate) fn count_lost_timer(&mut self) {
         self.stats.timers_lost += 1;
     }
 
@@ -370,7 +371,7 @@ impl FaultState {
     /// deliver. Degradation actions are returned to the caller untouched —
     /// the engine forwards them to the network model, which owns latency
     /// math.
-    pub fn apply(&mut self, action: &FaultAction) -> Option<(SiteId, FaultNotice)> {
+    pub(crate) fn apply(&mut self, action: &FaultAction) -> Option<(SiteId, FaultNotice)> {
         match action {
             FaultAction::CrashSite(site) => {
                 if self.site_down[site.index()] {
@@ -440,7 +441,7 @@ impl FaultState {
     }
 
     /// Everything the fault layer did so far.
-    pub fn stats(&self) -> FaultStats {
+    pub(crate) fn stats(&self) -> FaultStats {
         self.stats
     }
 }

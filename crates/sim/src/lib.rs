@@ -21,7 +21,7 @@
 //!   to messages and timers through a context ([`Ctx`]) that lets them send
 //!   messages (delivered after the modeled network delay), set timers and
 //!   record metrics.
-//! * **The network** ([`network::NetworkModel`]) computes message delay as
+//! * **The network** ([`NetworkModel`]) computes message delay as
 //!   `one-way latency + size/bandwidth + jitter`, with deterministic jitter
 //!   drawn from a splittable RNG.
 //! * **Server queues** ([`server::ServiceQueue`]) model single-server FIFO
@@ -70,16 +70,15 @@
 //! ```
 
 pub mod engine;
-pub mod event;
+mod event;
 pub mod faults;
-pub mod metrics;
-pub mod network;
+mod metrics;
+mod network;
 pub mod oracle;
 pub mod rng;
 pub mod server;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use engine::{Actor, ActorId, Ctx, Engine, Envelope, RunReport, TimerId};
 pub use faults::{FaultAction, FaultNotice, FaultSchedule, FaultStats};
@@ -94,7 +93,7 @@ pub use topology::{Distance, Region, SiteId, SiteSpec, Topology};
 pub mod prelude {
     pub use crate::engine::{Actor, ActorId, Ctx, Engine, Envelope, RunReport, TimerId};
     pub use crate::faults::{FaultAction, FaultNotice, FaultSchedule, FaultStats};
-    pub use crate::metrics::{Histogram, MetricsHub};
+    pub use crate::metrics::MetricsHub;
     pub use crate::network::NetworkModel;
     pub use crate::oracle::{Fingerprint, OpLog, SharedOpLog};
     pub use crate::rng::SplitMix64;

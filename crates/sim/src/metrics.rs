@@ -1,118 +1,13 @@
-//! Measurement plumbing: counters, latency histograms and completion
-//! recorders shared by simulation actors.
+//! Measurement plumbing: counters and completion recorders shared by
+//! simulation actors.
 //!
-//! Experiments need three kinds of observations:
+//! Experiments need two kinds of observations:
 //! * **counters** — how many operations of each kind happened,
-//! * **histograms** — the latency distribution of operations,
 //! * **completion records** — a timestamp per finished operation, from which
 //!   progress curves (paper Fig. 6) and throughput (Fig. 7) are derived.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::collections::BTreeMap;
-
-/// A log-bucketed latency histogram over microsecond durations.
-///
-/// Buckets grow geometrically (factor 2) from 1 µs, so the histogram covers
-/// nanosecond-scale ops to hours in 42 buckets with bounded relative error.
-#[derive(Clone, Debug, Default)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    total: u64,
-    sum_micros: u128,
-    min: Option<u64>,
-    max: u64,
-}
-
-impl Histogram {
-    /// New empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Record one duration.
-    pub fn record(&mut self, d: SimDuration) {
-        let us = d.as_micros();
-        let bucket = bucket_of(us);
-        if self.counts.len() <= bucket {
-            self.counts.resize(bucket + 1, 0);
-        }
-        self.counts[bucket] += 1;
-        self.total += 1;
-        self.sum_micros += us as u128;
-        self.min = Some(self.min.map_or(us, |m| m.min(us)));
-        self.max = self.max.max(us);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of recorded durations.
-    pub fn mean(&self) -> SimDuration {
-        if self.total == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_micros((self.sum_micros / self.total as u128) as u64)
-    }
-
-    /// Smallest recorded duration.
-    pub fn min(&self) -> SimDuration {
-        SimDuration::from_micros(self.min.unwrap_or(0))
-    }
-
-    /// Largest recorded duration.
-    pub fn max(&self) -> SimDuration {
-        SimDuration::from_micros(self.max)
-    }
-
-    /// Approximate quantile (`q` in `[0,1]`), accurate to bucket resolution.
-    pub fn quantile(&self, q: f64) -> SimDuration {
-        if self.total == 0 {
-            return SimDuration::ZERO;
-        }
-        let target = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return SimDuration::from_micros(bucket_upper(i).min(self.max));
-            }
-        }
-        SimDuration::from_micros(self.max)
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
-        }
-        self.total += other.total;
-        self.sum_micros += other.sum_micros;
-        if let Some(om) = other.min {
-            self.min = Some(self.min.map_or(om, |m| m.min(om)));
-        }
-        self.max = self.max.max(other.max);
-    }
-}
-
-#[inline]
-fn bucket_of(us: u64) -> usize {
-    // Bucket i covers [2^(i-1), 2^i); bucket 0 covers {0}.
-    (64 - us.leading_zeros()) as usize
-}
-
-#[inline]
-fn bucket_upper(bucket: usize) -> u64 {
-    if bucket >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bucket).saturating_sub(1)
-    }
-}
 
 /// Records a timestamp for each completed operation; the raw material for
 /// progress curves and throughput numbers.
@@ -124,12 +19,13 @@ pub struct CompletionLog {
 
 impl CompletionLog {
     /// New empty log.
-    pub fn new() -> CompletionLog {
+    #[cfg(test)]
+    pub(crate) fn new() -> CompletionLog {
         CompletionLog::default()
     }
 
     /// Record one completion.
-    pub fn record(&mut self, at: SimTime) {
+    pub(crate) fn record(&mut self, at: SimTime) {
         if let Some(&last) = self.times.last() {
             if at < last {
                 self.sorted = false;
@@ -183,12 +79,6 @@ impl CompletionLog {
         n as f64 / span
     }
 
-    /// Merge another log into this one.
-    pub fn merge(&mut self, other: &CompletionLog) {
-        self.times.extend_from_slice(&other.times);
-        self.sorted = false;
-    }
-
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.times.sort_unstable();
@@ -203,13 +93,12 @@ impl CompletionLog {
 #[derive(Clone, Debug, Default)]
 pub struct MetricsHub {
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
     completions: BTreeMap<String, CompletionLog>,
 }
 
 impl MetricsHub {
     /// New empty hub.
-    pub fn new() -> MetricsHub {
+    pub(crate) fn new() -> MetricsHub {
         MetricsHub::default()
     }
 
@@ -221,19 +110,6 @@ impl MetricsHub {
     /// Read a counter (0 if never written).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Record a duration into a named histogram.
-    pub fn observe(&mut self, name: &str, d: SimDuration) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(d);
-    }
-
-    /// Access a histogram (None if never written).
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// Record a completion timestamp into a named log.
@@ -248,60 +124,11 @@ impl MetricsHub {
     pub fn completions_mut(&mut self, name: &str) -> &mut CompletionLog {
         self.completions.entry(name.to_string()).or_default()
     }
-
-    /// Names of all counters (for reporting).
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_mean_min_max() {
-        let mut h = Histogram::new();
-        for ms in [1u64, 2, 3, 4, 5] {
-            h.record(SimDuration::from_millis(ms));
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.mean(), SimDuration::from_millis(3));
-        assert_eq!(h.min(), SimDuration::from_millis(1));
-        assert_eq!(h.max(), SimDuration::from_millis(5));
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone() {
-        let mut h = Histogram::new();
-        for i in 1..=1000u64 {
-            h.record(SimDuration::from_micros(i));
-        }
-        let q50 = h.quantile(0.5);
-        let q90 = h.quantile(0.9);
-        let q99 = h.quantile(0.99);
-        assert!(q50 <= q90 && q90 <= q99);
-        assert!(q99 <= h.max());
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(SimDuration::from_millis(1));
-        b.record(SimDuration::from_millis(100));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), SimDuration::from_millis(100));
-        assert_eq!(a.min(), SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn empty_histogram_is_zeroed() {
-        let h = Histogram::new();
-        assert_eq!(h.mean(), SimDuration::ZERO);
-        assert_eq!(h.quantile(0.5), SimDuration::ZERO);
-    }
 
     #[test]
     fn completion_progress_fractions() {
@@ -326,14 +153,12 @@ mod tests {
     }
 
     #[test]
-    fn hub_counters_and_histograms() {
+    fn hub_counters_and_completions() {
         let mut hub = MetricsHub::new();
         hub.incr("ops", 3);
         hub.incr("ops", 2);
         assert_eq!(hub.counter("ops"), 5);
         assert_eq!(hub.counter("missing"), 0);
-        hub.observe("lat", SimDuration::from_millis(7));
-        assert_eq!(hub.histogram("lat").unwrap().count(), 1);
         hub.complete("done", SimTime(5));
         assert_eq!(hub.completions_mut("done").count(), 1);
     }

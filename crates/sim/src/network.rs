@@ -44,7 +44,7 @@ pub struct NetworkModel {
 
 impl NetworkModel {
     /// Build a network model over a topology. `seed` controls jitter.
-    pub fn new(topology: Topology, seed: u64) -> NetworkModel {
+    pub(crate) fn new(topology: Topology, seed: u64) -> NetworkModel {
         let num_sites = topology.num_sites();
         NetworkModel {
             topology,
@@ -60,7 +60,7 @@ impl NetworkModel {
     /// [`Self::clear_wan_degradation`]. Local (same-site) links are
     /// unaffected. The jitter RNG stream is drawn exactly as in a healthy
     /// run, so runs diverge only in the delays themselves.
-    pub fn set_wan_degradation(&mut self, latency_mult: f64, bandwidth_div: u64) {
+    pub(crate) fn set_wan_degradation(&mut self, latency_mult: f64, bandwidth_div: u64) {
         assert!(
             latency_mult >= 1.0 && bandwidth_div >= 1,
             "degradation must not speed the network up"
@@ -69,13 +69,8 @@ impl NetworkModel {
     }
 
     /// End the WAN degradation window.
-    pub fn clear_wan_degradation(&mut self) {
+    pub(crate) fn clear_wan_degradation(&mut self) {
         self.wan_degradation = None;
-    }
-
-    /// The active `(latency multiplier, bandwidth divisor)` window.
-    pub fn wan_degradation(&self) -> Option<(f64, u64)> {
-        self.wan_degradation
     }
 
     #[inline]
@@ -84,13 +79,13 @@ impl NetworkModel {
     }
 
     /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
+    pub(crate) fn topology(&self) -> &Topology {
         &self.topology
     }
 
     /// Delay for a `size_bytes` message from `from` to `to`, including
     /// jitter; also records the traffic.
-    pub fn delay(&mut self, from: SiteId, to: SiteId, size_bytes: u64) -> SimDuration {
+    pub(crate) fn delay(&mut self, from: SiteId, to: SiteId, size_bytes: u64) -> SimDuration {
         let base = self.topology.one_way_latency(from, to);
         let mut bw = self.topology.bandwidth(from, to);
         let (lat_mult, degraded) = match self.wan_degradation {
@@ -123,7 +118,8 @@ impl NetworkModel {
     }
 
     /// Delay without jitter or accounting (for analytical estimates).
-    pub fn nominal_delay(&self, from: SiteId, to: SiteId, size_bytes: u64) -> SimDuration {
+    #[cfg(test)]
+    fn nominal_delay(&self, from: SiteId, to: SiteId, size_bytes: u64) -> SimDuration {
         let base = self.topology.one_way_latency(from, to);
         let bw = self.topology.bandwidth(from, to);
         let transfer = SimDuration::from_micros(
@@ -138,11 +134,6 @@ impl NetworkModel {
     /// Stats for one ordered pair.
     pub fn link_stats(&self, from: SiteId, to: SiteId) -> LinkStats {
         self.stats[self.link_index(from, to)]
-    }
-
-    /// Total bytes that crossed datacenter boundaries (WAN traffic).
-    pub fn wan_bytes(&self) -> u64 {
-        self.fold_wan(|s| s.bytes)
     }
 
     /// Total messages that crossed datacenter boundaries.
@@ -223,6 +214,6 @@ mod tests {
         assert_eq!(m.link_stats(SiteId(0), SiteId(0)).messages, 1);
         assert_eq!(m.link_stats(SiteId(0), SiteId(1)).messages, 2);
         assert_eq!(m.wan_messages(), 2);
-        assert_eq!(m.wan_bytes(), 500);
+        assert_eq!(m.link_stats(SiteId(0), SiteId(1)).bytes, 500);
     }
 }

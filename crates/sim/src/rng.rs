@@ -71,13 +71,6 @@ impl SplitMix64 {
         self.range_u64(bound as u64) as usize
     }
 
-    /// Uniform integer in `[lo, hi]` (inclusive).
-    #[inline]
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.range_u64(hi - lo + 1)
-    }
-
     /// `true` with probability `p`.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
@@ -88,7 +81,7 @@ impl SplitMix64 {
     ///
     /// Used for service-time and inter-arrival jitter models.
     #[inline]
-    pub fn sample_exp(&mut self, mean: f64) -> f64 {
+    pub(crate) fn sample_exp(&mut self, mean: f64) -> f64 {
         debug_assert!(mean >= 0.0);
         let u = 1.0 - self.uniform_f64(); // in (0, 1]
         -mean * u.ln()
@@ -172,22 +165,6 @@ mod tests {
             // Expect 10_000 per bucket; allow 5% deviation.
             assert!((9_500..10_500).contains(&c), "bucket count {c}");
         }
-    }
-
-    #[test]
-    fn range_inclusive_covers_endpoints() {
-        let mut rng = SplitMix64::new(3);
-        let mut saw_lo = false;
-        let mut saw_hi = false;
-        for _ in 0..10_000 {
-            match rng.range_inclusive(4, 6) {
-                4 => saw_lo = true,
-                6 => saw_hi = true,
-                5 => {}
-                other => panic!("out of range: {other}"),
-            }
-        }
-        assert!(saw_lo && saw_hi);
     }
 
     #[test]

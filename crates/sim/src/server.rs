@@ -75,22 +75,6 @@ impl ServiceQueue {
         done
     }
 
-    /// Admit a request whose service costs `weight` times the normal
-    /// service time (e.g. a batch of `weight` updates).
-    pub fn admit_weighted(&mut self, now: SimTime, weight: u64) -> SimTime {
-        let start = now.max(self.busy_until);
-        let queued = start - now;
-        if queued > self.max_queue_delay {
-            self.max_queue_delay = queued;
-        }
-        let st = self.service_time.sample(&mut self.rng) * weight.max(1);
-        let done = start + st;
-        self.busy_until = done;
-        self.served += 1;
-        self.busy_micros += st.as_micros();
-        done
-    }
-
     /// Admit a request whose service costs a fractional `factor` of the
     /// normal service time. Used for cheap batched operations (factor < 1)
     /// and for congestion-inflated service (factor > 1).
@@ -116,11 +100,6 @@ impl ServiceQueue {
         }
     }
 
-    /// The instant the server becomes free.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Current queueing delay a request arriving at `now` would face.
     pub fn backlog(&self, now: SimTime) -> SimDuration {
         self.busy_until - now
@@ -137,16 +116,9 @@ impl ServiceQueue {
     }
 
     /// Largest queueing delay any request has faced.
-    pub fn max_queue_delay(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn max_queue_delay(&self) -> SimDuration {
         self.max_queue_delay
-    }
-
-    /// Utilization over `[0, now]` (fraction of time busy).
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy_micros as f64 / now.as_micros() as f64).min(1.0)
     }
 }
 
@@ -184,16 +156,6 @@ mod tests {
         q.admit(SimTime::ZERO);
         let done = q.admit(SimTime(100_000));
         assert_eq!(done, SimTime(110_000));
-        // Utilization: 20 ms busy out of 110 ms.
-        let u = q.utilization(SimTime(110_000));
-        assert!((u - 20.0 / 110.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weighted_admission_scales_service() {
-        let mut q = fixed(2);
-        let done = q.admit_weighted(SimTime::ZERO, 10);
-        assert_eq!(done, SimTime(20_000));
     }
 
     #[test]

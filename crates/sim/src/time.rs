@@ -19,7 +19,7 @@ impl SimTime {
     /// The simulation epoch.
     pub const ZERO: SimTime = SimTime(0);
     /// The far future; used as a sentinel for "never".
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Microseconds since simulation start.
     #[inline]
@@ -29,13 +29,14 @@ impl SimTime {
 
     /// Whole milliseconds since simulation start (truncating).
     #[inline]
-    pub fn as_millis(self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn as_millis(self) -> u64 {
         self.0 / 1_000
     }
 
     /// Seconds since simulation start as a float.
     #[inline]
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
@@ -48,7 +49,7 @@ impl SimTime {
 
     /// The later of two instants.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 }
@@ -78,7 +79,7 @@ impl SimDuration {
     /// Construct from fractional seconds (rounds to the nearest
     /// microsecond; negative inputs clamp to zero).
     #[inline]
-    pub fn from_secs_f64(s: f64) -> SimDuration {
+    pub(crate) fn from_secs_f64(s: f64) -> SimDuration {
         if s <= 0.0 {
             SimDuration(0)
         } else {
@@ -92,22 +93,10 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole milliseconds in this duration (truncating).
-    #[inline]
-    pub fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds as a float.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Scale this duration by a non-negative float factor.

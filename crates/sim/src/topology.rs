@@ -70,21 +70,21 @@ pub struct SiteSpec {
 /// Default one-way latency inside a datacenter (node ↔ co-located service).
 /// 1 ms one-way ⇒ 2 ms RTT, matching the paper's observation that local
 /// metadata operations take "negligible time in comparison with remote ones".
-pub const DEFAULT_LOCAL_ONE_WAY: SimDuration = SimDuration::from_micros(1_000);
+pub(crate) const DEFAULT_LOCAL_ONE_WAY: SimDuration = SimDuration::from_micros(1_000);
 /// Default one-way latency between datacenters of the same region
 /// (12.5 ms ⇒ 25 ms RTT).
-pub const DEFAULT_SAME_REGION_ONE_WAY: SimDuration = SimDuration::from_micros(12_500);
+pub(crate) const DEFAULT_SAME_REGION_ONE_WAY: SimDuration = SimDuration::from_micros(12_500);
 /// Default one-way latency between geo-distant datacenters
 /// (50 ms ⇒ 100 ms RTT — the paper's "up to 50x" a local op).
-pub const DEFAULT_GEO_DISTANT_ONE_WAY: SimDuration = SimDuration::from_micros(50_000);
+pub(crate) const DEFAULT_GEO_DISTANT_ONE_WAY: SimDuration = SimDuration::from_micros(50_000);
 
 /// Default usable bandwidth per flow, bytes/second. Inter-datacenter WAN
 /// paths are shared and far slower than intra-DC networks; 50 MB/s per flow
 /// is a conservative public-cloud figure. Only matters for large payloads —
 /// metadata messages are dominated by latency.
-pub const DEFAULT_WAN_BANDWIDTH: u64 = 50 * 1024 * 1024;
+pub(crate) const DEFAULT_WAN_BANDWIDTH: u64 = 50 * 1024 * 1024;
 /// Default intra-datacenter bandwidth per flow, bytes/second.
-pub const DEFAULT_LAN_BANDWIDTH: u64 = 500 * 1024 * 1024;
+pub(crate) const DEFAULT_LAN_BANDWIDTH: u64 = 500 * 1024 * 1024;
 
 /// A multi-site cloud topology: sites plus pairwise one-way latency and
 /// bandwidth. Symmetric by construction through the builder API.
@@ -139,8 +139,9 @@ impl Topology {
             .build()
     }
 
-    /// A single-datacenter topology (useful as a degenerate baseline).
-    pub fn single_site() -> Topology {
+    /// A single-datacenter topology (a degenerate baseline for tests).
+    #[cfg(test)]
+    pub(crate) fn single_site() -> Topology {
         Topology::builder().site("Solo", Region(0)).build()
     }
 
@@ -182,13 +183,13 @@ impl Topology {
 
     /// Bandwidth (bytes/second) between two sites.
     #[inline]
-    pub fn bandwidth(&self, from: SiteId, to: SiteId) -> u64 {
+    pub(crate) fn bandwidth(&self, from: SiteId, to: SiteId) -> u64 {
         self.bandwidth[from.index()][to.index()]
     }
 
     /// Relative jitter spread applied to latencies.
     #[inline]
-    pub fn jitter_frac(&self) -> f64 {
+    pub(crate) fn jitter_frac(&self) -> f64 {
         self.jitter_frac
     }
 
@@ -269,30 +270,19 @@ impl TopologyBuilder {
 
     /// Override the one-way latency of one pair (applied symmetrically),
     /// in milliseconds.
-    pub fn link_ms(self, a: u16, b: u16, one_way_ms: u64) -> Self {
+    pub(crate) fn link_ms(self, a: u16, b: u16, one_way_ms: u64) -> Self {
         self.link(a, b, SimDuration::from_millis(one_way_ms))
     }
 
     /// Override the one-way latency of one pair (applied symmetrically).
-    pub fn link(mut self, a: u16, b: u16, one_way: SimDuration) -> Self {
+    pub(crate) fn link(mut self, a: u16, b: u16, one_way: SimDuration) -> Self {
         self.overrides.push((a as usize, b as usize, one_way));
         self
     }
 
-    /// Set intra-site bandwidth (bytes/second).
-    pub fn lan_bandwidth(mut self, bytes_per_sec: u64) -> Self {
-        self.lan_bandwidth = bytes_per_sec;
-        self
-    }
-
-    /// Set inter-site bandwidth (bytes/second).
-    pub fn wan_bandwidth(mut self, bytes_per_sec: u64) -> Self {
-        self.wan_bandwidth = bytes_per_sec;
-        self
-    }
-
     /// Set the relative jitter spread (0.0 disables jitter).
-    pub fn jitter(mut self, frac: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn jitter(mut self, frac: f64) -> Self {
         assert!(
             (0.0..1.0).contains(&frac),
             "jitter fraction must be in [0,1)"

@@ -44,7 +44,7 @@ impl Default for BuzzFlowConfig {
 }
 
 /// Stage widths: geometric narrowing from `initial_width` to 1.
-pub fn stage_widths(cfg: &BuzzFlowConfig) -> Vec<usize> {
+pub(crate) fn stage_widths(cfg: &BuzzFlowConfig) -> Vec<usize> {
     (0..cfg.stages)
         .map(|s| (cfg.initial_width >> s).max(1))
         .collect()

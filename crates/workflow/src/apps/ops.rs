@@ -37,14 +37,7 @@ pub enum MetaOp {
     },
 }
 
-impl MetaOp {
-    /// The key this operation addresses.
-    pub fn name(&self) -> &str {
-        match self {
-            MetaOp::Publish { name, .. } | MetaOp::Resolve { name } => name,
-        }
-    }
-}
+impl MetaOp {}
 
 /// One execution node's operation stream.
 #[derive(Clone, Debug)]
@@ -76,7 +69,7 @@ impl OpStream {
 
 /// Default size for synthetic-benchmark entries (workflow files are small;
 /// the paper's registry charges metadata, not data).
-pub const SYNTHETIC_FILE_SIZE: u64 = 64 * 1024;
+pub(crate) const SYNTHETIC_FILE_SIZE: u64 = 64 * 1024;
 
 /// Flatten a [`SyntheticSpec`] into per-node streams, spreading nodes
 /// round-robin over `sites`. Writers post their consecutive keys; readers

@@ -37,7 +37,8 @@ pub struct SyntheticSpec {
 
 impl SyntheticSpec {
     /// The Fig. 5 configuration: 32 nodes, variable ops.
-    pub fn fig5(ops_per_node: usize) -> SyntheticSpec {
+    #[cfg(test)]
+    pub(crate) fn fig5(ops_per_node: usize) -> SyntheticSpec {
         SyntheticSpec {
             nodes: 32,
             ops_per_node,

@@ -57,8 +57,6 @@ pub struct Workflow {
     producer: FxHashMap<String, TaskId>,
     /// Edges: deps[t] = tasks that must finish before t.
     deps: Vec<Vec<TaskId>>,
-    /// Reverse edges: dependents of t.
-    dependents: Vec<Vec<TaskId>>,
     /// Topological order of task ids.
     topo: Vec<TaskId>,
 }
@@ -98,7 +96,7 @@ impl Workflow {
     }
 
     /// The task producing `file`, if any (None = external input).
-    pub fn producer_of(&self, file: &str) -> Option<TaskId> {
+    pub(crate) fn producer_of(&self, file: &str) -> Option<TaskId> {
         self.producer.get(file).copied()
     }
 
@@ -107,18 +105,14 @@ impl Workflow {
         &self.deps[t.index()]
     }
 
-    /// Tasks unblocked (partially) by `t`'s completion.
-    pub fn dependents(&self, t: TaskId) -> &[TaskId] {
-        &self.dependents[t.index()]
-    }
-
     /// Task ids in a valid execution order.
     pub fn topological_order(&self) -> &[TaskId] {
         &self.topo
     }
 
     /// Tasks with no dependencies (can start immediately).
-    pub fn roots(&self) -> Vec<TaskId> {
+    #[cfg(test)]
+    pub(crate) fn roots(&self) -> Vec<TaskId> {
         self.tasks
             .iter()
             .filter(|t| self.deps[t.id.index()].is_empty())
@@ -276,7 +270,6 @@ impl WorkflowBuilder {
             tasks: self.tasks,
             producer,
             deps,
-            dependents,
             topo,
         })
     }
@@ -310,7 +303,6 @@ mod tests {
         assert_eq!(w.dependencies(TaskId(1)), &[TaskId(0)]);
         assert_eq!(w.dependencies(TaskId(2)), &[TaskId(1)]);
         assert!(w.dependencies(TaskId(3)).is_empty());
-        assert_eq!(w.dependents(TaskId(0)), &[TaskId(1)]);
         assert_eq!(w.producer_of("fb"), Some(TaskId(1)));
         assert_eq!(w.producer_of("external"), None);
     }

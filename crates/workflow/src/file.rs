@@ -21,23 +21,4 @@ impl WorkflowFile {
             size,
         }
     }
-
-    /// Whether this counts as a "small file" in the paper's sense: no
-    /// point striping it (64 MB, the HDFS default block size, is the
-    /// paper's cutoff).
-    pub fn is_small(&self) -> bool {
-        self.size < 64 * 1024 * 1024
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_file_cutoff_is_hdfs_block_size() {
-        assert!(WorkflowFile::new("tiny", 190 * 1024).is_small());
-        assert!(WorkflowFile::new("edge", 64 * 1024 * 1024 - 1).is_small());
-        assert!(!WorkflowFile::new("big", 64 * 1024 * 1024).is_small());
-    }
 }

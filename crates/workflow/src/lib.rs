@@ -28,11 +28,11 @@
 pub mod apps;
 pub mod dag;
 pub mod engine;
-pub mod file;
+mod file;
 pub mod patterns;
 pub mod provenance;
 pub mod scheduler;
-pub mod task;
+mod task;
 
 pub use dag::{Workflow, WorkflowError};
 pub use engine::{EngineConfig, ExecutionReport, MetadataOps, WorkflowEngine};

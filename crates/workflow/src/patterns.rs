@@ -3,10 +3,9 @@
 //! "The most frequent data access models are: pipeline, gather, scatter,
 //! reduce and broadcast. Further studies show that the workflow
 //! applications are typically a combination of these patterns." Each
-//! generator returns a validated [`Workflow`]; [`PatternStack`] composes
-//! them by feeding one pattern's final outputs into the next.
+//! generator returns a validated [`Workflow`].
 
-use crate::dag::{Workflow, WorkflowBuilder, WorkflowError};
+use crate::dag::Workflow;
 use crate::file::WorkflowFile;
 use geometa_sim::time::SimDuration;
 
@@ -147,55 +146,6 @@ pub fn broadcast(name: &str, width: usize, cfg: PatternConfig) -> Workflow {
     b.build().expect("broadcast is trivially acyclic")
 }
 
-/// Composes patterns sequentially: each added stage consumes the *final*
-/// outputs (files nobody else reads) of the previous stage.
-pub struct PatternStack {
-    name: String,
-    builder: WorkflowBuilder,
-    frontier: Vec<String>,
-    stage: usize,
-}
-
-impl PatternStack {
-    /// Start a composite workflow.
-    pub fn new(name: impl Into<String>) -> PatternStack {
-        let name = name.into();
-        PatternStack {
-            builder: Workflow::builder(name.clone()),
-            name,
-            frontier: Vec::new(),
-            stage: 0,
-        }
-    }
-
-    /// Append a stage of `width` parallel tasks; each consumes the whole
-    /// current frontier (gather-style) or nothing if this is the first
-    /// stage, and produces one file.
-    pub fn stage(mut self, width: usize, cfg: PatternConfig) -> Self {
-        assert!(width > 0);
-        let mut next = Vec::with_capacity(width);
-        for i in 0..width {
-            let out =
-                WorkflowFile::new(format!("{}/s{}-{i}", self.name, self.stage), cfg.file_size);
-            next.push(out.name.clone());
-            self.builder.task(
-                format!("{}-s{}-t{i}", self.name, self.stage),
-                self.frontier.clone(),
-                vec![out],
-                cfg.compute,
-            );
-        }
-        self.frontier = next;
-        self.stage += 1;
-        self
-    }
-
-    /// Validate and build.
-    pub fn build(self) -> Result<Workflow, WorkflowError> {
-        self.builder.build()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,20 +216,6 @@ mod tests {
         for i in 1..11 {
             assert_eq!(w.dependencies(TaskId(i)), &[TaskId(0)]);
         }
-    }
-
-    #[test]
-    fn pattern_stack_composes() {
-        let w = PatternStack::new("combo")
-            .stage(1, cfg()) // source
-            .stage(4, cfg()) // scatter-ish
-            .stage(1, cfg()) // gather
-            .build()
-            .unwrap();
-        assert_eq!(w.len(), 6);
-        assert_eq!(*w.levels().iter().max().unwrap(), 2);
-        // Final gather depends on all four middle tasks.
-        assert_eq!(w.dependencies(TaskId(5)).len(), 4);
     }
 
     #[test]

@@ -35,7 +35,8 @@ impl ProvenanceIndex {
     }
 
     /// Tasks that read `file`.
-    pub fn consumers_of(&self, file: &str) -> &[TaskId] {
+    #[cfg(test)]
+    pub(crate) fn consumers_of(&self, file: &str) -> &[TaskId] {
         self.consumers.get(file).map(Vec::as_slice).unwrap_or(&[])
     }
 

@@ -45,12 +45,13 @@ pub struct Placement {
 
 impl Placement {
     /// Node a task runs on.
-    pub fn node_of(&self, t: TaskId) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn node_of(&self, t: TaskId) -> NodeId {
         self.assignment[t.index()]
     }
 
     /// Site a task runs in.
-    pub fn site_of(&self, t: TaskId) -> SiteId {
+    pub(crate) fn site_of(&self, t: TaskId) -> SiteId {
         self.assignment[t.index()].site
     }
 

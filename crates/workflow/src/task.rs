@@ -11,7 +11,7 @@ pub struct TaskId(pub u32);
 impl TaskId {
     /// Index for vector addressing.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -48,13 +48,8 @@ pub struct Task {
 impl Task {
     /// Total metadata operations this task performs: one read per input,
     /// one write per output.
-    pub fn metadata_ops(&self) -> usize {
+    pub(crate) fn metadata_ops(&self) -> usize {
         self.inputs.len() + self.outputs.len()
-    }
-
-    /// Total bytes this task writes.
-    pub fn output_bytes(&self) -> u64 {
-        self.outputs.iter().map(|f| f.size).sum()
     }
 }
 
@@ -72,6 +67,5 @@ mod tests {
             compute: SimDuration::from_secs(1),
         };
         assert_eq!(t.metadata_ops(), 4);
-        assert_eq!(t.output_bytes(), 30);
     }
 }
