@@ -46,7 +46,6 @@ mod entry;
 pub mod hash;
 mod key;
 mod replica;
-mod stats;
 mod store;
 
 pub use entry::{CacheEntry, CacheError, PutCondition};
@@ -56,5 +55,4 @@ pub use hash::{
 };
 pub use key::Key;
 pub use replica::HaCache;
-pub use stats::CacheStats;
 pub use store::{BatchError, ShardedStore};

@@ -28,7 +28,6 @@
 use crate::entry::{CacheEntry, CacheError, PutCondition};
 use crate::hash::PrehashedBuildHasher;
 use crate::key::{Key, KeyQuery, StrQuery};
-use crate::stats::StatsCounters;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,7 +70,6 @@ impl std::error::Error for BatchError {}
 pub struct ShardedStore {
     shards: Vec<Shard>,
     mask: u64,
-    stats: StatsCounters,
     failed: AtomicBool,
 }
 
@@ -82,7 +80,6 @@ impl ShardedStore {
         ShardedStore {
             shards: (0..n).map(|_| RwLock::new(Map::default())).collect(),
             mask: (n - 1) as u64,
-            stats: StatsCounters::default(),
             failed: AtomicBool::new(false),
         }
     }
@@ -136,18 +133,12 @@ impl ShardedStore {
         self.check_available()?;
         let shard = self.shard_at(q.query_hash()).read();
         match shard.get(q) {
-            Some(e) => {
-                self.stats.hit();
-                Ok(e.clone())
-            }
-            None => {
-                self.stats.miss();
-                Err(CacheError::NotFound)
-            }
+            Some(e) => Ok(e.clone()),
+            None => Err(CacheError::NotFound),
         }
     }
 
-    /// Whether a key is present (does not count as hit/miss).
+    /// Whether a key is present.
     #[cfg(test)]
     pub(crate) fn contains(&self, key: &str) -> bool {
         if self.is_failed() {
@@ -204,13 +195,12 @@ impl ShardedStore {
     ) -> Result<u64, CacheError> {
         self.check_available()?;
         let mut shard = self.shard_at(q.query_hash()).write();
-        Self::apply_put_if(&self.stats, &mut shard, q, cond, value, now, own)
+        Self::apply_put_if(&mut shard, q, cond, value, now, own)
     }
 
     /// The put-if state machine against one locked shard map. Shared by the
     /// single-key paths and the grouped batch path.
     fn apply_put_if<Q: KeyQuery>(
-        stats: &StatsCounters,
         map: &mut Map,
         q: &Q,
         cond: PutCondition,
@@ -224,24 +214,18 @@ impl ShardedStore {
                     existing.value = value;
                     existing.version += 1;
                     existing.modified_at = now;
-                    stats.write();
                     Ok(existing.version)
                 }
-                PutCondition::Absent => {
-                    stats.conflict();
-                    Err(CacheError::AlreadyExists {
-                        version: existing.version,
-                    })
-                }
+                PutCondition::Absent => Err(CacheError::AlreadyExists {
+                    version: existing.version,
+                }),
                 PutCondition::VersionIs(expected) => {
                     if existing.version == expected {
                         existing.value = value;
                         existing.version += 1;
                         existing.modified_at = now;
-                        stats.write();
                         Ok(existing.version)
                     } else {
-                        stats.conflict();
                         Err(CacheError::VersionMismatch {
                             expected,
                             actual: Some(existing.version),
@@ -260,16 +244,12 @@ impl ShardedStore {
                             modified_at: now,
                         },
                     );
-                    stats.write();
                     Ok(1)
                 }
-                PutCondition::VersionIs(expected) => {
-                    stats.conflict();
-                    Err(CacheError::VersionMismatch {
-                        expected,
-                        actual: None,
-                    })
-                }
+                PutCondition::VersionIs(expected) => Err(CacheError::VersionMismatch {
+                    expected,
+                    actual: None,
+                }),
             },
         }
     }
@@ -303,13 +283,11 @@ impl ShardedStore {
                     (entry.version, entry.modified_at) > (existing.version, existing.modified_at);
                 if newer {
                     *existing = entry;
-                    self.stats.write();
                 }
                 Ok(newer)
             }
             None => {
                 shard.insert(own(q), entry);
-                self.stats.write();
                 Ok(true)
             }
         }
@@ -374,14 +352,8 @@ impl ShardedStore {
                 for &i in group {
                     let q = &queries[i as usize];
                     out[i as usize] = match shard.get(q as &dyn KeyQuery) {
-                        Some(e) => {
-                            self.stats.hit();
-                            Ok(e.clone())
-                        }
-                        None => {
-                            self.stats.miss();
-                            Err(CacheError::NotFound)
-                        }
+                        Some(e) => Ok(e.clone()),
+                        None => Err(CacheError::NotFound),
                     };
                 }
                 Ok(())
@@ -452,15 +424,9 @@ impl ShardedStore {
                         let slot = &mut items[i as usize];
                         (slot.0.clone(), std::mem::take(&mut slot.1))
                     };
-                    Self::apply_put_if(
-                        &self.stats,
-                        &mut shard,
-                        &key,
-                        PutCondition::Always,
-                        value,
-                        now,
-                        |k| k.clone(),
-                    )
+                    Self::apply_put_if(&mut shard, &key, PutCondition::Always, value, now, |k| {
+                        k.clone()
+                    })
                     .expect("unconditional put cannot fail on a held shard");
                     applied += 1;
                 }
@@ -497,12 +463,6 @@ impl ShardedStore {
             out.extend(shard.iter().map(|(k, e)| (k.clone(), e.clone())));
         }
         out
-    }
-
-    /// Operation statistics so far.
-    #[cfg(test)]
-    pub(crate) fn stats(&self) -> crate::CacheStats {
-        self.stats.snapshot()
     }
 
     /// Number of shards.
@@ -852,20 +812,6 @@ mod tests {
         assert_eq!(store.put("g", b("v"), 0), Err(CacheError::Unavailable));
         assert!(!store.contains("f"));
         assert_eq!(store.multi_get(&["f"]), vec![Err(CacheError::Unavailable)]);
-    }
-
-    #[test]
-    fn stats_track_hits_misses_conflicts() {
-        let store = ShardedStore::new(4);
-        store.put("f", b("v"), 0).unwrap();
-        let _ = store.get("f");
-        let _ = store.get("missing");
-        let _ = store.put_if("f", PutCondition::VersionIs(99), b("x"), 1);
-        let s = store.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.conflicts, 1);
     }
 
     #[test]

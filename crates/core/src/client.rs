@@ -5,21 +5,29 @@
 //! operation into a plan, and executes the plan over a
 //! [`RegistryTransport`]. It implements the paper's operation semantics:
 //!
-//! * **publish** — write to every synchronous target (write completion),
-//!   then fire lazy propagation to the asynchronous targets;
+//! * **publish** — write to the completion site, then fire lazy
+//!   propagation to the replicas;
 //! * **resolve** — probe the plan's sites in order (the two-step
 //!   hierarchical read of §IV-D falls out of the DR plan);
 //! * **resolve with retry** — under the replicated strategy a read may
 //!   legitimately miss until the sync agent propagates the entry; the
 //!   caller supplies the waiting policy.
+//!
+//! The semantics live in the [`PublishOp`] and [`ResolveOp`] machines,
+//! which the simulator's client actors drive too; this client sends what
+//! they say over `transport.call` and `cast`, re-plans after a
+//! membership change and counts [`OpStats`].
 
 use crate::controller::ArchitectureController;
 use crate::entry::{FileLocation, RegistryEntry};
 use crate::metrics::OpStats;
+use crate::op::{Outcome, PublishOp, ResolveOp, Step};
 use crate::protocol::{RegistryRequest, RegistryResponse};
 use crate::transport::RegistryTransport;
 use crate::MetaError;
 use geometa_sim::topology::SiteId;
+use std::ops::ControlFlow;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Identity and tuning of one client.
@@ -70,7 +78,6 @@ impl<T: RegistryTransport> StrategyClient<T> {
         &self,
         mut op: impl FnMut(&Self) -> Result<R, MetaError>,
     ) -> Result<R, MetaError> {
-        use std::sync::atomic::Ordering;
         const EPOCH_CHASES: usize = 3;
         let mut chased = 0;
         loop {
@@ -88,8 +95,8 @@ impl<T: RegistryTransport> StrategyClient<T> {
         }
     }
 
-    /// Publish a file's metadata. Returns when every synchronous target has
-    /// acknowledged; asynchronous targets are updated lazily.
+    /// Publish a file's metadata. Returns when the completion site has
+    /// acknowledged; replicas are updated lazily.
     pub fn publish(&self, name: &str, size: u64) -> Result<(), MetaError> {
         let entry = RegistryEntry::new(
             name,
@@ -100,44 +107,47 @@ impl<T: RegistryTransport> StrategyClient<T> {
             },
             self.transport.now_micros(),
         );
-        self.publish_entry(entry)
+        self.with_epoch_refresh(|c| c.publish_once(&entry))
     }
 
-    /// Publish a pre-built entry (callers set provenance etc.).
-    pub(crate) fn publish_entry(&self, entry: RegistryEntry) -> Result<(), MetaError> {
-        self.with_epoch_refresh(|c| c.publish_entry_once(entry.clone()))
-    }
-
-    fn publish_entry_once(&self, entry: RegistryEntry) -> Result<(), MetaError> {
-        use std::sync::atomic::Ordering;
-        let strategy = self.controller.strategy();
-        // One intern serves placement, every sync write and every lazy push.
-        let key = entry.cache_key();
-        let plan = strategy.write_plan_key(&key, self.config.site);
-        for &target in &plan.sync_targets {
-            let resp = self.transport.call(
-                target,
-                RegistryRequest::Put {
-                    entry: entry.clone(),
-                },
-            );
-            resp.into_ack()?;
-            if target == self.config.site {
-                self.stats.local_writes.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.stats.remote_writes.fetch_add(1, Ordering::Relaxed);
-            }
+    /// Drive one [`PublishOp`] over the transport.
+    fn publish_once(&self, entry: &RegistryEntry) -> Result<(), MetaError> {
+        // One intern serves placement.
+        let plan = self
+            .controller
+            .strategy()
+            .write_plan_key(&entry.cache_key(), self.config.site);
+        let mut op = PublishOp::new(self.config.site);
+        let mut step = op.start(plan);
+        loop {
+            step = match step {
+                Step::Call(site) => {
+                    let put = RegistryRequest::Put {
+                        entry: entry.clone(),
+                    };
+                    op.on_reply(&self.transport.call(site, put))
+                }
+                Step::Cast(site) => {
+                    let push = RegistryRequest::Absorb {
+                        entries: vec![entry.clone()],
+                    };
+                    self.transport.cast(site, push);
+                    self.stats.async_pushes.fetch_add(1, Ordering::Relaxed);
+                    op.pushed()
+                }
+                Step::Done(Outcome::Written { local }) => {
+                    let writes = if local {
+                        &self.stats.local_writes
+                    } else {
+                        &self.stats.remote_writes
+                    };
+                    writes.fetch_add(1, Ordering::Relaxed);
+                    return Ok(());
+                }
+                Step::Done(Outcome::Error(e)) => return Err(e),
+                Step::Wait(_) | Step::Done(_) => unreachable!("a publish neither waits nor reads"),
+            };
         }
-        for &target in &plan.async_targets {
-            self.transport.cast(
-                target,
-                RegistryRequest::Absorb {
-                    entries: vec![entry.clone()],
-                },
-            );
-            self.stats.async_pushes.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
     }
 
     /// Resolve a file's metadata, probing per the active strategy's plan.
@@ -147,83 +157,84 @@ impl<T: RegistryTransport> StrategyClient<T> {
     /// the replicating strategies another site can still answer. Only
     /// when every probe misses or fails does the read error.
     pub fn resolve(&self, name: &str) -> Result<RegistryEntry, MetaError> {
-        self.with_epoch_refresh(|c| c.resolve_once(name))
+        self.resolve_with_retry(name, 1, |_| {})
     }
 
-    fn resolve_once(&self, name: &str) -> Result<RegistryEntry, MetaError> {
-        use std::sync::atomic::Ordering;
-        let strategy = self.controller.strategy();
-        // One intern serves placement and every probe (no per-probe String).
-        let key = geometa_cache::Key::new(name);
-        let plan = strategy.read_plan_key(&key, self.config.site);
-        let mut last_err = MetaError::NotFound;
-        for (i, &target) in plan.probes.iter().enumerate() {
-            match self
-                .transport
-                .call(target, RegistryRequest::Get { key: key.clone() })
-            {
-                RegistryResponse::Found { entry } => {
-                    if i == 0 && target == self.config.site {
-                        self.stats.local_read_hits.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.stats.remote_reads.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(entry);
-                }
-                RegistryResponse::Error {
-                    error: MetaError::NotFound,
-                } => {
-                    // A NotFound never downgrades an earlier Unavailable:
-                    // with a probe down, "missing" can't be trusted.
-                    if last_err != MetaError::Unavailable {
-                        last_err = MetaError::NotFound;
-                    }
-                    continue;
-                }
-                RegistryResponse::Error {
-                    error: MetaError::Unavailable,
-                } => {
-                    // Failover: a later probe may hold a replica.
-                    self.stats.failovers.fetch_add(1, Ordering::Relaxed);
-                    last_err = MetaError::Unavailable;
-                    continue;
-                }
-                RegistryResponse::Error { error } => return Err(error),
-                other => return Err(MetaError::Codec(format!("unexpected response {other:?}"))),
-            }
-        }
-        if last_err == MetaError::NotFound {
-            self.stats.read_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        Err(last_err)
-    }
-
-    /// Resolve with retries, waiting via `wait(attempt)` between tries.
+    /// [`Self::resolve`] with up to `max_attempts` attempts, waiting via
+    /// `wait(attempt)` between them.
     ///
     /// Under eventual consistency a read can race propagation; the paper's
     /// replicated strategy relies on the sync agent, so readers of
     /// not-yet-synced entries must retry. `wait` receives the attempt index
-    /// (0-based) and blocks appropriately for the embedding (sleep in live
-    /// mode; virtual-time delay in the DES, which instead re-issues the op).
+    /// (0-based) and blocks as the caller sees fit. Only a miss is
+    /// retried; the last attempt's miss returns [`MetaError::NotFound`].
     pub fn resolve_with_retry(
         &self,
         name: &str,
         max_attempts: usize,
         mut wait: impl FnMut(usize),
     ) -> Result<RegistryEntry, MetaError> {
-        use std::sync::atomic::Ordering;
-        let mut attempt = 0;
+        // One intern serves placement and every probe of every attempt.
+        let key = geometa_cache::Key::new(name);
+        let mut op = ResolveOp::new(self.config.site, max_attempts);
         loop {
-            match self.resolve(name) {
-                Ok(e) => return Ok(e),
-                Err(MetaError::NotFound) if attempt + 1 < max_attempts => {
+            match self.with_epoch_refresh(|c| c.resolve_attempt(&key, &mut op))? {
+                ControlFlow::Break(entry) => return Ok(entry),
+                ControlFlow::Continue(attempt) => {
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
                     wait(attempt);
-                    attempt += 1;
                 }
-                Err(e) => return Err(e),
             }
         }
+    }
+
+    /// Drive one attempt of `op` over the current plan: the entry, or the
+    /// index of the attempt that missed everywhere and may be retried.
+    fn resolve_attempt(
+        &self,
+        key: &geometa_cache::Key,
+        op: &mut ResolveOp,
+    ) -> Result<ControlFlow<RegistryEntry, usize>, MetaError> {
+        let mut step = op.start(
+            self.controller
+                .strategy()
+                .read_plan_key(key, self.config.site),
+        );
+        let end = loop {
+            step = match step {
+                Step::Call(site) => {
+                    let resp = self
+                        .transport
+                        .call(site, RegistryRequest::Get { key: key.clone() });
+                    let next = op.on_reply(&resp);
+                    if let (Step::Done(Outcome::Hit { local }), RegistryResponse::Found { entry }) =
+                        (&next, resp)
+                    {
+                        let reads = if *local {
+                            &self.stats.local_read_hits
+                        } else {
+                            &self.stats.remote_reads
+                        };
+                        reads.fetch_add(1, Ordering::Relaxed);
+                        break Ok(ControlFlow::Break(entry));
+                    }
+                    next
+                }
+                Step::Wait(attempt) => break Ok(ControlFlow::Continue(attempt)),
+                Step::Done(Outcome::Miss) => break Err(MetaError::NotFound),
+                Step::Done(Outcome::Error(e)) => break Err(e),
+                Step::Cast(_) | Step::Done(_) => unreachable!("a resolve neither casts nor writes"),
+            };
+        };
+        // An attempt that missed everywhere is a read miss, retried or not.
+        if matches!(end, Ok(ControlFlow::Continue(_)) | Err(MetaError::NotFound)) {
+            self.stats.read_misses.fetch_add(1, Ordering::Relaxed);
+        }
+        if op.failovers() > 0 {
+            let n = op.failovers().into();
+            self.stats.failovers.fetch_add(n, Ordering::Relaxed);
+        }
+        end
     }
 
     /// Remove a file's metadata from every site the write plan touches.

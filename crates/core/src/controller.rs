@@ -134,18 +134,10 @@ mod tests {
     fn plans_follow_the_active_strategy() {
         let c = ArchitectureController::with_kind(StrategyKind::Centralized, sites());
         let p1 = c.strategy().write_plan("f", SiteId(2));
-        assert_eq!(
-            p1.sync_targets,
-            vec![SiteId(0)],
-            "centralized home is sites[0]"
-        );
+        assert_eq!(p1.sync_target, SiteId(0), "centralized home is sites[0]");
         c.switch_kind(StrategyKind::DhtLocalReplica, sites());
         let p2 = c.strategy().write_plan("f", SiteId(2));
-        assert_eq!(
-            p2.sync_targets,
-            vec![SiteId(2)],
-            "DR writes complete locally"
-        );
+        assert_eq!(p2.sync_target, SiteId(2), "DR writes complete locally");
     }
 
     #[test]

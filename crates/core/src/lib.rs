@@ -32,6 +32,8 @@
 //!   as a programmatic recommendation;
 //! * [`rebalance`] — elastic metadata migration when sites join/leave
 //!   (the §VIII "server volatility" problem);
+//! * [`op`] — the paper's publish and resolve semantics as pure state
+//!   machines, driven by the service client and the simulator alike;
 //! * [`client`] + [`transport`] — strategy-driven client logic over an
 //!   abstract transport;
 //! * [`protocol`] — the RPC types and their length-prefixed binary wire
@@ -55,6 +57,7 @@ pub mod entry;
 pub mod hash;
 pub mod lazy;
 pub mod metrics;
+pub mod op;
 mod plan;
 pub mod protocol;
 pub mod rebalance;

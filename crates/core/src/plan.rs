@@ -1,20 +1,21 @@
 //! Operation plans: where a metadata read/write must go.
 //!
-//! A strategy does not execute operations itself; it produces *plans* that
-//! any executor (the DES binding, the live threaded cluster, or an
-//! in-process test harness) can carry out. This keeps the paper's policies
-//! in exactly one place.
+//! A strategy does not execute operations itself; it produces *plans*
+//! that the op machines in [`crate::op`] carry out, whether a service
+//! client or a simulated node drives them. This keeps the paper's
+//! policies in exactly one place.
 
 use geometa_sim::topology::SiteId;
 
 /// Plan for publishing (writing) one metadata entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WritePlan {
-    /// Registry instances that must acknowledge before the write counts as
-    /// complete. Per the paper (§VII-B), "for writes, the completion is the
-    /// moment when the assigned cache entry is successfully generated in
-    /// the local datacenter" — so this is one site in every strategy.
-    pub sync_targets: Vec<SiteId>,
+    /// The registry instance that must acknowledge before the write
+    /// counts as complete. Per the paper (§VII-B), "for writes, the
+    /// completion is the moment when the assigned cache entry is
+    /// successfully generated in the local datacenter" — one site in
+    /// every strategy.
+    pub sync_target: SiteId,
     /// Registry instances updated *lazily* after completion (the paper's
     /// asynchronous propagation to replicas; §III-D).
     pub async_targets: Vec<SiteId>,
@@ -23,10 +24,7 @@ pub struct WritePlan {
 impl WritePlan {
     /// All sites eventually holding the entry under this plan.
     pub fn all_targets(&self) -> impl Iterator<Item = SiteId> + '_ {
-        self.sync_targets
-            .iter()
-            .chain(self.async_targets.iter())
-            .copied()
+        std::iter::once(self.sync_target).chain(self.async_targets.iter().copied())
     }
 }
 
@@ -53,7 +51,7 @@ mod tests {
     #[test]
     fn all_targets_chains_sync_then_async() {
         let p = WritePlan {
-            sync_targets: vec![SiteId(1)],
+            sync_target: SiteId(1),
             async_targets: vec![SiteId(2), SiteId(3)],
         };
         let all: Vec<SiteId> = p.all_targets().collect();

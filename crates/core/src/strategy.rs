@@ -114,7 +114,7 @@ impl MetadataStrategy for Centralized {
 
     fn write_plan(&self, _key: &str, _origin: SiteId) -> WritePlan {
         WritePlan {
-            sync_targets: vec![self.home],
+            sync_target: self.home,
             async_targets: vec![],
         }
     }
@@ -152,7 +152,7 @@ impl MetadataStrategy for Replicated {
     fn write_plan(&self, _key: &str, origin: SiteId) -> WritePlan {
         // Local write only; the agent handles inter-site propagation.
         WritePlan {
-            sync_targets: vec![origin],
+            sync_target: origin,
             async_targets: vec![],
         }
     }
@@ -198,7 +198,7 @@ impl MetadataStrategy for DhtNonReplicated {
 
     fn write_plan(&self, key: &str, _origin: SiteId) -> WritePlan {
         WritePlan {
-            sync_targets: vec![self.placer.owner(key)],
+            sync_target: self.placer.owner(key),
             async_targets: vec![],
         }
     }
@@ -209,7 +209,7 @@ impl MetadataStrategy for DhtNonReplicated {
 
     fn write_plan_key(&self, key: &Key, _origin: SiteId) -> WritePlan {
         WritePlan {
-            sync_targets: vec![self.placer.owner_key(key)],
+            sync_target: self.placer.owner_key(key),
             async_targets: vec![],
         }
     }
@@ -250,12 +250,12 @@ impl DhtLocalReplica {
             // "When h corresponds to the local site, the metadata is not
             // further replicated."
             WritePlan {
-                sync_targets: vec![origin],
+                sync_target: origin,
                 async_targets: vec![],
             }
         } else {
             WritePlan {
-                sync_targets: vec![origin],
+                sync_target: origin,
                 async_targets: vec![owner],
             }
         }
@@ -316,7 +316,7 @@ mod tests {
         let s = Centralized::new(SiteId(1));
         for key in ["a", "b", "c"] {
             for origin in sites4() {
-                assert_eq!(s.write_plan(key, origin).sync_targets, vec![SiteId(1)]);
+                assert_eq!(s.write_plan(key, origin).sync_target, SiteId(1));
                 assert_eq!(s.read_plan(key, origin).probes, vec![SiteId(1)]);
             }
         }
@@ -329,7 +329,7 @@ mod tests {
         let s = Replicated::new(sites4());
         for origin in sites4() {
             let wp = s.write_plan("f", origin);
-            assert_eq!(wp.sync_targets, vec![origin]);
+            assert_eq!(wp.sync_target, origin);
             assert!(wp.async_targets.is_empty());
             assert_eq!(s.read_plan("f", origin).probes, vec![origin]);
         }
@@ -343,7 +343,7 @@ mod tests {
         for key in ["file1", "file2", "file3"] {
             let owner = s.owner(key);
             for origin in sites4() {
-                assert_eq!(s.write_plan(key, origin).sync_targets, vec![owner]);
+                assert_eq!(s.write_plan(key, origin).sync_target, owner);
                 assert_eq!(s.read_plan(key, origin).probes, vec![owner]);
             }
         }
@@ -355,7 +355,7 @@ mod tests {
         let s = DhtNonReplicated::new(placer());
         let origin = SiteId(0);
         let local = (0..10_000)
-            .filter(|i| s.write_plan(&format!("f{i}"), origin).sync_targets[0] == origin)
+            .filter(|i| s.write_plan(&format!("f{i}"), origin).sync_target == origin)
             .count();
         assert!((2_000..3_000).contains(&local), "local count {local}");
     }
@@ -367,7 +367,7 @@ mod tests {
             let owner = s.owner(key);
             for origin in sites4() {
                 let wp = s.write_plan(key, origin);
-                assert_eq!(wp.sync_targets, vec![origin], "write must complete locally");
+                assert_eq!(wp.sync_target, origin, "write must complete locally");
                 if owner == origin {
                     assert!(wp.async_targets.is_empty(), "no self-replication");
                 } else {

@@ -142,7 +142,7 @@ proptest! {
     }
 
     /// Strategy plan invariants, for every strategy, key and origin:
-    /// exactly one synchronous write target; reads probe at least one site;
+    /// reads probe at least one site;
     /// DR probes the local site first; every plan stays within registry
     /// sites.
     #[test]
@@ -152,7 +152,6 @@ proptest! {
         for kind in StrategyKind::all() {
             let s = build_strategy(kind, sites.clone());
             let wp = s.write_plan(&key, origin);
-            prop_assert_eq!(wp.sync_targets.len(), 1, "{}", kind);
             let registry_sites = s.registry_sites();
             for t in wp.all_targets() {
                 prop_assert!(registry_sites.contains(&t), "{}", kind);
@@ -165,18 +164,18 @@ proptest! {
             match kind {
                 StrategyKind::DhtLocalReplica => {
                     prop_assert_eq!(rp.probes[0], origin, "DR reads local first");
-                    prop_assert_eq!(wp.sync_targets[0], origin, "DR writes complete locally");
+                    prop_assert_eq!(wp.sync_target, origin, "DR writes complete locally");
                 }
                 StrategyKind::Replicated => {
                     prop_assert_eq!(rp.probes.clone(), vec![origin]);
-                    prop_assert_eq!(wp.sync_targets[0], origin);
+                    prop_assert_eq!(wp.sync_target, origin);
                     prop_assert!(wp.async_targets.is_empty(), "agent propagates, not the client");
                 }
                 StrategyKind::Centralized => {
-                    prop_assert_eq!(rp.probes[0], wp.sync_targets[0], "reads go where writes go");
+                    prop_assert_eq!(rp.probes[0], wp.sync_target, "reads go where writes go");
                 }
                 StrategyKind::DhtNonReplicated => {
-                    prop_assert_eq!(rp.probes.clone(), wp.sync_targets.clone(), "owner serves both");
+                    prop_assert_eq!(rp.probes.clone(), vec![wp.sync_target], "owner serves both");
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Binding the metadata middleware into the discrete-event simulator.
 //!
 //! The registry actors wrap **real** [`RegistryInstance`]s — the same code
-//! that serves the live threaded cluster — behind a FIFO service queue, so
+//! the service runs — behind a FIFO service queue, so
 //! merge semantics, OCC and delta queries in the simulation are the
 //! genuine article, while timing (WAN latency, service time, congestion)
 //! is modeled.
@@ -16,17 +16,23 @@
 //!
 //! plus [`SyncAgentActor`], the replicated strategy's synchronization
 //! agent driven by the transport-agnostic [`SyncAgentState`].
+//!
+//! The two client actors drive the op machines the service's
+//! `StrategyClient` drives ([`PublishOp`], [`ResolveOp`]), so the paper's
+//! operation semantics are the same code in both. What a client does on
+//! a timeout, a crash, a retry budget or a hard error stays in its actor.
 
 use crate::calibration::Calibration;
 use geometa_core::controller::build_strategy;
 use geometa_core::entry::{FileLocation, RegistryEntry};
 use geometa_core::lazy::LazyBatcher;
+use geometa_core::op::{Outcome, PublishOp, ResolveOp, Step};
 use geometa_core::protocol::{RegistryRequest, RegistryResponse};
 use geometa_core::registry::RegistryInstance;
 use geometa_core::strategy::{MetadataStrategy, StrategyKind};
 use geometa_core::sync_agent::{SyncAgentState, SyncPush};
 use geometa_core::wal::{log_acked_writes, MemWal};
-use geometa_core::{FxHashMap, MetaError};
+use geometa_core::FxHashMap;
 use geometa_sim::oracle::SharedOpLog;
 use geometa_sim::prelude::*;
 use geometa_sim::server::ServiceTime;
@@ -46,47 +52,72 @@ const TAG_AGENT_PROCESS: u64 = 5;
 const TAG_OP_TIMEOUT: u64 = 6;
 const TAG_LAZY_FLUSH: u64 = 7;
 
-/// In-flight request timeout shared by the chaos-hardened actors. Armed
-/// only when `enabled` (chaos mode), so healthy event streams stay
-/// byte-identical. `clear` *cancels* the queued timer — crucially also
-/// from `on_fault(Crashed)` handlers: the engine only drops timers that
-/// fire while the site is down, so a pre-crash timer that outlives the
-/// outage would otherwise fire spuriously after restart and orphan the
-/// recovery path's fresh timer.
-struct OpTimeout {
-    enabled: bool,
-    after: SimDuration,
+/// A client's line to the registries, shared by every actor that calls
+/// them: one call in flight at a time under a fresh op id, and — in chaos
+/// mode only, so healthy event streams stay byte-identical — a timeout
+/// armed while it is unanswered. `clear` *cancels* the queued timer —
+/// crucially also from `on_fault(Crashed)` handlers: the engine only
+/// drops timers that fire while the site is down, so a pre-crash timer
+/// that outlives the outage would otherwise fire spuriously after
+/// restart and orphan the recovery path's fresh timer.
+struct RegistryLink {
+    registries: Arc<FxHashMap<SiteId, ActorId>>,
+    /// Op id of the call in flight; a reply carrying any other is stale.
+    seq: u64,
+    /// The in-flight timeout (chaos mode only).
+    timeout: Option<SimDuration>,
     timer: Option<TimerId>,
 }
 
-impl OpTimeout {
-    fn new(enabled: bool, after: SimDuration) -> OpTimeout {
-        OpTimeout {
-            enabled,
-            after,
+impl RegistryLink {
+    fn new(registries: &Arc<FxHashMap<SiteId, ActorId>>, cfg: &SimConfig) -> RegistryLink {
+        RegistryLink {
+            registries: Arc::clone(registries),
+            seq: 0,
+            timeout: cfg.chaos_mode().then_some(cfg.cal.op_timeout),
             timer: None,
         }
     }
 
-    /// (Re-)arm, cancelling any previous timer. No-op outside chaos mode.
-    fn arm(&mut self, ctx: &mut Ctx<Msg>) {
-        if !self.enabled {
-            return;
+    /// Send `req` as an op machine's `step` says: a call under a fresh op
+    /// id, (re-)arming the timeout; a cast fire-and-forget.
+    fn send(&mut self, ctx: &mut Ctx<Msg>, step: &Step, req: RegistryRequest) {
+        let (site, op) = match *step {
+            Step::Call(site) => {
+                self.seq += 1;
+                (site, self.seq)
+            }
+            Step::Cast(site) => (site, CAST_OP),
+            Step::Wait(_) | Step::Done(_) => unreachable!("only calls and casts send"),
+        };
+        let size = req.wire_size();
+        ctx.send(self.registries[&site], Msg::Req { op, req }, size);
+        if let (Some(after), true) = (self.timeout, op != CAST_OP) {
+            self.clear(ctx);
+            self.timer = Some(ctx.set_timer(after, TAG_OP_TIMEOUT));
         }
-        if let Some(t) = self.timer.take() {
-            ctx.cancel_timer(t);
-        }
-        self.timer = Some(ctx.set_timer(self.after, TAG_OP_TIMEOUT));
     }
 
-    /// Cancel the pending timer (response accepted, going idle, crash).
+    /// Whether `op` answers the call in flight. Accepting consumes the op
+    /// id (a chaos-duplicated reply must not complete anything twice) and
+    /// cancels the timeout.
+    fn accept(&mut self, ctx: &mut Ctx<Msg>, op: u64) -> bool {
+        if op != self.seq {
+            return false;
+        }
+        self.seq += 1;
+        self.clear(ctx);
+        true
+    }
+
+    /// Cancel the pending timeout (going idle, crash).
     fn clear(&mut self, ctx: &mut Ctx<Msg>) {
         if let Some(t) = self.timer.take() {
             ctx.cancel_timer(t);
         }
     }
 
-    /// The timer fired; the handle is spent.
+    /// The timeout fired; its handle is spent.
     fn fired(&mut self) {
         self.timer = None;
     }
@@ -306,16 +337,13 @@ impl Actor<Msg> for RegistryActor {
 enum ClientPhase {
     Idle,
     Write {
-        target: SiteId,
-        async_targets: Vec<SiteId>,
         entry: RegistryEntry,
+        op: PublishOp,
     },
     Read {
         /// Interned once per operation; every probe/retry clones the handle.
         key: geometa_core::Key,
-        probes: Vec<SiteId>,
-        probe_idx: usize,
-        retries: usize,
+        op: ResolveOp,
     },
 }
 
@@ -334,15 +362,12 @@ pub(crate) struct SyntheticClientActor {
     site: SiteId,
     role: Role,
     strategy: Arc<dyn MetadataStrategy>,
-    registries: Arc<FxHashMap<SiteId, ActorId>>,
+    link: RegistryLink,
     cal: Calibration,
     ops_done: usize,
-    op_seq: u64,
     phase: ClientPhase,
     key_rng: geometa_sim::rng::SplitMix64,
     finished: bool,
-    /// Chaos-mode in-flight request timeout (disabled in healthy runs).
-    timeout: OpTimeout,
     op_log: Option<SharedOpLog>,
     batcher: Option<LazyBatcher>,
     lazy_max_age: SimDuration,
@@ -364,7 +389,6 @@ impl SyntheticClientActor {
                 .complete(&format!("node_done_site{}", self.site.0), now);
             return;
         }
-        self.op_seq += 1;
         match self.role {
             Role::Writer => {
                 let key = self.spec.writer_key(self.node, self.ops_done);
@@ -377,14 +401,13 @@ impl SyntheticClientActor {
                     },
                     ctx.now().as_micros(),
                 );
-                let plan = self.strategy.write_plan(&key, self.site);
-                let target = plan.sync_targets[0];
-                self.phase = ClientPhase::Write {
-                    target,
-                    async_targets: plan.async_targets,
-                    entry,
+                let mut op = PublishOp::new(self.site);
+                let step = op.start(self.strategy.write_plan(&key, self.site));
+                let put = RegistryRequest::Put {
+                    entry: entry.clone(),
                 };
-                self.send_put(ctx);
+                self.link.send(ctx, &step, put);
+                self.phase = ClientPhase::Write { entry, op };
             }
             Role::Reader => {
                 let key = geometa_core::Key::from(self.spec.reader_key(
@@ -392,74 +415,51 @@ impl SyntheticClientActor {
                     self.ops_done,
                     &mut self.key_rng,
                 ));
-                let plan = self.strategy.read_plan_key(&key, self.site);
-                self.phase = ClientPhase::Read {
-                    key,
-                    probes: plan.probes,
-                    probe_idx: 0,
-                    retries: 0,
-                };
-                self.send_probe(ctx);
+                // The retry budget counts retries; the machine, attempts.
+                let mut op = ResolveOp::new(self.site, self.cal.max_read_retries + 1);
+                let step = op.start(self.strategy.read_plan_key(&key, self.site));
+                let get = RegistryRequest::Get { key: key.clone() };
+                self.link.send(ctx, &step, get);
+                self.phase = ClientPhase::Read { key, op };
             }
         }
     }
 
-    fn send_put(&mut self, ctx: &mut Ctx<Msg>) {
-        let ClientPhase::Write { target, entry, .. } = &self.phase else {
-            return;
-        };
-        let target = *target;
-        let req = RegistryRequest::Put {
-            entry: entry.clone(),
-        };
-        let size = req.wire_size();
-        ctx.send(
-            self.registries[&target],
-            Msg::Req {
-                op: self.op_seq,
-                req,
-            },
-            size,
-        );
-        self.timeout.arm(ctx);
-    }
-
-    fn send_probe(&mut self, ctx: &mut Ctx<Msg>) {
-        let ClientPhase::Read {
-            key,
-            probes,
-            probe_idx,
-            ..
-        } = &self.phase
-        else {
-            return;
-        };
-        let target = probes[*probe_idx];
-        let req = RegistryRequest::Get { key: key.clone() };
-        let size = req.wire_size();
-        ctx.send(
-            self.registries[&target],
-            Msg::Req {
-                op: self.op_seq,
-                req,
-            },
-            size,
-        );
-        self.timeout.arm(ctx);
-    }
-
-    /// The in-flight request went unanswered (lost request, lost response
-    /// or crashed registry): give it a fresh op id (stale late responses
-    /// are ignored by the sequence check) and re-send.
-    fn retry_op(&mut self, ctx: &mut Ctx<Msg>) {
-        self.op_seq += 1;
+    /// Re-send the op in flight from its start: after a timeout, after a
+    /// restart, or (for a read) after its retry backoff. A read probes its
+    /// plan from the first site again.
+    fn resend(&mut self, ctx: &mut Ctx<Msg>) {
         match &mut self.phase {
-            ClientPhase::Write { .. } => self.send_put(ctx),
-            ClientPhase::Read { probe_idx, .. } => {
-                *probe_idx = 0;
-                self.send_probe(ctx);
+            ClientPhase::Write { entry, op } => {
+                let put = RegistryRequest::Put {
+                    entry: entry.clone(),
+                };
+                self.link.send(ctx, &op.current(), put);
+            }
+            ClientPhase::Read { key, op } => {
+                let get = RegistryRequest::Get { key: key.clone() };
+                self.link.send(ctx, &op.restart(), get);
             }
             ClientPhase::Idle => {}
+        }
+    }
+
+    /// Push `entry` lazily to `target`: into the batcher when one is
+    /// configured, as an eager per-entry cast otherwise.
+    fn push_lazily(&mut self, ctx: &mut Ctx<Msg>, target: SiteId, entry: &RegistryEntry) {
+        let Some(batcher) = &mut self.batcher else {
+            let push = RegistryRequest::Absorb {
+                entries: vec![entry.clone()],
+            };
+            self.link.send(ctx, &Step::Cast(target), push);
+            ctx.metrics().incr("async_pushes", 1);
+            return;
+        };
+        if let Some(log) = &self.op_log {
+            log.lock().record_lazy_enqueued(1);
+        }
+        if let Some(batch) = batcher.enqueue(target, entry.clone(), ctx.now()) {
+            self.ship_batch(ctx, batch);
         }
     }
 
@@ -469,15 +469,10 @@ impl SyntheticClientActor {
             log.lock().record_lazy_flushed(batch.entries.len() as u64);
         }
         ctx.metrics().incr("async_pushes", 1);
-        let req = RegistryRequest::Absorb {
+        let push = RegistryRequest::Absorb {
             entries: batch.entries,
         };
-        let size = req.wire_size();
-        ctx.send(
-            self.registries[&batch.target],
-            Msg::Req { op: CAST_OP, req },
-            size,
-        );
+        self.link.send(ctx, &Step::Cast(batch.target), push);
     }
 
     /// Flush everything the batcher holds (completion drain or
@@ -502,11 +497,8 @@ impl SyntheticClientActor {
     }
 
     fn complete_op(&mut self, ctx: &mut Ctx<Msg>, missed: bool) {
-        self.timeout.clear(ctx);
         let now = ctx.now();
         ctx.metrics().complete("ops", now);
-        ctx.metrics()
-            .complete(&format!("ops_site{}", self.site.0), now);
         if missed {
             ctx.metrics().incr("read_miss", 1);
         }
@@ -532,15 +524,17 @@ impl Actor<Msg> for SyntheticClientActor {
         match tag {
             TAG_NEXT_OP => self.begin_op(ctx),
             TAG_RETRY => {
-                if let ClientPhase::Read { probe_idx, .. } = &mut self.phase {
-                    *probe_idx = 0;
-                    self.send_probe(ctx);
+                if let ClientPhase::Read { .. } = self.phase {
+                    self.resend(ctx);
                 }
             }
             TAG_OP_TIMEOUT => {
-                self.timeout.fired();
+                // The request went unanswered (lost request, lost response
+                // or crashed registry): re-send it under a fresh op id, so
+                // a late original response is ignored.
+                self.link.fired();
                 ctx.metrics().incr("op_timeouts", 1);
-                self.retry_op(ctx);
+                self.resend(ctx);
             }
             TAG_LAZY_FLUSH => {
                 self.lazy_flush_timer = None;
@@ -572,7 +566,7 @@ impl Actor<Msg> for SyntheticClientActor {
                 // that fire *during* the outage, so one armed pre-crash
                 // could outlive the window and fire spuriously after the
                 // restart path armed its own.
-                self.timeout.clear(ctx);
+                self.link.clear(ctx);
                 if let Some(t) = self.lazy_flush_timer.take() {
                     ctx.cancel_timer(t);
                 }
@@ -591,7 +585,7 @@ impl Actor<Msg> for SyntheticClientActor {
                 }
                 match &self.phase {
                     // Mid-flight op: re-send it under a fresh op id.
-                    ClientPhase::Write { .. } | ClientPhase::Read { .. } => self.retry_op(ctx),
+                    ClientPhase::Write { .. } | ClientPhase::Read { .. } => self.resend(ctx),
                     // Between ops: the next-op timer was lost; re-arm it.
                     ClientPhase::Idle => {
                         let pause = self.cal.client_overhead;
@@ -606,95 +600,52 @@ impl Actor<Msg> for SyntheticClientActor {
         let Msg::Resp { op, resp } = env.msg else {
             return;
         };
-        if op != self.op_seq {
+        if !self.link.accept(ctx, op) {
             return; // stale response from an abandoned probe
         }
-        // Consume the op id: a chaos-duplicated copy of this response must
-        // not complete anything twice. The in-flight timeout goes with it
-        // (the probe/backoff paths below re-arm on their next send).
-        self.op_seq += 1;
-        self.timeout.clear(ctx);
         match std::mem::replace(&mut self.phase, ClientPhase::Idle) {
-            ClientPhase::Write {
-                target,
-                async_targets,
-                entry,
-            } => {
-                // Write acknowledged: from here on losing it is a safety
-                // violation the oracle will catch.
-                if let Some(log) = &self.op_log {
-                    log.lock()
-                        .record_write_acked(entry.name.as_str(), target, ctx.now());
-                }
-                // Fire lazy propagation: batched when a batcher is
-                // configured, per-entry eager casts otherwise.
-                if self.batcher.is_some() {
-                    let now = ctx.now();
-                    for t in async_targets {
-                        if let Some(log) = &self.op_log {
-                            log.lock().record_lazy_enqueued(1);
-                        }
-                        let ready = self
-                            .batcher
-                            .as_mut()
-                            .expect("batcher checked above")
-                            .enqueue(t, entry.clone(), now);
-                        if let Some(batch) = ready {
-                            self.ship_batch(ctx, batch);
-                        }
-                    }
-                    self.ensure_lazy_flush_timer(ctx);
-                } else {
-                    for t in async_targets {
-                        let req = RegistryRequest::Absorb {
-                            entries: vec![entry.clone()],
-                        };
-                        let size = req.wire_size();
-                        ctx.send(self.registries[&t], Msg::Req { op: CAST_OP, req }, size);
-                        ctx.metrics().incr("async_pushes", 1);
+            ClientPhase::Write { entry, mut op } => {
+                let mut step = op.on_reply(&resp);
+                if !matches!(step, Step::Done(Outcome::Error(_))) {
+                    // Write acknowledged: from here on losing it is a
+                    // safety violation the oracle will catch.
+                    if let Some(log) = &self.op_log {
+                        log.lock().record_write_acked(
+                            entry.name.as_str(),
+                            op.sync_target(),
+                            ctx.now(),
+                        );
                     }
                 }
+                while let Step::Cast(target) = step {
+                    self.push_lazily(ctx, target, &entry);
+                    step = op.pushed();
+                }
+                self.ensure_lazy_flush_timer(ctx);
                 self.complete_op(ctx, false);
             }
-            ClientPhase::Read {
-                key,
-                probes,
-                probe_idx,
-                retries,
-            } => match resp {
-                RegistryResponse::Found { .. } => {
-                    if probe_idx == 0 && probes[0] == self.site {
-                        ctx.metrics().incr("local_read_hits", 1);
+            ClientPhase::Read { key, mut op } => match op.on_reply(&resp) {
+                Step::Done(Outcome::Hit { local }) => {
+                    let reads = if local {
+                        "local_read_hits"
                     } else {
-                        ctx.metrics().incr("remote_reads", 1);
-                    }
+                        "remote_reads"
+                    };
+                    ctx.metrics().incr(reads, 1);
                     self.complete_op(ctx, false);
                 }
-                RegistryResponse::Error {
-                    error: MetaError::NotFound,
-                } => {
-                    if probe_idx + 1 < probes.len() {
-                        self.phase = ClientPhase::Read {
-                            key,
-                            probes,
-                            probe_idx: probe_idx + 1,
-                            retries,
-                        };
-                        self.send_probe(ctx);
-                    } else if retries < self.cal.max_read_retries {
-                        ctx.metrics().incr("read_retries", 1);
-                        self.phase = ClientPhase::Read {
-                            key,
-                            probes,
-                            probe_idx: 0,
-                            retries: retries + 1,
-                        };
-                        ctx.set_timer(self.cal.read_retry_backoff, TAG_RETRY);
-                    } else {
-                        self.complete_op(ctx, true);
-                    }
+                step @ Step::Call(_) => {
+                    let get = RegistryRequest::Get { key: key.clone() };
+                    self.link.send(ctx, &step, get);
+                    self.phase = ClientPhase::Read { key, op };
                 }
-                _ => self.complete_op(ctx, true),
+                Step::Wait(_) => {
+                    ctx.metrics().incr("read_retries", 1);
+                    self.phase = ClientPhase::Read { key, op };
+                    ctx.set_timer(self.cal.read_retry_backoff, TAG_RETRY);
+                }
+                // Out of retries, or a hard error: the read missed.
+                Step::Done(_) | Step::Cast(_) => self.complete_op(ctx, true),
             },
             ClientPhase::Idle => {}
         }
@@ -713,7 +664,7 @@ impl Actor<Msg> for SyntheticClientActor {
 /// (paper Fig. 7, >32 nodes).
 pub(crate) struct SyncAgentActor {
     state: SyncAgentState,
-    registries: Arc<FxHashMap<SiteId, ActorId>>,
+    link: RegistryLink,
     order: Vec<SiteId>,
     idx: usize,
     cal: Calibration,
@@ -724,9 +675,6 @@ pub(crate) struct SyncAgentActor {
     in_flight_push: Option<SyncPush>,
     awaiting_push_ack: bool,
     draining: bool,
-    op_seq: u64,
-    /// Chaos-mode in-flight request timeout (disabled in healthy runs).
-    timeout: OpTimeout,
 }
 
 impl SyncAgentActor {
@@ -734,39 +682,19 @@ impl SyncAgentActor {
         let site = self.order[self.idx];
         let since = self.state.watermark(site);
         self.pull_sent_at = ctx.now();
-        self.op_seq += 1;
-        let req = RegistryRequest::DeltaPull { since };
-        let size = req.wire_size();
-        ctx.send(
-            self.registries[&site],
-            Msg::Req {
-                op: self.op_seq,
-                req,
-            },
-            size,
-        );
-        self.timeout.arm(ctx);
+        let pull = RegistryRequest::DeltaPull { since };
+        self.link.send(ctx, &Step::Call(site), pull);
     }
 
     fn send_push(&mut self, ctx: &mut Ctx<Msg>) {
         let Some(push) = &self.in_flight_push else {
             return;
         };
-        self.op_seq += 1;
         self.awaiting_push_ack = true;
-        let req = RegistryRequest::Absorb {
+        let absorb = RegistryRequest::Absorb {
             entries: push.entries.clone(),
         };
-        let size = req.wire_size();
-        ctx.send(
-            self.registries[&push.target],
-            Msg::Req {
-                op: self.op_seq,
-                req,
-            },
-            size,
-        );
-        self.timeout.arm(ctx);
+        self.link.send(ctx, &Step::Call(push.target), absorb);
     }
 
     /// Ship the next pending push synchronously, or move to the next site.
@@ -791,7 +719,7 @@ impl SyncAgentActor {
         let all_done = ctx.metrics().counter("clients_done") >= self.n_clients;
         if all_done {
             if self.draining {
-                self.timeout.clear(ctx);
+                self.link.clear(ctx);
                 return; // final drain cycle finished; stop scheduling
             }
             self.draining = true;
@@ -802,7 +730,7 @@ impl SyncAgentActor {
             self.cal.agent_interval
         };
         self.idx = 0;
-        self.timeout.clear(ctx);
+        self.link.clear(ctx);
         ctx.set_timer(pause, TAG_AGENT_CYCLE);
     }
 }
@@ -822,7 +750,7 @@ impl Actor<Msg> for SyncAgentActor {
                 // The in-flight pull or push went unanswered (crashed or
                 // partitioned registry). Re-send it; the sequence check
                 // ignores a late original response.
-                self.timeout.fired();
+                self.link.fired();
                 ctx.metrics().incr("agent_timeouts", 1);
                 if self.awaiting_push_ack {
                     self.send_push(ctx);
@@ -838,8 +766,8 @@ impl Actor<Msg> for SyncAgentActor {
         match notice {
             FaultNotice::Crashed => {
                 // Cancel rather than forget: a pre-crash timer may outlive
-                // the outage (see [`OpTimeout`]).
-                self.timeout.clear(ctx);
+                // the outage (see [`RegistryLink`]).
+                self.link.clear(ctx);
             }
             FaultNotice::Restarted => {
                 ctx.metrics().incr("agent_restarts", 1);
@@ -862,12 +790,9 @@ impl Actor<Msg> for SyncAgentActor {
         let Msg::Resp { op, resp } = env.msg else {
             return;
         };
-        if op != self.op_seq {
+        if !self.link.accept(ctx, op) {
             return;
         }
-        // Consume the op id (chaos-duplicated responses must not ack twice).
-        self.op_seq += 1;
-        self.timeout.clear(ctx);
         if self.awaiting_push_ack {
             // A push was acknowledged; ship the next one.
             self.in_flight_push = None;
@@ -903,29 +828,20 @@ struct NodeTask {
     compute: SimDuration,
 }
 
+/// Where a node is in its current task. Each op phase also covers the
+/// per-op pause before it.
 enum WfPhase {
+    /// Between tasks, or computing.
     Idle,
-    Resolving {
-        input_idx: usize,
-        probes: Vec<SiteId>,
-        probe_idx: usize,
-        retries: usize,
-    },
-    Publishing {
-        out_idx: usize,
-        /// The sync write's destination (recorded with the oracle's ack).
-        target: SiteId,
-        async_targets: Vec<SiteId>,
-        entry: RegistryEntry,
-    },
-    /// Chaos mode only: lazy pushes are shipped as *acknowledged* absorbs,
-    /// re-sent on timeout, so a flaky link cannot silently strand a
-    /// consumer polling for an input that will never arrive.
-    Propagating {
-        out_idx: usize,
-        remaining: Vec<SiteId>,
-        entry: RegistryEntry,
-    },
+    /// Resolving input `.0` of the task.
+    Resolving(usize),
+    /// Publishing output `.0` of the task.
+    Publishing(usize),
+    /// Chaos mode only: output `.0`'s lazy pushes are shipped as
+    /// *acknowledged* absorbs, re-sent on timeout, so a flaky link cannot
+    /// silently strand a consumer polling for an input that will never
+    /// arrive.
+    Propagating(usize),
 }
 
 /// An execution node running its queue of workflow tasks: resolve inputs
@@ -935,14 +851,16 @@ pub(crate) struct WorkflowNodeActor {
     site: SiteId,
     node_idx: u32,
     strategy: Arc<dyn MetadataStrategy>,
-    registries: Arc<FxHashMap<SiteId, ActorId>>,
+    link: RegistryLink,
     cal: Calibration,
     cursor: usize,
     phase: WfPhase,
-    op_seq: u64,
+    read: ResolveOp,
+    write: PublishOp,
+    /// The output being published, from its put until its lazy pushes
+    /// are out.
+    output: Option<RegistryEntry>,
     finished: bool,
-    /// Chaos-mode in-flight request timeout (disabled in healthy runs).
-    timeout: OpTimeout,
     op_log: Option<SharedOpLog>,
 }
 
@@ -959,76 +877,25 @@ impl WorkflowNodeActor {
             return;
         }
         let task = &self.tasks[self.cursor];
-        match std::mem::replace(&mut self.phase, WfPhase::Idle) {
-            WfPhase::Idle => {
-                if task.inputs.is_empty() {
-                    ctx.set_timer(task.compute, TAG_COMPUTE);
-                } else {
-                    self.start_resolve(ctx, 0, 0);
-                }
-            }
-            other => self.phase = other,
+        if task.inputs.is_empty() {
+            ctx.set_timer(task.compute, TAG_COMPUTE);
+        } else {
+            self.start_resolve(ctx, 0);
         }
     }
 
-    fn start_resolve(&mut self, ctx: &mut Ctx<Msg>, input_idx: usize, retries: usize) {
-        let key = self.tasks[self.cursor].inputs[input_idx].clone();
-        let plan = self.strategy.read_plan(&key, self.site);
-        self.phase = WfPhase::Resolving {
-            input_idx,
-            probes: plan.probes,
-            probe_idx: 0,
-            retries,
-        };
-        self.send_read(ctx, input_idx, 0);
+    fn start_resolve(&mut self, ctx: &mut Ctx<Msg>, input_idx: usize) {
+        self.phase = WfPhase::Resolving(input_idx);
+        let key = &self.tasks[self.cursor].inputs[input_idx];
+        // Inputs are polled until they appear: no retry budget.
+        self.read = ResolveOp::new(self.site, usize::MAX);
+        let step = self.read.start(self.strategy.read_plan(key, self.site));
+        self.send_read(ctx, input_idx, step);
     }
 
-    fn send_read(&mut self, ctx: &mut Ctx<Msg>, input_idx: usize, probe_idx: usize) {
-        let key = self.tasks[self.cursor].inputs[input_idx].clone();
-        let WfPhase::Resolving { probes, .. } = &self.phase else {
-            return;
-        };
-        let target = probes[probe_idx];
-        self.op_seq += 1;
-        let req = RegistryRequest::Get { key: key.into() };
-        let size = req.wire_size();
-        ctx.send(
-            self.registries[&target],
-            Msg::Req {
-                op: self.op_seq,
-                req,
-            },
-            size,
-        );
-        self.timeout.arm(ctx);
-    }
-
-    /// Ship the next acknowledged lazy push of the current output (chaos
-    /// mode; see [`WfPhase::Propagating`]).
-    fn send_propagate(&mut self, ctx: &mut Ctx<Msg>) {
-        let WfPhase::Propagating {
-            remaining, entry, ..
-        } = &self.phase
-        else {
-            return;
-        };
-        let Some(&target) = remaining.first() else {
-            return;
-        };
-        self.op_seq += 1;
-        let req = RegistryRequest::Absorb {
-            entries: vec![entry.clone()],
-        };
-        let size = req.wire_size();
-        ctx.send(
-            self.registries[&target],
-            Msg::Req {
-                op: self.op_seq,
-                req,
-            },
-            size,
-        );
-        self.timeout.arm(ctx);
+    fn send_read(&mut self, ctx: &mut Ctx<Msg>, input_idx: usize, step: Step) {
+        let key = geometa_core::Key::new(&self.tasks[self.cursor].inputs[input_idx]);
+        self.link.send(ctx, &step, RegistryRequest::Get { key });
     }
 
     fn start_publish(&mut self, ctx: &mut Ctx<Msg>, out_idx: usize) {
@@ -1042,56 +909,56 @@ impl WorkflowNodeActor {
             ctx.set_timer(pause, TAG_NEXT_OP);
             return;
         }
-        let (name, bytes) = task.outputs[out_idx].clone();
+        let (name, bytes) = &task.outputs[out_idx];
         let entry = RegistryEntry::new(
-            &name,
-            bytes,
+            name,
+            *bytes,
             FileLocation {
                 site: self.site,
                 node: self.node_idx,
             },
             ctx.now().as_micros(),
         );
-        let plan = self.strategy.write_plan(&name, self.site);
-        self.op_seq += 1;
-        self.phase = WfPhase::Publishing {
-            out_idx,
-            target: plan.sync_targets[0],
-            async_targets: plan.async_targets,
+        self.phase = WfPhase::Publishing(out_idx);
+        let step = self.write.start(self.strategy.write_plan(name, self.site));
+        let put = RegistryRequest::Put {
             entry: entry.clone(),
         };
-        let req = RegistryRequest::Put { entry };
-        let size = req.wire_size();
-        ctx.send(
-            self.registries[&plan.sync_targets[0]],
-            Msg::Req {
-                op: self.op_seq,
-                req,
-            },
-            size,
-        );
-        self.timeout.arm(ctx);
+        self.link.send(ctx, &step, put);
+        self.output = Some(entry);
     }
 
-    /// Advance past output `out_idx` (its sync write and, in chaos mode,
-    /// its acknowledged propagation are done).
-    fn finish_output(&mut self, ctx: &mut Ctx<Msg>, out_idx: usize) {
-        self.phase = WfPhase::Publishing {
-            out_idx: out_idx + 1,
-            target: self.site,
-            async_targets: Vec::new(),
-            entry: RegistryEntry::new(
-                "",
-                0,
-                FileLocation {
-                    site: self.site,
-                    node: self.node_idx,
-                },
-                0,
-            ),
-        };
+    /// Take output `out_idx`'s publish steps after its put: the lazy
+    /// pushes (acknowledged ones in chaos mode), then the next output.
+    fn propagate(&mut self, ctx: &mut Ctx<Msg>, out_idx: usize, mut step: Step) {
+        while let Step::Cast(target) = step {
+            let entry = self.output.as_ref().expect("an output is being published");
+            let push = RegistryRequest::Absorb {
+                entries: vec![entry.clone()],
+            };
+            if self.link.timeout.is_some() {
+                self.phase = WfPhase::Propagating(out_idx);
+                self.link.send(ctx, &Step::Call(target), push);
+                return;
+            }
+            self.link.send(ctx, &step, push);
+            step = self.write.pushed();
+        }
+        self.output = None;
+        self.phase = WfPhase::Publishing(out_idx + 1);
         let pause = self.op_pause(ctx);
         ctx.set_timer(pause, TAG_NEXT_OP);
+    }
+
+    /// Re-send what is in flight: a fresh resolve or publish (a new
+    /// entry) of the current input or output, or the pending push.
+    fn resend(&mut self, ctx: &mut Ctx<Msg>) {
+        match self.phase {
+            WfPhase::Idle => {}
+            WfPhase::Resolving(i) => self.start_resolve(ctx, i),
+            WfPhase::Publishing(i) => self.start_publish(ctx, i),
+            WfPhase::Propagating(i) => self.propagate(ctx, i, self.write.current()),
+        }
     }
 
     fn op_pause(&self, ctx: &mut Ctx<Msg>) -> SimDuration {
@@ -1113,64 +980,23 @@ impl Actor<Msg> for WorkflowNodeActor {
 
     fn on_timer(&mut self, ctx: &mut Ctx<Msg>, _id: TimerId, tag: u64) {
         match tag {
-            TAG_NEXT_OP => match std::mem::replace(&mut self.phase, WfPhase::Idle) {
+            TAG_NEXT_OP => match self.phase {
                 WfPhase::Idle => self.step(ctx),
-                WfPhase::Resolving {
-                    input_idx, retries, ..
-                } => {
-                    // Continue with the next input after the per-op pause.
-                    self.start_resolve(ctx, input_idx, retries);
-                }
-                WfPhase::Publishing { out_idx, .. } => {
-                    self.start_publish(ctx, out_idx);
-                }
-                other @ WfPhase::Propagating { .. } => self.phase = other,
+                // Continue with the input or output after the per-op pause.
+                WfPhase::Resolving(_) | WfPhase::Publishing(_) => self.resend(ctx),
+                WfPhase::Propagating(_) => {}
             },
             TAG_RETRY => {
-                if let WfPhase::Resolving {
-                    input_idx,
-                    probe_idx,
-                    ..
-                } = &mut self.phase
-                {
-                    *probe_idx = 0;
-                    let i = *input_idx;
-                    self.send_read(ctx, i, 0);
+                if let WfPhase::Resolving(i) = self.phase {
+                    let step = self.read.restart();
+                    self.send_read(ctx, i, step);
                 }
             }
-            TAG_COMPUTE => {
-                // Compute finished; publish outputs.
-                self.phase = WfPhase::Publishing {
-                    out_idx: 0,
-                    target: self.site,
-                    async_targets: Vec::new(),
-                    entry: RegistryEntry::new(
-                        "",
-                        0,
-                        FileLocation {
-                            site: self.site,
-                            node: self.node_idx,
-                        },
-                        0,
-                    ),
-                };
-                self.start_publish(ctx, 0);
-            }
+            TAG_COMPUTE => self.start_publish(ctx, 0), // compute finished
             TAG_OP_TIMEOUT => {
-                // Re-send whatever is in flight under a fresh op id.
-                self.timeout.fired();
+                self.link.fired();
                 ctx.metrics().incr("op_timeouts", 1);
-                match std::mem::replace(&mut self.phase, WfPhase::Idle) {
-                    WfPhase::Resolving {
-                        input_idx, retries, ..
-                    } => self.start_resolve(ctx, input_idx, retries),
-                    WfPhase::Publishing { out_idx, .. } => self.start_publish(ctx, out_idx),
-                    other @ WfPhase::Propagating { .. } => {
-                        self.phase = other;
-                        self.send_propagate(ctx);
-                    }
-                    WfPhase::Idle => {}
-                }
+                self.resend(ctx);
             }
             _ => {}
         }
@@ -1180,8 +1006,8 @@ impl Actor<Msg> for WorkflowNodeActor {
         match notice {
             FaultNotice::Crashed => {
                 // Cancel rather than forget: a pre-crash timer may outlive
-                // the outage (see [`OpTimeout`]).
-                self.timeout.clear(ctx);
+                // the outage (see [`RegistryLink`]).
+                self.link.clear(ctx);
             }
             FaultNotice::Restarted => {
                 if self.finished {
@@ -1191,18 +1017,11 @@ impl Actor<Msg> for WorkflowNodeActor {
                 // Resume the interrupted step. A lost compute timer
                 // re-runs the task from its inputs — re-publication merges
                 // idempotently.
-                match std::mem::replace(&mut self.phase, WfPhase::Idle) {
+                match self.phase {
                     WfPhase::Idle => {
                         ctx.set_timer(self.cal.client_overhead, TAG_NEXT_OP);
                     }
-                    WfPhase::Resolving {
-                        input_idx, retries, ..
-                    } => self.start_resolve(ctx, input_idx, retries),
-                    WfPhase::Publishing { out_idx, .. } => self.start_publish(ctx, out_idx),
-                    other @ WfPhase::Propagating { .. } => {
-                        self.phase = other;
-                        self.send_propagate(ctx);
-                    }
+                    _ => self.resend(ctx),
                 }
             }
         }
@@ -1212,121 +1031,56 @@ impl Actor<Msg> for WorkflowNodeActor {
         let Msg::Resp { op, resp } = env.msg else {
             return;
         };
-        if op != self.op_seq {
+        if !self.link.accept(ctx, op) {
             return;
         }
-        // Consume the op id (chaos-duplicated responses must not ack twice).
-        self.op_seq += 1;
-        self.timeout.clear(ctx);
-        match std::mem::replace(&mut self.phase, WfPhase::Idle) {
-            WfPhase::Resolving {
-                input_idx,
-                probes,
-                probe_idx,
-                retries,
-            } => match resp {
-                RegistryResponse::Found { .. } => {
+        match self.phase {
+            WfPhase::Idle => {}
+            WfPhase::Resolving(i) => match self.read.on_reply(&resp) {
+                Step::Done(Outcome::Hit { .. }) => {
                     self.complete_meta_op(ctx);
                     let task = &self.tasks[self.cursor];
-                    if input_idx + 1 < task.inputs.len() {
+                    if i + 1 < task.inputs.len() {
                         // Pause, then resolve the next input.
-                        self.phase = WfPhase::Resolving {
-                            input_idx: input_idx + 1,
-                            probes: Vec::new(),
-                            probe_idx: 0,
-                            retries: 0,
-                        };
+                        self.phase = WfPhase::Resolving(i + 1);
                         let pause = self.op_pause(ctx);
                         ctx.set_timer(pause, TAG_NEXT_OP);
                     } else {
+                        self.phase = WfPhase::Idle;
                         ctx.set_timer(task.compute, TAG_COMPUTE);
                     }
                 }
-                RegistryResponse::Error {
-                    error: MetaError::NotFound,
-                } => {
-                    if probe_idx + 1 < probes.len() {
-                        self.phase = WfPhase::Resolving {
-                            input_idx,
-                            probes,
-                            probe_idx: probe_idx + 1,
-                            retries,
-                        };
-                        self.send_read(ctx, input_idx, probe_idx + 1);
-                    } else {
-                        // Input not produced yet: poll again after backoff.
-                        ctx.metrics().incr("wf_input_polls", 1);
-                        self.phase = WfPhase::Resolving {
-                            input_idx,
-                            probes,
-                            probe_idx: 0,
-                            retries: retries + 1,
-                        };
-                        ctx.set_timer(self.cal.read_retry_backoff, TAG_RETRY);
-                    }
+                step @ Step::Call(_) => self.send_read(ctx, i, step),
+                Step::Wait(_) => {
+                    // Input not produced yet: poll again after backoff.
+                    ctx.metrics().incr("wf_input_polls", 1);
+                    ctx.set_timer(self.cal.read_retry_backoff, TAG_RETRY);
                 }
-                _ => {
-                    // Hard error: count and skip the input.
+                // A hard error (the budget is unbounded, so never a miss):
+                // count it and poll again.
+                Step::Done(_) | Step::Cast(_) => {
                     ctx.metrics().incr("wf_input_errors", 1);
-                    self.phase = WfPhase::Resolving {
-                        input_idx,
-                        probes,
-                        probe_idx: 0,
-                        retries,
-                    };
                     ctx.set_timer(self.cal.read_retry_backoff, TAG_RETRY);
                 }
             },
-            WfPhase::Publishing {
-                out_idx,
-                target,
-                async_targets,
-                entry,
-            } => {
+            WfPhase::Publishing(i) => {
                 self.complete_meta_op(ctx);
-                if let Some(log) = &self.op_log {
-                    log.lock()
-                        .record_write_acked(entry.name.as_str(), target, ctx.now());
+                let step = self.write.on_reply(&resp);
+                if let (Some(log), Some(entry)) = (&self.op_log, &self.output) {
+                    if !matches!(step, Step::Done(Outcome::Error(_))) {
+                        log.lock().record_write_acked(
+                            entry.name.as_str(),
+                            self.write.sync_target(),
+                            ctx.now(),
+                        );
+                    }
                 }
-                if self.timeout.enabled && !async_targets.is_empty() {
-                    // Acknowledged propagation: each absorb is re-sent
-                    // until acked, so a flaky link cannot strand a
-                    // downstream consumer forever.
-                    self.phase = WfPhase::Propagating {
-                        out_idx,
-                        remaining: async_targets,
-                        entry,
-                    };
-                    self.send_propagate(ctx);
-                    return;
-                }
-                for t in async_targets {
-                    let req = RegistryRequest::Absorb {
-                        entries: vec![entry.clone()],
-                    };
-                    let size = req.wire_size();
-                    ctx.send(self.registries[&t], Msg::Req { op: CAST_OP, req }, size);
-                }
-                self.finish_output(ctx, out_idx);
+                self.propagate(ctx, i, step);
             }
-            WfPhase::Propagating {
-                out_idx,
-                mut remaining,
-                entry,
-            } => {
-                remaining.remove(0);
-                if remaining.is_empty() {
-                    self.finish_output(ctx, out_idx);
-                } else {
-                    self.phase = WfPhase::Propagating {
-                        out_idx,
-                        remaining,
-                        entry,
-                    };
-                    self.send_propagate(ctx);
-                }
+            WfPhase::Propagating(i) => {
+                let step = self.write.pushed();
+                self.propagate(ctx, i, step);
             }
-            WfPhase::Idle => {}
         }
     }
 }
@@ -1395,7 +1149,7 @@ fn add_sync_agent(dep: &mut Deployment, cfg: &SimConfig, n_clients: u64) {
         agent_site,
         SyncAgentActor {
             state: SyncAgentState::new(order.clone()),
-            registries: Arc::clone(&dep.registries),
+            link: RegistryLink::new(&dep.registries, cfg),
             order,
             idx: 0,
             cal: cfg.cal,
@@ -1405,8 +1159,6 @@ fn add_sync_agent(dep: &mut Deployment, cfg: &SimConfig, n_clients: u64) {
             in_flight_push: None,
             awaiting_push_ack: false,
             draining: false,
-            op_seq: 0,
-            timeout: OpTimeout::new(cfg.chaos_mode(), cfg.cal.op_timeout),
         },
     );
 }
@@ -1480,14 +1232,12 @@ pub(crate) fn run_synthetic_instrumented(
                 site,
                 role: spec.role(node),
                 strategy: Arc::clone(&dep.strategy),
-                registries: Arc::clone(&dep.registries),
+                link: RegistryLink::new(&dep.registries, cfg),
                 cal: cfg.cal,
                 ops_done: 0,
-                op_seq: 0,
                 phase: ClientPhase::Idle,
                 key_rng: spec.node_rng(node),
                 finished: false,
-                timeout: OpTimeout::new(cfg.chaos_mode(), cfg.cal.op_timeout),
                 op_log: cfg.op_log.clone(),
                 batcher: cfg.lazy_batch.map(|(n, age)| LazyBatcher::new(n, age)),
                 lazy_max_age: cfg.lazy_batch.map_or(SimDuration::ZERO, |(_, age)| age),
@@ -1639,13 +1389,14 @@ pub(crate) fn run_workflow_instrumented(
                 site: node.site,
                 node_idx: node.index,
                 strategy: Arc::clone(&dep.strategy),
-                registries: Arc::clone(&dep.registries),
+                link: RegistryLink::new(&dep.registries, cfg),
                 cal: cfg.cal,
                 cursor: 0,
                 phase: WfPhase::Idle,
-                op_seq: 0,
+                read: ResolveOp::new(node.site, usize::MAX),
+                write: PublishOp::new(node.site),
+                output: None,
                 finished: false,
-                timeout: OpTimeout::new(cfg.chaos_mode(), cfg.cal.op_timeout),
                 op_log: cfg.op_log.clone(),
             },
         );

@@ -23,7 +23,7 @@
 //! percentiles at the end.
 
 use geometa_core::transport::RegistryTransport;
-use geometa_core::{MetaError, StrategyClient};
+use geometa_core::StrategyClient;
 use geometa_workflow::apps::ops::{MetaOp, OpStream};
 use std::time::{Duration, Instant};
 
@@ -244,20 +244,12 @@ where
                         }
                         MetaOp::Resolve { name } => {
                             let name = key(name);
-                            let mut attempt = 0;
-                            loop {
-                                match client.resolve(&name) {
-                                    Ok(_) => break,
-                                    Err(MetaError::NotFound)
-                                        if attempt + 1 < opts.max_resolve_attempts =>
-                                    {
-                                        attempt += 1;
-                                        retries += 1;
-                                        std::thread::sleep(opts.resolve_backoff);
-                                    }
-                                    Err(e) => return Err(format!("resolve {name}: {e}")),
-                                }
-                            }
+                            client
+                                .resolve_with_retry(&name, opts.max_resolve_attempts, |_| {
+                                    retries += 1;
+                                    std::thread::sleep(opts.resolve_backoff);
+                                })
+                                .map_err(|e| format!("resolve {name}: {e}"))?;
                         }
                     }
                     lat_ns.push(t0.elapsed().as_nanos() as u64);
@@ -474,6 +466,81 @@ mod tests {
             probe.resolve("__warmup__/0/0/0"),
             Err(geometa_core::MetaError::NotFound)
         ));
+    }
+
+    /// Each resolve that misses and is retried counts once: a registry
+    /// that answers the first three gets `NotFound` costs exactly three
+    /// retries on a one-node stream.
+    #[test]
+    fn retried_resolves_are_counted() {
+        use geometa_core::protocol::{RegistryRequest, RegistryResponse};
+        use geometa_core::transport::RegistryTransport;
+        use geometa_workflow::apps::ops::{MetaOp, NodeStream, OpStream};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        struct LateRegistry {
+            inner: InProcessTransport,
+            misses: AtomicU64,
+        }
+        impl RegistryTransport for LateRegistry {
+            fn call(&self, target: SiteId, req: RegistryRequest) -> RegistryResponse {
+                let get = matches!(req, RegistryRequest::Get { .. });
+                let late = |n: u64| n.checked_sub(1);
+                if get
+                    && self
+                        .misses
+                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, late)
+                        .is_ok()
+                {
+                    return RegistryResponse::Error {
+                        error: geometa_core::MetaError::NotFound,
+                    };
+                }
+                self.inner.call(target, req)
+            }
+            fn cast(&self, target: SiteId, req: RegistryRequest) {
+                self.inner.cast(target, req)
+            }
+            fn now_micros(&self) -> u64 {
+                self.inner.now_micros()
+            }
+            fn sites(&self) -> Vec<SiteId> {
+                self.inner.sites()
+            }
+        }
+
+        let sites: Vec<SiteId> = (0..4).map(SiteId).collect();
+        let transport = Arc::new(LateRegistry {
+            inner: InProcessTransport::new(&sites, 8),
+            misses: AtomicU64::new(3),
+        });
+        let controller = Arc::new(ArchitectureController::with_kind(
+            StrategyKind::Centralized,
+            sites,
+        ));
+        let resolve = |name: &str| MetaOp::Resolve { name: name.into() };
+        let stream = OpStream {
+            externals: vec![("a".into(), 1), ("b".into(), 1)],
+            nodes: vec![NodeStream {
+                site: SiteId(1),
+                node: 0,
+                ops: vec![resolve("a"), resolve("b"), resolve("a")],
+            }],
+        };
+        let report = run_stream(
+            |site, node| {
+                StrategyClient::new(
+                    Arc::clone(&transport),
+                    Arc::clone(&controller),
+                    ClientConfig { site, node },
+                )
+            },
+            &stream,
+            &LoadOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(report.total_ops, 3);
+        assert_eq!(report.retries, 3);
     }
 
     #[test]

@@ -26,16 +26,27 @@ use std::time::{Duration, Instant};
 pub trait MetadataOps: Send + Sync {
     /// Publish a produced file's metadata.
     fn publish(&self, name: &str, size: u64) -> Result<(), MetaError>;
-    /// Resolve a file's metadata.
-    fn resolve(&self, name: &str) -> Result<RegistryEntry, MetaError>;
+    /// Resolve a file's metadata in up to `max_attempts` attempts, calling
+    /// `wait(attempt)` after each one that found it nowhere.
+    fn resolve_with_retry(
+        &self,
+        name: &str,
+        max_attempts: usize,
+        wait: &mut dyn FnMut(usize),
+    ) -> Result<RegistryEntry, MetaError>;
 }
 
 impl<T: RegistryTransport> MetadataOps for StrategyClient<T> {
     fn publish(&self, name: &str, size: u64) -> Result<(), MetaError> {
         StrategyClient::publish(self, name, size)
     }
-    fn resolve(&self, name: &str) -> Result<RegistryEntry, MetaError> {
-        StrategyClient::resolve(self, name)
+    fn resolve_with_retry(
+        &self,
+        name: &str,
+        max_attempts: usize,
+        wait: &mut dyn FnMut(usize),
+    ) -> Result<RegistryEntry, MetaError> {
+        StrategyClient::resolve_with_retry(self, name, max_attempts, wait)
     }
 }
 
@@ -167,32 +178,33 @@ impl WorkflowEngine {
                             let task = workflow.task(tid);
                             // 1. Resolve inputs through the registry.
                             for input in &task.inputs {
-                                let mut attempt = 0;
                                 #[expect(
                                     clippy::disallowed_methods,
                                     reason = "live-executor stall accounting: real blocking time"
                                 )]
                                 let wait_start = Instant::now();
-                                loop {
-                                    resolve_calls.fetch_add(1, Ordering::Relaxed);
-                                    match client.resolve(input) {
-                                        Ok(_) => break,
-                                        Err(MetaError::NotFound)
-                                            if attempt + 1 < cfg.max_resolve_attempts =>
-                                        {
-                                            attempt += 1;
-                                            std::thread::sleep(cfg.resolve_backoff);
-                                        }
-                                        Err(MetaError::NotFound) => {
-                                            return Err(EngineError::InputUnresolvable {
-                                                task: tid,
-                                                file: input.clone(),
-                                            });
-                                        }
-                                        Err(e) => return Err(EngineError::Metadata(e)),
+                                let mut stalled = false;
+                                resolve_calls.fetch_add(1, Ordering::Relaxed);
+                                let found = client.resolve_with_retry(
+                                    input,
+                                    cfg.max_resolve_attempts,
+                                    &mut |_| {
+                                        stalled = true;
+                                        std::thread::sleep(cfg.resolve_backoff);
+                                        resolve_calls.fetch_add(1, Ordering::Relaxed);
+                                    },
+                                );
+                                match found {
+                                    Ok(_) => {}
+                                    Err(MetaError::NotFound) => {
+                                        return Err(EngineError::InputUnresolvable {
+                                            task: tid,
+                                            file: input.clone(),
+                                        });
                                     }
+                                    Err(e) => return Err(EngineError::Metadata(e)),
                                 }
-                                if attempt > 0 {
+                                if stalled {
                                     stall_nanos.fetch_add(
                                         wait_start.elapsed().as_nanos() as u64,
                                         Ordering::Relaxed,
@@ -305,6 +317,81 @@ mod tests {
         assert_eq!(report.task_completion.len(), w.len());
         // Sink must have read all 8 parts.
         assert!(report.resolve_calls >= 8);
+    }
+
+    /// Answers the first `misses` gets `NotFound`, as a registry does
+    /// while propagation lags.
+    struct LateRegistry {
+        inner: InProcessTransport,
+        misses: AtomicU64,
+    }
+
+    impl RegistryTransport for LateRegistry {
+        fn call(
+            &self,
+            target: SiteId,
+            req: geometa_core::protocol::RegistryRequest,
+        ) -> geometa_core::protocol::RegistryResponse {
+            let get = matches!(req, geometa_core::protocol::RegistryRequest::Get { .. });
+            let late = |n: u64| n.checked_sub(1);
+            if get
+                && self
+                    .misses
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, late)
+                    .is_ok()
+            {
+                return geometa_core::protocol::RegistryResponse::Error {
+                    error: MetaError::NotFound,
+                };
+            }
+            self.inner.call(target, req)
+        }
+        fn cast(&self, target: SiteId, req: geometa_core::protocol::RegistryRequest) {
+            self.inner.cast(target, req)
+        }
+        fn now_micros(&self) -> u64 {
+            self.inner.now_micros()
+        }
+        fn sites(&self) -> Vec<SiteId> {
+            self.inner.sites()
+        }
+    }
+
+    /// Every miss costs one more resolve call and counts as stall time:
+    /// three forced misses on a one-node pipeline with two inputs make
+    /// exactly five resolve calls.
+    #[test]
+    fn retried_resolves_count_calls_and_stall() {
+        let w = pipeline("p", 3, PatternConfig::default());
+        let node = NodeId {
+            site: SiteId(1),
+            index: 0,
+        };
+        let placement = schedule(&w, &[node], SchedulerPolicy::RoundRobin);
+        let sites: Vec<SiteId> = (0..4).map(SiteId).collect();
+        let transport = Arc::new(LateRegistry {
+            inner: InProcessTransport::new(&sites, 8),
+            misses: AtomicU64::new(3),
+        });
+        let controller = Arc::new(ArchitectureController::with_kind(
+            StrategyKind::Centralized,
+            sites,
+        ));
+        let client: Arc<dyn MetadataOps> = Arc::new(StrategyClient::new(
+            transport,
+            controller,
+            ClientConfig {
+                site: node.site,
+                node: node.index,
+            },
+        ));
+        let clients = [(node, client)].into_iter().collect();
+        let report = WorkflowEngine::new(EngineConfig::default())
+            .run(&w, &placement, &clients)
+            .unwrap();
+        assert_eq!(report.resolve_calls, 5);
+        assert_eq!(report.publish_calls, 3);
+        assert!(report.stall_time >= 3 * EngineConfig::default().resolve_backoff);
     }
 
     #[test]

@@ -151,8 +151,8 @@ fn dht_strategy_follows_ring_updates() {
     let mut changed = 0;
     for i in 0..1_000 {
         let key = format!("k{i}");
-        let a = strat.write_plan(&key, SiteId(0)).sync_targets[0];
-        let b = strat5.write_plan(&key, SiteId(0)).sync_targets[0];
+        let a = strat.write_plan(&key, SiteId(0)).sync_target;
+        let b = strat5.write_plan(&key, SiteId(0)).sync_target;
         if a != b {
             changed += 1;
             assert_eq!(b, SiteId(4));
