@@ -92,7 +92,7 @@ impl RegistryLink {
         };
         let size = req.wire_size();
         ctx.send(self.registries[&site], Msg::Req { op, req }, size);
-        if let (Some(after), true) = (self.timeout, op != CAST_OP) {
+        if let (Step::Call(_), Some(after)) = (step, self.timeout) {
             self.clear(ctx);
             self.timer = Some(ctx.set_timer(after, TAG_OP_TIMEOUT));
         }
@@ -887,8 +887,6 @@ impl WorkflowNodeActor {
     fn start_resolve(&mut self, ctx: &mut Ctx<Msg>, input_idx: usize) {
         self.phase = WfPhase::Resolving(input_idx);
         let key = &self.tasks[self.cursor].inputs[input_idx];
-        // Inputs are polled until they appear: no retry budget.
-        self.read = ResolveOp::new(self.site, usize::MAX);
         let step = self.read.start(self.strategy.read_plan(key, self.site));
         self.send_read(ctx, input_idx, step);
     }
@@ -1393,6 +1391,7 @@ pub(crate) fn run_workflow_instrumented(
                 cal: cfg.cal,
                 cursor: 0,
                 phase: WfPhase::Idle,
+                // Inputs are polled until they appear: no retry budget.
                 read: ResolveOp::new(node.site, usize::MAX),
                 write: PublishOp::new(node.site),
                 output: None,
